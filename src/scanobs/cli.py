@@ -63,11 +63,14 @@ def main(argv=None) -> int:
                       f"ALROC={row['alroc']:.4f}+-{row['alroc_se']:.4f}{auc}")
         else:
             summary = runner.ranking_report(args.reports)
-            print("ALROC ranking:", " > ".join(summary["alroc_ranking"]))
-            print("AUC ranking:  ", " > ".join(summary["auc_ranking"]))
-            if summary["rankings_disagree"]:
-                print("WARNING: ALROC and AUC rankings disagree")
-    except (runner.ConfigError, FileNotFoundError, FileExistsError) as exc:
+            for obs, systems in summary["alroc_ranking"].items():
+                print(f"{obs}:")
+                print("  ALROC ranking:", " > ".join(systems))
+                print("  AUC ranking:  ",
+                      " > ".join(summary["auc_ranking"][obs]))
+                if obs in summary["rankings_disagree"]:
+                    print("  WARNING: ALROC and AUC rankings disagree")
+    except (ValueError, FileNotFoundError, FileExistsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observers import ObserverRecord
+from .observers import Records
 
 
 @dataclass
@@ -28,25 +28,20 @@ class FomEstimate:
     n_bootstrap: int
 
 
-def _split_records(records: list[ObserverRecord], binary: bool = False):
-    t_abs, t_sig, correct = [], [], []
-    for r in records:
-        t = r.binary_statistic if binary else r.statistic
-        if binary and r.binary_statistic is None:
-            raise ValueError("record lacks a binary detection statistic")
-        if r.true_label == 0:
-            t_abs.append(t)
-        else:
-            t_sig.append(t)
-            correct.append(r.chosen_location == r.true_label)
-    if not t_abs or not t_sig:
+def _split_records(records: Records, binary: bool = False):
+    t = records.binary_statistic if binary else records.statistic
+    if t is None:
+        raise ValueError("records lack a binary detection statistic")
+    absent = records.true_label == 0
+    present = ~absent
+    if not absent.any() or not present.any():
         raise ValueError("need both signal-absent and signal-present records")
-    return (np.asarray(t_abs, dtype=np.float64),
-            np.asarray(t_sig, dtype=np.float64),
-            np.asarray(correct, dtype=bool))
+    t = np.asarray(t, dtype=np.float64)
+    correct = records.chosen_location[present] == records.true_label[present]
+    return t[absent], t[present], correct
 
 
-def empirical_lroc(records: list[ObserverRecord]) -> LrocCurve:
+def empirical_lroc(records: Records) -> LrocCurve:
     """LROC curve swept over all observed test-statistic values.
 
     At threshold tau: FPF = fraction of absent cases with t > tau, PCL =
@@ -91,7 +86,7 @@ def _bootstrap(t_abs, t_sig, correct, estimator, n_bootstrap, rng):
     return float(vals.std(ddof=1))
 
 
-def alroc(records: list[ObserverRecord], n_bootstrap: int = 1000,
+def alroc(records: Records, n_bootstrap: int = 1000,
           rng: np.random.Generator | None = None) -> FomEstimate:
     """Area under the LROC curve with a within-class bootstrap SE."""
     t_abs, t_sig, correct = _split_records(records)
@@ -101,7 +96,7 @@ def alroc(records: list[ObserverRecord], n_bootstrap: int = 1000,
     return FomEstimate(value, se, n_bootstrap)
 
 
-def empirical_roc(records: list[ObserverRecord]) -> LrocCurve:
+def empirical_roc(records: Records) -> LrocCurve:
     """Empirical ROC over the binary detection statistics (TPF in .pcl)."""
     t_abs, t_sig, _ = _split_records(records, binary=True)
     taus = np.concatenate(([np.inf],
@@ -112,7 +107,7 @@ def empirical_roc(records: list[ObserverRecord]) -> LrocCurve:
     return LrocCurve(taus, fpf, tpf, n_signal=len(t_sig), n_absent=len(t_abs))
 
 
-def auc(records: list[ObserverRecord], n_bootstrap: int = 1000,
+def auc(records: Records, n_bootstrap: int = 1000,
         rng: np.random.Generator | None = None) -> FomEstimate:
     """Area under the empirical ROC of the binary detection statistics."""
     t_abs, t_sig, _ = _split_records(records, binary=True)
@@ -123,21 +118,35 @@ def auc(records: list[ObserverRecord], n_bootstrap: int = 1000,
     return FomEstimate(value, se, n_bootstrap)
 
 
-def compare_systems(reports: list[tuple[str, FomEstimate, FomEstimate]]) -> dict:
-    """Rank systems by ALROC and by AUC; flag when the orderings disagree.
+def compare_systems(
+        reports: list[tuple[str, str, FomEstimate, FomEstimate]]) -> dict:
+    """Rank systems by ALROC and by AUC, separately for each observer; flag
+    the observers whose two orderings disagree.
 
-    Each report entry is (system_id, alroc_estimate, auc_estimate).
+    Each report entry is (observer, system_id, alroc_estimate, auc_estimate).
+    The rankings map each observer to its system ids in rank order.
     """
     if not reports:
         raise ValueError("need at least one system")
-    by_alroc = sorted(reports, key=lambda r: r[1].value, reverse=True)
-    by_auc = sorted(reports, key=lambda r: r[2].value, reverse=True)
-    alroc_rank = [r[0] for r in by_alroc]
-    auc_rank = [r[0] for r in by_auc]
+    by_observer: dict[str, dict[str, tuple[FomEstimate, FomEstimate]]] = {}
+    for observer, system, alroc_est, auc_est in reports:
+        systems = by_observer.setdefault(observer, {})
+        if system in systems:
+            raise ValueError(f"system {system!r} is reported twice for "
+                             f"observer {observer!r}")
+        systems[system] = (alroc_est, auc_est)
+
+    def ranking(fom):  # fom indexes (alroc, auc)
+        return {obs: sorted(systems, key=lambda s: systems[s][fom].value,
+                            reverse=True)
+                for obs, systems in by_observer.items()}
+
+    alroc_rank, auc_rank = ranking(0), ranking(1)
     return {
         "alroc_ranking": alroc_rank,
         "auc_ranking": auc_rank,
-        "rankings_disagree": alroc_rank != auc_rank,
+        "rankings_disagree": [obs for obs in by_observer
+                              if alroc_rank[obs] != auc_rank[obs]],
     }
 
 

@@ -18,12 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observers import (
-    ObserverRecord,
-    binary_detection_statistic,
-    posteriors_from_lrs,
-    scanning_decision,
-)
+from .observers import Records, records_from_log_lrs
+# perfbench/layers.py wraps these two names on this module.
+from .observers import posteriors_from_lrs, scanning_decision  # noqa: F401
 from .tasks import TaskConfig
 
 
@@ -62,8 +59,9 @@ def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 def mcmc_io_record(g, task: TaskConfig, cfg: McmcConfig,
                    rng: np.random.Generator, true_label: int = 0,
-                   count_trace: list | None = None) -> ObserverRecord:
-    """Estimate the scanning-IO statistics for one image by MCMC.
+                   count_trace: list | None = None) -> Records:
+    """Estimate the scanning-IO statistics for one image by MCMC, as a
+    one-row record set.
 
     When count_trace is a list, the post-burn-in lump count is appended at
     every retained iteration (used by stationarity checks).
@@ -175,9 +173,4 @@ def mcmc_io_record(g, task: TaskConfig, cfg: McmcConfig,
                 count_trace.append(len(centers))
 
     log_lrs = log_sum - np.log(n_kept)
-    priors = task.priors
-    lams = np.log(priors[1:]) + log_lrs
-    t, j_star = scanning_decision(lams)
-    post = posteriors_from_lrs(log_lrs, priors)
-    return ObserverRecord(t, j_star, true_label, lams,
-                          binary_detection_statistic(post))
+    return records_from_log_lrs(log_lrs[None], task.priors, [true_label])

@@ -3,10 +3,8 @@
 The network maps an image to J+1 class probabilities via a stack of 5x5
 same-padded convolutions (32 filters each, leaky-rectifier activations), one
 2x2 max-pool after the conv stack, and a dense head with softmax.  Forward
-and backward passes are implemented explicitly; no autodiff framework is
-used.  Convolution arithmetic runs through numpy im2col by default or, when
-available, torch's conv kernels as a faster BLAS-like primitive (gradients
-are still computed from the explicit formulas).
+and backward passes are implemented explicitly in numpy (convolutions by
+im2col); no autodiff framework is used.
 """
 
 from __future__ import annotations
@@ -19,30 +17,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .imaging import apply_noise
+from .observers import Records, records_from_statistics
 from .rng import stream, substream
-
-try:
-    import torch
-    import torch.nn.functional as _tf
-    _HAVE_TORCH = True
-except ImportError:  # pragma: no cover
-    _HAVE_TORCH = False
-
-_BACKEND = "torch" if _HAVE_TORCH else "numpy"
-
-
-def set_backend(name: str):
-    """Select the convolution backend: "numpy" or "torch"."""
-    global _BACKEND
-    if name not in ("numpy", "torch"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "torch" and not _HAVE_TORCH:
-        raise RuntimeError("torch is not available")
-    _BACKEND = name
-
-
-def get_backend() -> str:
-    return _BACKEND
 
 
 @dataclass(frozen=True)
@@ -114,29 +90,6 @@ def init_state(arch: Architecture, seed: int = 0,
 # ---------------------------------------------------------------------------
 # primitive layers
 
-def _conv_forward(x, w, b):
-    if _BACKEND == "torch":
-        p = w.shape[-1] // 2
-        with torch.no_grad():
-            y = _tf.conv2d(torch.from_numpy(x), torch.from_numpy(w),
-                           torch.from_numpy(b), padding=p)
-        return y.numpy()
-    return _conv_forward_np(x, w, b)
-
-
-def _conv_backward(x, w, dy):
-    if _BACKEND == "torch":
-        p = w.shape[-1] // 2
-        with torch.no_grad():
-            xt = torch.from_numpy(x)
-            dyt = torch.from_numpy(dy)
-            dw = _tf.conv2d(xt.transpose(0, 1), dyt.transpose(0, 1),
-                            padding=p).transpose(0, 1)
-            dx = _tf.conv_transpose2d(dyt, torch.from_numpy(w), padding=p)
-        return dw.numpy(), dy.sum(axis=(0, 2, 3)), dx.numpy()
-    return _conv_backward_np(x, w, dy)
-
-
 def _cols_view(xp, k, h, w):
     b, c = xp.shape[:2]
     s = xp.strides
@@ -144,7 +97,7 @@ def _cols_view(xp, k, h, w):
                       (s[0], s[1], s[2], s[3], s[2], s[3]))
 
 
-def _conv_forward_np(x, w, b):
+def _conv_forward(x, w, b):
     k = w.shape[-1]
     p = k // 2
     _, _, h, ww = x.shape
@@ -154,7 +107,7 @@ def _conv_forward_np(x, w, b):
     return y + b[None, :, None, None]
 
 
-def _conv_backward_np(x, w, dy):
+def _conv_backward(x, w, dy):
     k = w.shape[-1]
     p = k // 2
     _, _, h, ww = x.shape
@@ -236,27 +189,18 @@ def _backward_batch(dlogits, cache, state: NetworkState):
 
 
 def _prepare_input(images, state: NetworkState):
-    x = np.asarray(images)
-    if x.ndim == 2:
-        x = x[None]
-    x = x[:, None]  # (B, 1, H, W)
+    x = np.asarray(images)[:, None]  # (B, 1, H, W)
     dtype = state.params[0].dtype
     return ((x - state.input_mean) / state.input_std).astype(dtype)
-
-
-def forward(g, state: NetworkState):
-    """Single-image forward pass: (logits, posterior probabilities)."""
-    g = np.asarray(g)
-    if g.shape != state.arch.input_shape:
-        raise ValueError(f"image shape {g.shape} does not match architecture "
-                         f"input {state.arch.input_shape}")
-    logits, _ = _forward_batch(_prepare_input(g, state), state, False)
-    return logits[0], softmax(logits[0])
 
 
 def forward_posteriors(images, state: NetworkState,
                        chunk: int = 128) -> np.ndarray:
     """Batched posteriors for a stack of images, shape (N, J+1)."""
+    images = np.asarray(images)
+    if images.shape[1:] != state.arch.input_shape:
+        raise ValueError(f"image shape {images.shape[1:]} does not match "
+                         f"architecture input {state.arch.input_shape}")
     out = []
     for i in range(0, len(images), chunk):
         logits, _ = _forward_batch(_prepare_input(images[i:i + chunk], state),
@@ -469,29 +413,22 @@ def select_depth(depths, trainer):
 # ---------------------------------------------------------------------------
 # observer interface
 
-def cnn_io_records(images, labels, state: NetworkState, priors=None):
+def cnn_io_records(images, labels, state: NetworkState,
+                   priors=None) -> Records:
     """Observer records from the network posteriors.
 
     lambda_j = log Pr(H_j|g) - log Pr(H_0|g) (plus the log prior ratio when
     non-uniform priors are supplied); the binary statistic is 1 - Pr(H_0|g).
+    Posteriors are floored at the smallest normal number of their dtype, so
+    a posterior that underflows to 0 still gives a finite lambda.
     """
-    from .observers import ObserverRecord, scanning_decision
-    probs = forward_posteriors(np.asarray(images), state)
-    logp = np.log(probs + 1e-300)
+    probs = forward_posteriors(images, state)
+    logp = np.log(np.maximum(probs, np.finfo(probs.dtype).tiny))
     lams = logp[:, 1:] - logp[:, :1]
     if priors is not None:
         priors = np.asarray(priors, dtype=np.float64)
         lams = lams + (np.log(priors[1:]) - np.log(priors[0]))
-    records = []
-    for i in range(len(probs)):
-        t, j_star = scanning_decision(lams[i])
-        records.append(ObserverRecord(t, j_star, int(labels[i]), lams[i],
-                                      float(1.0 - probs[i, 0])))
-    return records
-
-
-def cnn_io_record(g, state: NetworkState, true_label: int = 0, priors=None):
-    return cnn_io_records(np.asarray(g)[None], [true_label], state, priors)[0]
+    return records_from_statistics(lams, labels, 1.0 - probs[:, 0])
 
 
 # ---------------------------------------------------------------------------

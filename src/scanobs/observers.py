@@ -7,7 +7,7 @@ All likelihood ratios are carried in the log domain throughout.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
@@ -15,83 +15,89 @@ from scipy.special import logsumexp
 
 
 @dataclass
-class ObserverRecord:
-    """Per-image observer output: the input row of the LROC analysis."""
+class Records:
+    """Observer output for N images, one row per image: the input of the
+    LROC analysis."""
 
-    statistic: float          # t = max_j lambda_j
-    chosen_location: int      # j* in 1..J (lowest index on ties)
-    true_label: int           # y in 0..J
-    per_location: np.ndarray  # the J per-location statistics lambda_j
-    binary_statistic: float | None = None  # detection-only statistic
+    statistic: np.ndarray        # (N,) t = max_j lambda_j
+    chosen_location: np.ndarray  # (N,) j* in 1..J (lowest index on ties)
+    true_label: np.ndarray       # (N,) y in 0..J
+    per_location: np.ndarray     # (N, J) per-location statistics lambda_j
+    binary_statistic: np.ndarray | None = None  # (N,) detection-only statistic
+
+    def __len__(self) -> int:
+        return len(self.statistic)
+
+    @classmethod
+    def concatenate(cls, parts: list[Records]) -> Records:
+        """Stack the rows of several record sets, in order."""
+        columns = {f.name: [getattr(p, f.name) for p in parts]
+                   for f in fields(cls)}
+        return cls(**{name: None if col[0] is None else np.concatenate(col)
+                      for name, col in columns.items()})
 
 
-def scanning_decision(lams) -> tuple[float, int]:
-    """Max-statistic rule: t = max_j lambda_j, j* = first argmax (1-based)."""
+def scanning_decision(lams):
+    """Max-statistic rule along the last axis: t = max_j lambda_j and
+    j* = first argmax (1-based), one pair per row."""
     lams = np.asarray(lams, dtype=np.float64)
-    if lams.ndim != 1 or len(lams) < 1:
-        raise ValueError("need a 1D vector of at least one statistic")
+    if lams.ndim not in (1, 2) or lams.shape[-1] < 1:
+        raise ValueError("need rows of at least one statistic")
     if not np.all(np.isfinite(lams)):
         raise ValueError("non-finite per-location statistic")
-    j = int(np.argmax(lams))  # np.argmax returns the first maximizer
-    return float(lams[j]), j + 1
+    # np.argmax returns the first maximizer
+    return lams.max(axis=-1), np.argmax(lams, axis=-1) + 1
 
 
-def laplacian_bke_log_lr(g, b, s, c: float) -> float:
-    """Log likelihood ratio for i.i.d. Laplacian noise with known background.
-
-    log Lambda_j = (1/c) * sum_m (|g_m - b_m| - |g_m - b_m - s_m|).
-    """
-    if c <= 0:
-        raise ValueError("Laplacian scale c must be positive")
-    g = np.asarray(g, dtype=np.float64)
-    r = g - np.asarray(b, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    return float((np.abs(r) - np.abs(r - s)).sum() / c)
+def records_from_statistics(lams, labels, binary) -> Records:
+    """Records from (N, J) per-location statistics by the max-statistic rule."""
+    t, j_star = scanning_decision(lams)
+    return Records(t, j_star, np.asarray(labels, dtype=np.int64),
+                   np.asarray(lams), np.asarray(binary, dtype=np.float64))
 
 
 def posteriors_from_lrs(log_lrs, priors) -> np.ndarray:
     """Posterior probabilities from per-location log likelihood ratios.
 
-    priors has length J+1 (signal-absent first); output sums to 1 and is
-    computed stably in the log domain.
+    priors has length J+1 (signal-absent first); each row of log_lrs gives
+    one row of J+1 posteriors that sums to 1, computed stably in the log
+    domain.
     """
     log_lrs = np.asarray(log_lrs, dtype=np.float64)
     priors = np.asarray(priors, dtype=np.float64)
-    if len(priors) != len(log_lrs) + 1:
+    if len(priors) != log_lrs.shape[-1] + 1:
         raise ValueError("priors must have length J+1")
     if np.any(priors <= 0):
         raise ValueError("priors must be strictly positive")
-    log_num = np.concatenate(([np.log(priors[0])],
-                              np.log(priors[1:]) + log_lrs))
-    return np.exp(log_num - logsumexp(log_num))
+    log_num = np.concatenate(
+        (np.broadcast_to(np.log(priors[0]), log_lrs.shape[:-1] + (1,)),
+         np.log(priors[1:]) + log_lrs), axis=-1)
+    return np.exp(log_num - logsumexp(log_num, axis=-1, keepdims=True))
 
 
-def binary_detection_statistic(posteriors) -> float:
-    """Detection-only statistic 1 - Pr(H0 | g)."""
-    return float(1.0 - np.asarray(posteriors)[0])
-
-
-def laplacian_io_record(g, signal_images, background, c: float,
-                        priors, true_label: int) -> ObserverRecord:
-    """Analytic ideal observer for the Laplacian BKE task.
+def records_from_log_lrs(log_lrs, priors, labels) -> Records:
+    """Ideal-observer records from (N, J) log likelihood ratios.
 
     Per-location statistics are the prior-weighted log likelihood ratios
     log Pr(H_j) + log Lambda_j(g); the binary statistic is 1 - Pr(H0|g).
     """
-    log_lrs = np.array([laplacian_bke_log_lr(g, background, s, c)
-                        for s in signal_images])
+    log_lrs = np.asarray(log_lrs, dtype=np.float64)
     priors = np.asarray(priors, dtype=np.float64)
-    lams = np.log(priors[1:]) + log_lrs
-    t, j_star = scanning_decision(lams)
     post = posteriors_from_lrs(log_lrs, priors)
-    return ObserverRecord(t, j_star, true_label, lams,
-                          binary_detection_statistic(post))
+    return records_from_statistics(np.log(priors[1:]) + log_lrs, labels,
+                                   1.0 - post[:, 0])
 
 
 def laplacian_io_log_lrs_batch(images: np.ndarray,
                                signal_images: np.ndarray,
                                background: np.ndarray, c: float) -> np.ndarray:
-    """Vectorized per-location log-LRs for a stack of images, shape (N, J)."""
+    """Per-location log-LRs of the Laplacian known-background task for a
+    stack of images, shape (N, J):
+
+    log Lambda_j = (1/c) * sum_m (|g_m - b_m| - |g_m - b_m - s_jm|).
+    """
+    if c <= 0:
+        raise ValueError("Laplacian scale c must be positive")
     n = len(images)
     flat = images.reshape(n, -1).astype(np.float64)
     flat = flat - np.asarray(background, dtype=np.float64).ravel()
@@ -158,64 +164,46 @@ def build_hotelling(backgrounds, signals, noise_var: float,
     return HotellingObserverState(templates, mean_bg, signals, grid_shape)
 
 
-def apply_covariance(state: HotellingObserverState, backgrounds,
-                     noise_var: float, v: np.ndarray) -> np.ndarray:
-    """Apply the same K used by build_hotelling (for residual checks)."""
-    samples = np.stack([np.asarray(b, dtype=np.float64).ravel()
-                        for b in backgrounds])
-    centered = samples - samples.mean(axis=0)
-    return centered.T @ (centered @ v) / (len(samples) - 1) + noise_var * v
-
-
-def scanning_ho_record(g, state: HotellingObserverState,
-                       true_label: int) -> ObserverRecord:
-    """Scanning HO: lambda_j = w_j^T (g - mean_b - s_j / 2)."""
-    gv = np.asarray(g, dtype=np.float64).ravel() - state.mean_background
-    lams = (state.templates * (gv - state.signals / 2.0)).sum(axis=1)
-    t, j_star = scanning_decision(lams)
-    return ObserverRecord(t, j_star, true_label, lams, binary_statistic=t)
-
-
 def scanning_ho_records(images, labels,
-                        state: HotellingObserverState) -> list[ObserverRecord]:
+                        state: HotellingObserverState) -> Records:
+    """Scanning HO: lambda_j = w_j^T (g - mean_b - s_j / 2); the binary
+    statistic is max_j lambda_j."""
     n = len(images)
     flat = images.reshape(n, -1).astype(np.float64) - state.mean_background
     lams = flat @ state.templates.T \
         - 0.5 * (state.templates * state.signals).sum(axis=1)
-    return [_record_from_lams(lams[i], int(labels[i]), binary=float(lams[i].max()))
-            for i in range(n)]
+    return records_from_statistics(lams, labels, lams.max(axis=1))
 
 
-def _record_from_lams(lams, true_label, binary=None):
-    t, j_star = scanning_decision(lams)
-    return ObserverRecord(t, j_star, true_label, np.asarray(lams), binary)
-
-
-def records_to_csv(path, records: list[ObserverRecord]):
-    """Write records as CSV: image_id, true_label, t, j_star, lambda_1..J."""
-    j_count = len(records[0].per_location)
+def records_to_csv(path, records: Records):
+    """Write records as CSV: image_id, true_label, t, j_star,
+    binary_statistic (empty when absent), lambda_1..J."""
+    n, j_count = records.per_location.shape
+    binary = ([""] * n if records.binary_statistic is None
+              else [repr(v) for v in records.binary_statistic.tolist()])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["image_id", "true_label", "t", "j_star",
                          "binary_statistic"]
                         + [f"lambda_{j + 1}" for j in range(j_count)])
-        for i, r in enumerate(records):
-            binary = ("" if r.binary_statistic is None
-                      else repr(float(r.binary_statistic)))
-            writer.writerow([i, r.true_label, repr(float(r.statistic)),
-                             r.chosen_location, binary]
-                            + [repr(float(v)) for v in r.per_location])
+        rows = zip(records.true_label.tolist(), records.statistic.tolist(),
+                   records.chosen_location.tolist(), binary,
+                   records.per_location.tolist())
+        for i, (label, t, j_star, b, lams) in enumerate(rows):
+            writer.writerow([i, label, repr(t), j_star, b]
+                            + [repr(v) for v in lams])
 
 
-def records_from_csv(path) -> list[ObserverRecord]:
-    records = []
+def records_from_csv(path) -> Records:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         n_lam = sum(1 for h in header if h.startswith("lambda_"))
-        for row in reader:
-            lams = np.array([float(v) for v in row[5:5 + n_lam]])
-            binary = float(row[4]) if row[4] else None
-            records.append(ObserverRecord(float(row[2]), int(row[3]),
-                                          int(row[1]), lams, binary))
-    return records
+        rows = list(reader)
+    lams = np.array([[float(v) for v in row[5:5 + n_lam]] for row in rows])
+    binary = (np.array([float(row[4]) for row in rows])
+              if rows and rows[0][4] else None)
+    return Records(np.array([float(row[2]) for row in rows]),
+                   np.array([int(row[3]) for row in rows]),
+                   np.array([int(row[1]) for row in rows]),
+                   lams.reshape(len(rows), n_lam), binary)

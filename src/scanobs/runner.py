@@ -3,6 +3,7 @@ execution, and network training."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import time
@@ -185,16 +186,7 @@ def _analytic_io_records(images, labels, task):
     background = np.zeros(task.grid[::-1], dtype=np.float32)
     log_lrs = observers.laplacian_io_log_lrs_batch(
         images, task.signal_images, background, task.noise.scale)
-    records = []
-    log_prior = np.log(task.priors[1:])
-    for i in range(len(images)):
-        lams = log_prior + log_lrs[i]
-        t, j_star = observers.scanning_decision(lams)
-        post = observers.posteriors_from_lrs(log_lrs[i], task.priors)
-        records.append(observers.ObserverRecord(
-            t, j_star, int(labels[i]), lams,
-            observers.binary_detection_statistic(post)))
-    return records
+    return observers.records_from_log_lrs(log_lrs, task.priors, labels)
 
 
 def _hotelling_records(images, labels, task, plan):
@@ -213,12 +205,11 @@ def _mcmc_records(images, labels, task, plan):
     cfg = McmcConfig(
         iterations=plan.mcmc_iterations,
         burn_in=None if plan.mcmc_burn_in < 0 else plan.mcmc_burn_in)
-    records = []
-    for i in range(len(images)):
-        rng = substream(plan.seed, "mcmc-chain", i)
-        records.append(mcmc_io_record(images[i], task, cfg, rng,
-                                      true_label=int(labels[i])))
-    return records
+    return observers.Records.concatenate([
+        mcmc_io_record(images[i], task, cfg,
+                       substream(plan.seed, "mcmc-chain", i),
+                       true_label=int(labels[i]))
+        for i in range(len(images))])
 
 
 def _cnn_records(images, labels, task, plan):
@@ -258,7 +249,7 @@ def run_observers(plan: ExperimentPlan) -> list[dict]:
         row = {"observer": name, "task": task.kind, "system": plan.preset,
                "alroc": alroc.value, "alroc_se": alroc.std_error,
                "n_records": len(records)}
-        if records[0].binary_statistic is not None:
+        if records.binary_statistic is not None:
             evaluation.curve_to_csv(plan.out_dir / f"roc_{name}.csv",
                                     evaluation.empirical_roc(records))
             auc = evaluation.auc(records, plan.bootstrap_samples,
@@ -321,9 +312,8 @@ def run_training(plan: ExperimentPlan):
 
 
 def ranking_report(report_paths) -> dict:
-    """Merge per-system report CSVs and flag ALROC/AUC ranking disagreement."""
-    import csv
-
+    """Merge per-system report CSVs and, for each observer, flag ALROC/AUC
+    ranking disagreement."""
     entries = []
     for path in report_paths:
         with open(path, newline="") as fh:
@@ -331,6 +321,7 @@ def ranking_report(report_paths) -> dict:
                 if not row.get("auc"):
                     continue
                 entries.append((
+                    row["observer"],
                     row["system"],
                     evaluation.FomEstimate(float(row["alroc"]),
                                            float(row["alroc_se"]), 0),

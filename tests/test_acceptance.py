@@ -20,7 +20,7 @@ from scanobs import evaluation, observers
 from scanobs.evaluation import alroc, auc, empirical_lroc, lroc_trapezoid_area
 from scanobs.imaging import PrfSpec, render_signal_image
 from scanobs.mcmc import McmcConfig, mcmc_io_record
-from scanobs.observers import ObserverRecord
+from scanobs.observers import Records
 from scanobs.phantoms import SignalSpec
 from scanobs.rng import stream
 from scanobs.runner import (
@@ -46,7 +46,7 @@ def _check(label, ok):
 def _analytic_records(task, n_per_class, seed_name):
     rng = stream(0, seed_name)
     zero = np.zeros(task.grid[::-1])
-    records = []
+    log_lrs, labels = [], []
     chunk = 250
     for label in range(task.J + 1):
         done = 0
@@ -54,17 +54,12 @@ def _analytic_records(task, n_per_class, seed_name):
             m = min(chunk, n_per_class - done)
             imgs = np.stack([simulate_measurement(task, label, rng)[0]
                              for _ in range(m)])
-            log_lrs = observers.laplacian_io_log_lrs_batch(
-                imgs, task.signal_images, zero, task.noise.scale)
-            for i in range(m):
-                lams = np.log(task.priors[1:]) + log_lrs[i]
-                t, j_star = observers.scanning_decision(lams)
-                post = observers.posteriors_from_lrs(log_lrs[i], task.priors)
-                records.append(ObserverRecord(
-                    t, j_star, label, lams,
-                    observers.binary_detection_statistic(post)))
+            log_lrs.append(observers.laplacian_io_log_lrs_batch(
+                imgs, task.signal_images, zero, task.noise.scale))
+            labels += [label] * m
             done += m
-    return records
+    return observers.records_from_log_lrs(np.concatenate(log_lrs),
+                                          task.priors, labels)
 
 
 def test_criterion_1_ranking_reversal():
@@ -177,38 +172,33 @@ def test_criterion_5_clb_cnn_beats_hotelling(tmp_path):
 def test_criterion_6a_gradient_checks():
     from test_neuralnet import _toy_task
 
-    prev = nn.get_backend()
-    nn.set_backend("numpy")
-    try:
-        arch = nn.Architecture(2, (4, 4), n_classes=3, filters=3, kernel=3)
-        state = nn.init_state(arch, seed=5, dtype=np.float64)
-        rng = np.random.default_rng(6)
-        images = rng.normal(size=(2, 4, 4))
-        labels = np.array([0, 2])
-        _, grads = nn.loss_and_gradient(images, labels, state)
+    arch = nn.Architecture(2, (4, 4), n_classes=3, filters=3, kernel=3)
+    state = nn.init_state(arch, seed=5, dtype=np.float64)
+    rng = np.random.default_rng(6)
+    images = rng.normal(size=(2, 4, 4))
+    labels = np.array([0, 2])
+    _, grads = nn.loss_and_gradient(images, labels, state)
 
-        # head identity: dense-bias gradient equals mean(softmax - onehot)
-        probs = nn.forward_posteriors(images, state)
-        expected = probs.copy()
-        expected[np.arange(2), labels] -= 1.0
-        head_err = np.abs(grads[-1] - expected.sum(axis=0) / 2.0).max()
+    # head identity: dense-bias gradient equals mean(softmax - onehot)
+    probs = nn.forward_posteriors(images, state)
+    expected = probs.copy()
+    expected[np.arange(2), labels] -= 1.0
+    head_err = np.abs(grads[-1] - expected.sum(axis=0) / 2.0).max()
 
-        worst = 0.0
-        eps = 1e-6
-        for p, g in zip(state.params, grads):
-            fp, fg = p.ravel(), g.ravel()
-            for i in range(fp.size):
-                orig = fp[i]
-                fp[i] = orig + eps
-                lp, _ = nn.loss_and_gradient(images, labels, state)
-                fp[i] = orig - eps
-                lm, _ = nn.loss_and_gradient(images, labels, state)
-                fp[i] = orig
-                fd = (lp - lm) / (2.0 * eps)
-                worst = max(worst, abs(fd - fg[i])
-                            / max(abs(fd), abs(fg[i]), 1e-8))
-    finally:
-        nn.set_backend(prev)
+    worst = 0.0
+    eps = 1e-6
+    for p, g in zip(state.params, grads):
+        fp, fg = p.ravel(), g.ravel()
+        for i in range(fp.size):
+            orig = fp[i]
+            fp[i] = orig + eps
+            lp, _ = nn.loss_and_gradient(images, labels, state)
+            fp[i] = orig - eps
+            lm, _ = nn.loss_and_gradient(images, labels, state)
+            fp[i] = orig
+            fd = (lp - lm) / (2.0 * eps)
+            worst = max(worst, abs(fd - fg[i])
+                        / max(abs(fd), abs(fg[i]), 1e-8))
     _check(f"criterion 6a: head-gradient identity ({head_err:.2e}) and "
            f"finite-difference backprop ({worst:.2e} <= 1e-4)",
            head_err < 1e-12 and worst <= 1e-4)
@@ -226,7 +216,7 @@ def test_criterion_6b_mcmc_oracles():
     cfg = McmcConfig(iterations=300_000, candidate_centers=candidates,
                      max_count=2)
     rec = mcmc_io_record(g, task, cfg, np.random.default_rng(4))
-    est = rec.per_location - np.log(task.priors[1:])
+    est = rec.per_location[0] - np.log(task.priors[1:])
     enum_err = np.abs(np.expm1(est - exact)).max()
 
     toy = _tiny_task(mean_count=1.0)
@@ -278,7 +268,7 @@ def test_criterion_6d_laplacian_pdf_oracle():
     s = rng.normal(size=64)
     g = rng.normal(size=64) * 3
     c = 20.0 / math.sqrt(2.0)
-    ours = observers.laplacian_bke_log_lr(g, b, s, c)
+    ours = observers.laplacian_io_log_lrs_batch(g[None], s[None], b, c)[0, 0]
     ref = (stats.laplace.logpdf(g, loc=b + s, scale=c)
            - stats.laplace.logpdf(g, loc=b, scale=c)).sum()
     _check(f"criterion 6d: log-LR vs per-pixel pdf oracle "
@@ -289,24 +279,23 @@ def test_criterion_6e_lroc_invariants():
     rng = np.random.default_rng(3)
 
     def synth(n):
-        recs = [ObserverRecord(rng.normal(), 1, 0, np.zeros(9), None)
-                for _ in range(n)]
+        t = [rng.normal() for _ in range(n)]
+        j_star = [1] * n
         for _ in range(n):
             correct = rng.random() < 0.8
-            recs.append(ObserverRecord(rng.normal(1.0),
-                                       1 if correct else 2, 1,
-                                       np.zeros(9), None))
-        for r in recs:
-            r.binary_statistic = r.statistic
-        return recs
+            t.append(rng.normal(1.0))
+            j_star.append(1 if correct else 2)
+        t = np.array(t)
+        return Records(t, np.array(j_star), np.array([0] * n + [1] * n),
+                       np.zeros((2 * n, 9)), t)
 
     records = synth(150)
     a = alroc(records, 10).value
     u = auc(records, 10).value
     trap = lroc_trapezoid_area(empirical_lroc(records))
-    mapped = [ObserverRecord(math.atan(r.statistic), r.chosen_location,
-                             r.true_label, r.per_location,
-                             math.atan(r.binary_statistic)) for r in records]
+    mapped = Records(np.arctan(records.statistic), records.chosen_location,
+                     records.true_label, records.per_location,
+                     np.arctan(records.binary_statistic))
     inv_err = abs(alroc(mapped, 10).value - a)
     _check(f"criterion 6e: ALROC ({a:.4f}) <= AUC ({u:.4f}), monotone "
            f"invariance ({inv_err:.1e}), pairwise vs trapezoid "

@@ -13,26 +13,31 @@ from scanobs.evaluation import (
     empirical_roc,
     lroc_trapezoid_area,
 )
-from scanobs.observers import ObserverRecord
+from scanobs.observers import Records
 
 
-def _rec(t, j_star, label, binary=None):
-    binary = t if binary is None else binary
-    return ObserverRecord(float(t), int(j_star), int(label),
-                          np.full(9, float(t)), float(binary))
+def _records(t, j_star, labels, binary=None):
+    """Records with the given columns; the binary statistic defaults to t."""
+    t = np.asarray(t, dtype=np.float64)
+    binary = t if binary is None else np.asarray(binary, dtype=np.float64)
+    return Records(t, np.asarray(j_star), np.asarray(labels),
+                   np.repeat(t[:, None], 9, axis=1), binary)
 
 
 def _synthetic(rng, n_sig, n_abs, shift=1.0, p_correct=0.8):
-    records = [_rec(rng.normal(), 1, 0) for _ in range(n_abs)]
+    t = [rng.normal() for _ in range(n_abs)]
+    j_star = [1] * n_abs
     for _ in range(n_sig):
         correct = rng.random() < p_correct
-        records.append(_rec(rng.normal(shift), 1 if correct else 2, 1))
-    return records
+        t.append(rng.normal(shift))
+        j_star.append(1 if correct else 2)
+    return _records(t, j_star, [0] * n_abs + [1] * n_sig)
 
 
 def test_perfect_observer():
-    records = [_rec(-1.0 - i, 1, 0) for i in range(10)] \
-        + [_rec(1.0 + i, 3, 3) for i in range(10)]
+    records = _records([-1.0 - i for i in range(10)]
+                       + [1.0 + i for i in range(10)],
+                       [1] * 10 + [3] * 10, [0] * 10 + [3] * 10)
     assert alroc(records, n_bootstrap=50).value == 1.0
     assert auc(records, n_bootstrap=50).value == 1.0
     curve = empirical_lroc(records)
@@ -41,8 +46,10 @@ def test_perfect_observer():
 
 
 def test_hopeless_observer():
-    records = [_rec(1.0 + i, 1, 0) for i in range(10)] \
-        + [_rec(-1.0 - i, 2, 1) for i in range(10)]  # always mislocalized too
+    records = _records([1.0 + i for i in range(10)]
+                       + [-1.0 - i for i in range(10)],
+                       [1] * 10 + [2] * 10,  # always mislocalized too
+                       [0] * 10 + [1] * 10)
     assert alroc(records, n_bootstrap=50).value == 0.0
     assert auc(records, n_bootstrap=50).value == 0.0
 
@@ -52,8 +59,12 @@ def test_guessing_observer_alroc_near_chance():
     # expected ALROC is (1/2) * (1/9) = 1/18
     rng = np.random.default_rng(0)
     n = 4000
-    records = [_rec(rng.normal(), 1, 0) for _ in range(n)]
-    records += [_rec(rng.normal(), rng.integers(1, 10), 5) for _ in range(n)]
+    t = [rng.normal() for _ in range(n)]
+    j_star = [1] * n
+    for _ in range(n):
+        t.append(rng.normal())
+        j_star.append(rng.integers(1, 10))
+    records = _records(t, j_star, [0] * n + [5] * n)
     est = alroc(records, n_bootstrap=10)
     assert abs(est.value - 1.0 / 18.0) < 3.0 * math.sqrt(0.5 / 9 / n)
     assert abs(auc(records, n_bootstrap=10).value - 0.5) < 0.03
@@ -91,10 +102,10 @@ def test_alroc_never_exceeds_auc():
 def test_monotone_transform_invariance():
     rng = np.random.default_rng(4)
     records = _synthetic(rng, 120, 120)
-    mapped = [ObserverRecord(math.atan(r.statistic) * 3.0 + 1.0,
-                             r.chosen_location, r.true_label, r.per_location,
-                             math.atan(r.binary_statistic))
-              for r in records]
+    mapped = Records(np.arctan(records.statistic) * 3.0 + 1.0,
+                     records.chosen_location, records.true_label,
+                     records.per_location,
+                     np.arctan(records.binary_statistic))
     assert alroc(records, n_bootstrap=10).value == pytest.approx(
         alroc(mapped, n_bootstrap=10).value, abs=1e-12)
     assert auc(records, n_bootstrap=10).value == pytest.approx(
@@ -102,10 +113,10 @@ def test_monotone_transform_invariance():
 
 
 def test_ties_get_half_credit():
-    records = [_rec(0.0, 1, 0), _rec(0.0, 1, 1)]
+    records = _records([0.0, 0.0], [1, 1], [0, 1])
     assert auc(records, n_bootstrap=10).value == 0.5
     assert alroc(records, n_bootstrap=10).value == 0.5
-    records = [_rec(0.0, 1, 0), _rec(0.0, 2, 1)]  # tied but mislocalized
+    records = _records([0.0, 0.0], [1, 2], [0, 1])  # tied but mislocalized
     assert alroc(records, n_bootstrap=10).value == 0.0
 
 
@@ -136,14 +147,14 @@ def test_bootstrap_reproducible_and_counted():
 
 def test_requires_both_classes():
     with pytest.raises(ValueError):
-        alroc([_rec(0.0, 1, 0)])
+        alroc(_records([0.0], [1], [0]))
     with pytest.raises(ValueError):
-        auc([_rec(0.0, 1, 1)])
+        auc(_records([0.0], [1], [1]))
 
 
 def test_roc_requires_binary_statistic():
-    bad = [ObserverRecord(0.0, 1, 0, np.zeros(9), None),
-           ObserverRecord(1.0, 1, 1, np.zeros(9), None)]
+    bad = _records([0.0, 1.0], [1, 1], [0, 1])
+    bad.binary_statistic = None
     with pytest.raises(ValueError):
         auc(bad)
 
@@ -152,19 +163,22 @@ def test_compare_systems_agree_and_disagree():
     def fom(v):
         return FomEstimate(v, 0.01, 10)
 
-    agree = compare_systems([("s1", fom(0.8), fom(0.9)),
-                             ("s2", fom(0.6), fom(0.7))])
-    assert agree["alroc_ranking"] == ["s1", "s2"]
-    assert not agree["rankings_disagree"]
+    agree = compare_systems([("io", "s1", fom(0.8), fom(0.9)),
+                             ("io", "s2", fom(0.6), fom(0.7))])
+    assert agree["alroc_ranking"] == {"io": ["s1", "s2"]}
+    assert agree["rankings_disagree"] == []
 
-    flip = compare_systems([("s1", fom(0.8), fom(0.7)),
-                            ("s2", fom(0.6), fom(0.9))])
-    assert flip["alroc_ranking"] == ["s1", "s2"]
-    assert flip["auc_ranking"] == ["s2", "s1"]
-    assert flip["rankings_disagree"]
+    flip = compare_systems([("io", "s1", fom(0.8), fom(0.7)),
+                            ("io", "s2", fom(0.6), fom(0.9))])
+    assert flip["alroc_ranking"] == {"io": ["s1", "s2"]}
+    assert flip["auc_ranking"] == {"io": ["s2", "s1"]}
+    assert flip["rankings_disagree"] == ["io"]
 
     with pytest.raises(ValueError):
         compare_systems([])
+    with pytest.raises(ValueError):  # one system reported twice
+        compare_systems([("io", "s1", fom(0.8), fom(0.9)),
+                         ("io", "s1", fom(0.6), fom(0.7))])
 
 
 def test_curve_csv(tmp_path):

@@ -105,7 +105,8 @@ def test_frozen_chain_reduces_to_gaussian_bke():
     sigs = task.signal_images.reshape(2, -1).astype(np.float64)
     v = (sigs @ g.ravel() - (sigs * sigs).sum(axis=1) / 2.0) / 4.0
     expected = np.log(task.priors[1:]) + v
-    np.testing.assert_allclose(rec.per_location, expected, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(rec.per_location[0], expected, rtol=0,
+                               atol=1e-9)
 
 
 def test_chain_matches_exhaustive_enumeration():
@@ -119,11 +120,11 @@ def test_chain_matches_exhaustive_enumeration():
     cfg = McmcConfig(iterations=300_000, candidate_centers=candidates,
                      max_count=2)
     rec = mcmc_io_record(g, task, cfg, np.random.default_rng(4), true_label=1)
-    est = rec.per_location - np.log(task.priors[1:])
+    est = rec.per_location[0] - np.log(task.priors[1:])
     # likelihood ratios agree within 2 percent
     assert np.abs(np.expm1(est - exact)).max() < 0.02
-    assert rec.true_label == 1
-    assert 0.0 <= rec.binary_statistic <= 1.0
+    assert len(rec) == 1 and rec.true_label[0] == 1
+    assert 0.0 <= rec.binary_statistic[0] <= 1.0
 
 
 def test_two_state_occupancy_matches_detailed_balance():
@@ -161,7 +162,7 @@ def test_count_trace_and_determinism():
                           count_trace=trace)
     rec2 = mcmc_io_record(g, task, cfg, np.random.default_rng(8))
     np.testing.assert_array_equal(rec1.per_location, rec2.per_location)
-    assert rec1.chosen_location == rec2.chosen_location
+    np.testing.assert_array_equal(rec1.chosen_location, rec2.chosen_location)
     assert len(trace) == 3000 - cfg.effective_burn_in
     assert all(isinstance(c, int) and c >= 0 for c in trace)
 

@@ -3,23 +3,33 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import logsumexp
 
+from scanobs import runner
+from scanobs.neuralnet import (
+    Architecture,
+    cnn_io_records,
+    forward_posteriors,
+    init_state,
+)
 from scanobs.observers import (
-    ObserverRecord,
-    apply_covariance,
-    binary_detection_statistic,
+    Records,
     build_hotelling,
-    laplacian_bke_log_lr,
     laplacian_io_log_lrs_batch,
-    laplacian_io_record,
     posteriors_from_lrs,
     records_from_csv,
+    records_from_log_lrs,
     records_to_csv,
     scanning_decision,
-    scanning_ho_record,
     scanning_ho_records,
 )
 from scanobs.tasks import simulate_measurement, task_preset
+
+
+def _log_lr(g, b, s, c):
+    """Log-LR of one image at one location, through the batched path."""
+    return laplacian_io_log_lrs_batch(np.asarray(g)[None], np.asarray(s)[None],
+                                      b, c)[0, 0]
 
 
 def test_scanning_decision_tie_breaks_low_index():
@@ -36,17 +46,19 @@ def test_scanning_decision_unique_max():
 
 def test_scanning_decision_matches_brute_force():
     rng = np.random.default_rng(0)
-    for _ in range(200):
-        lams = rng.normal(size=9)
-        t, j = scanning_decision(lams)
-        best = max(range(9), key=lambda i: lams[i])
-        assert j == best + 1
-        assert t == lams[best]
+    lams = rng.normal(size=(200, 9))
+    t, j = scanning_decision(lams)
+    for i in range(200):
+        best = max(range(9), key=lambda k: lams[i, k])
+        assert j[i] == best + 1
+        assert t[i] == lams[i, best]
 
 
 def test_scanning_decision_rejects_nonfinite():
     with pytest.raises(ValueError):
         scanning_decision([0.0, np.nan])
+    with pytest.raises(ValueError):
+        scanning_decision([[0.0, 1.0], [np.inf, 0.0]])
 
 
 def test_laplacian_log_lr_basic_identities():
@@ -55,13 +67,13 @@ def test_laplacian_log_lr_basic_identities():
     s = rng.normal(size=(8, 8))
     g = rng.normal(size=(8, 8))
     c = 2.0
-    assert laplacian_bke_log_lr(g, b, np.zeros((8, 8)), c) == 0.0
-    assert laplacian_bke_log_lr(b, b, s, c) == pytest.approx(
-        -np.abs(s).sum() / c)
-    assert laplacian_bke_log_lr(b + s, b, s, c) == pytest.approx(
-        np.abs(s).sum() / c)
+    assert _log_lr(g, b, np.zeros((8, 8)), c) == 0.0
+    assert _log_lr(b, b, s, c) == pytest.approx(-np.abs(s).sum() / c)
+    assert _log_lr(b + s, b, s, c) == pytest.approx(np.abs(s).sum() / c)
     with pytest.raises(ValueError):
-        laplacian_bke_log_lr(g, b, s, 0.0)
+        _log_lr(g, b, s, 0.0)
+    with pytest.raises(ValueError):
+        _log_lr(g, b, s, -1.0)
 
 
 def test_laplacian_log_lr_pdf_oracle():
@@ -71,7 +83,7 @@ def test_laplacian_log_lr_pdf_oracle():
     s = rng.normal(size=64)
     g = rng.normal(size=64) * 3
     c = 20.0 / math.sqrt(2.0)
-    ours = laplacian_bke_log_lr(g, b, s, c)
+    ours = _log_lr(g, b, s, c)
     ref = (stats.laplace.logpdf(g, loc=b + s, scale=c)
            - stats.laplace.logpdf(g, loc=b, scale=c)).sum()
     assert ours == pytest.approx(ref, abs=1e-10)
@@ -85,10 +97,12 @@ def test_laplacian_batch_matches_scalar():
     zero = np.zeros((64, 64))
     batch = laplacian_io_log_lrs_batch(imgs, task.signal_images, zero,
                                        task.noise.scale)
+    c = task.noise.scale
     for i in range(5):
+        r = imgs[i].astype(np.float64) - zero
         for j in range(9):
-            ref = laplacian_bke_log_lr(imgs[i], zero, task.signal_images[j],
-                                       task.noise.scale)
+            s = task.signal_images[j].astype(np.float64)
+            ref = (np.abs(r) - np.abs(r - s)).sum() / c
             assert batch[i, j] == pytest.approx(ref, rel=1e-12)
 
 
@@ -114,11 +128,18 @@ def test_posterior_ratio_identity():
 
 
 def test_binary_statistic():
-    assert binary_detection_statistic(np.full(10, 0.1)) == pytest.approx(0.9)
-    assert binary_detection_statistic([1.0, 0.0]) == 0.0
-    post = np.random.default_rng(5).dirichlet(np.ones(10))
-    assert binary_detection_statistic(post) == pytest.approx(
-        post[1:].sum(), abs=1e-12)
+    # the ideal observer's binary statistic is 1 - Pr(H0|g)
+    rec = records_from_log_lrs(np.zeros((1, 9)), np.full(10, 0.1), [0])
+    assert rec.binary_statistic[0] == pytest.approx(0.9)
+    rec = records_from_log_lrs([[-800.0]], [0.5, 0.5], [0])
+    assert rec.binary_statistic[0] == 0.0
+    rng = np.random.default_rng(5)
+    log_lrs = rng.normal(size=(4, 9))
+    priors = rng.dirichlet(np.ones(10))
+    rec = records_from_log_lrs(log_lrs, priors, [0, 1, 2, 3])
+    post = posteriors_from_lrs(log_lrs, priors)
+    np.testing.assert_allclose(rec.binary_statistic, post[:, 1:].sum(axis=1),
+                               atol=1e-12)
 
 
 def test_decision_equivalence_lr_vs_posterior_ratio():
@@ -166,9 +187,12 @@ def test_hotelling_lb_residual_check():
     rng = np.random.default_rng(9)
     backgrounds = np.stack([task.sample_background(rng) for _ in range(80)])
     state = build_hotelling(backgrounds, task.signal_images, 400.0)
+    samples = backgrounds.reshape(len(backgrounds), -1).astype(np.float64)
+    centered = samples - samples.mean(axis=0)
     for j in range(0, 9, 4):
-        recovered = apply_covariance(state, backgrounds, 400.0,
-                                     state.templates[j])
+        w = state.templates[j]
+        recovered = centered.T @ (centered @ w) / (len(samples) - 1) \
+            + 400.0 * w
         ref = state.signals[j]
         assert np.linalg.norm(recovered - ref) / np.linalg.norm(ref) < 1e-5
 
@@ -187,8 +211,8 @@ def test_scanning_ho_centered_input_gives_zero():
     sigs = np.random.default_rng(10).normal(size=(3, 4, 4))
     state = build_hotelling(None, sigs, noise_var=2.0)
     g = state.signals[1].reshape(4, 4) / 2.0  # b̄ = 0, so g - s_1/2 ⟂ trick
-    rec = scanning_ho_record(g, state, true_label=1)
-    assert rec.per_location[1] == pytest.approx(0.0, abs=1e-9)
+    rec = scanning_ho_records(g[None], [1], state)
+    assert rec.per_location[0, 1] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_scanning_ho_hand_computed_toy():
@@ -196,12 +220,13 @@ def test_scanning_ho_hand_computed_toy():
     sigs = np.array([[[2.0, 0.0]], [[0.0, 1.0]]])  # (2, 1, 2) images
     state = build_hotelling(None, sigs, noise_var=1.0)
     g = np.array([[1.0, 3.0]])
-    rec = scanning_ho_record(g, state, true_label=0)
+    rec = scanning_ho_records(g[None], [0], state)
     # lambda_1 = 2*(1-1) = 0 ; lambda_2 = 1*(3-0.5) = 2.5
-    assert rec.per_location[0] == pytest.approx(0.0)
-    assert rec.per_location[1] == pytest.approx(2.5)
-    assert rec.chosen_location == 2
-    assert rec.statistic == pytest.approx(2.5)
+    assert rec.per_location[0, 0] == pytest.approx(0.0)
+    assert rec.per_location[0, 1] == pytest.approx(2.5)
+    assert rec.chosen_location[0] == 2
+    assert rec.statistic[0] == pytest.approx(2.5)
+    assert rec.binary_statistic[0] == rec.statistic[0]
 
 
 def test_scanning_ho_batch_matches_single():
@@ -214,10 +239,12 @@ def test_scanning_ho_batch_matches_single():
     labels = [i % 10 for i in range(6)]
     batch = scanning_ho_records(imgs, labels, state)
     for i in range(6):
-        single = scanning_ho_record(imgs[i], state, labels[i])
-        np.testing.assert_allclose(batch[i].per_location,
-                                   single.per_location, rtol=1e-9)
-        assert batch[i].chosen_location == single.chosen_location
+        # lambda_j = w_j^T (g - mean_b - s_j / 2)
+        gv = imgs[i].astype(np.float64).ravel() - state.mean_background
+        ref = np.array([w @ (gv - s / 2.0)
+                        for w, s in zip(state.templates, state.signals)])
+        np.testing.assert_allclose(batch.per_location[i], ref, rtol=1e-9)
+        assert batch.chosen_location[i] == np.argmax(ref) + 1
 
 
 def test_constant_shift_leaves_chosen_location():
@@ -230,30 +257,130 @@ def test_constant_shift_leaves_chosen_location():
 
 def test_records_csv_round_trip(tmp_path):
     rng = np.random.default_rng(13)
-    records = [ObserverRecord(float(rng.normal()), int(rng.integers(1, 10)),
-                              int(rng.integers(0, 10)), rng.normal(size=9),
-                              float(rng.random()))
-               for _ in range(20)]
+    records = Records(rng.normal(size=20), rng.integers(1, 10, size=20),
+                      rng.integers(0, 10, size=20), rng.normal(size=(20, 9)),
+                      rng.random(20))
     path = tmp_path / "records.csv"
     records_to_csv(path, records)
     loaded = records_from_csv(path)
-    for a, b in zip(records, loaded):
-        assert a.statistic == b.statistic
-        assert a.chosen_location == b.chosen_location
-        assert a.true_label == b.true_label
-        assert a.binary_statistic == b.binary_statistic
-        np.testing.assert_array_equal(a.per_location, b.per_location)
+    _assert_records_equal(loaded, records)
+    records.binary_statistic = None
+    records_to_csv(path, records)
+    assert records_from_csv(path).binary_statistic is None
 
 
 def test_laplacian_io_record_end_to_end():
     task = task_preset("bke_system1")
     rng = np.random.default_rng(14)
-    hits = 0
-    for _ in range(30):
-        g, y = simulate_measurement(task, 5, rng)
-        rec = laplacian_io_record(g, task.signal_images, np.zeros((64, 64)),
-                                  task.noise.scale, task.priors, y)
-        assert rec.true_label == 5
-        assert 0.0 <= rec.binary_statistic <= 1.0
-        hits += rec.chosen_location == 5
-    assert hits >= 15  # IO localizes far above the 1/9 chance rate
+    imgs, labels = zip(*(simulate_measurement(task, 5, rng)
+                         for _ in range(30)))
+    log_lrs = laplacian_io_log_lrs_batch(np.stack(imgs), task.signal_images,
+                                         np.zeros((64, 64)), task.noise.scale)
+    rec = records_from_log_lrs(log_lrs, task.priors, labels)
+    assert len(rec) == 30
+    assert np.all(rec.true_label == 5)
+    assert np.all((rec.binary_statistic >= 0.0)
+                  & (rec.binary_statistic <= 1.0))
+    # IO localizes far above the 1/9 chance rate
+    assert np.sum(rec.chosen_location == 5) >= 15
+
+
+# ---------------------------------------------------------------------------
+# batched records against the per-record loop they replaced
+
+def _reference_rows(lams, labels, binary):
+    """Max-statistic decision one record at a time."""
+    rows = []
+    for lam, label, b in zip(lams, labels, binary):
+        lam = np.asarray(lam, dtype=np.float64)
+        j = int(np.argmax(lam))
+        rows.append((float(lam[j]), j + 1, int(label), float(b)))
+    t, j_star, y, b = (np.array(col) for col in zip(*rows))
+    return Records(t, j_star, y, np.asarray(lams), b)
+
+
+def _reference_io_rows(log_lrs, priors, labels):
+    """Ideal-observer records one at a time: prior-weighted log-LRs and
+    1 - Pr(H0|g) from a per-record log-sum-exp."""
+    priors = np.asarray(priors, dtype=np.float64)
+    lams, binary = [], []
+    for row in log_lrs:
+        lams.append(np.log(priors[1:]) + row)
+        log_num = np.concatenate(([np.log(priors[0])], lams[-1]))
+        binary.append(1.0 - np.exp(log_num[0] - logsumexp(log_num)))
+    return _reference_rows(np.array(lams), labels, binary)
+
+
+def _assert_records_equal(got, want):
+    assert len(got) == len(want)
+    for name in ("statistic", "chosen_location", "true_label",
+                 "per_location", "binary_statistic"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_analytic_io_records_match_per_row_reference():
+    task = task_preset("bke_system1")
+    rng = np.random.default_rng(15)
+    labels = np.arange(200) % 10
+    imgs = np.stack([simulate_measurement(task, y, rng)[0] for y in labels])
+    log_lrs = laplacian_io_log_lrs_batch(imgs, task.signal_images,
+                                         np.zeros((64, 64), np.float32),
+                                         task.noise.scale)
+    _assert_records_equal(records_from_log_lrs(log_lrs, task.priors, labels),
+                          _reference_io_rows(log_lrs, task.priors, labels))
+    post = posteriors_from_lrs(log_lrs, task.priors)
+    for i in range(len(labels)):
+        assert np.array_equal(post[i],
+                              posteriors_from_lrs(log_lrs[i], task.priors))
+
+
+def test_hotelling_records_match_per_row_reference():
+    task = task_preset("lb")
+    rng = np.random.default_rng(16)
+    backgrounds = np.stack([task.sample_background(rng) for _ in range(50)])
+    state = build_hotelling(backgrounds, task.signal_images, 400.0)
+    labels = np.arange(20) % 10
+    imgs = np.stack([simulate_measurement(task, y, rng)[0] for y in labels])
+    rec = scanning_ho_records(imgs, labels, state)
+    _assert_records_equal(rec, _reference_rows(
+        rec.per_location, labels, rec.per_location.max(axis=1)))
+
+
+def test_mcmc_records_match_per_row_reference(tmp_path, monkeypatch):
+    import scanobs.mcmc
+
+    seen = []
+    batched = scanobs.mcmc.records_from_log_lrs
+
+    def keep_log_lrs(log_lrs, priors, labels):
+        seen.append(log_lrs[0])
+        return batched(log_lrs, priors, labels)
+
+    monkeypatch.setattr(scanobs.mcmc, "records_from_log_lrs", keep_log_lrs)
+    plan = runner.ExperimentPlan("lb", tmp_path, seed=17,
+                                 mcmc_iterations=300, mcmc_burn_in=30)
+    task = plan.task
+    rng = np.random.default_rng(18)
+    labels = np.arange(6) % 10
+    imgs = np.stack([simulate_measurement(task, y, rng)[0] for y in labels])
+    rec = runner._mcmc_records(imgs, labels, task, plan)
+    _assert_records_equal(rec, _reference_io_rows(np.array(seen),
+                                                  task.priors, labels))
+
+
+def test_cnn_records_match_per_row_reference():
+    state = init_state(Architecture(1, (4, 4), n_classes=4, filters=3,
+                                    kernel=3), seed=19)
+    rng = np.random.default_rng(20)
+    images = rng.normal(size=(12, 4, 4)).astype(np.float32)
+    labels = np.arange(12) % 4
+    priors = np.array([0.4, 0.3, 0.2, 0.1])
+    probs = forward_posteriors(images, state)
+    lams, binary = [], []
+    for p in probs:
+        logp = np.log(np.maximum(p, np.finfo(p.dtype).tiny))
+        lams.append(logp[1:] - logp[0]
+                    + (np.log(priors[1:]) - np.log(priors[0])))
+        binary.append(1.0 - p[0])
+    _assert_records_equal(cnn_io_records(images, labels, state, priors),
+                          _reference_rows(np.array(lams), labels, binary))

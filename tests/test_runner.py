@@ -236,9 +236,31 @@ def test_ranking_report(tmp_path):
         "alroc": 0.6, "alroc_se": 0.01, "auc": 0.95, "auc_se": 0.01,
         "n_records": 10}])
     summary = ranking_report([tmp_path / "r1.csv", tmp_path / "r2.csv"])
-    assert summary["alroc_ranking"] == ["s1", "s2"]
-    assert summary["auc_ranking"] == ["s2", "s1"]
-    assert summary["rankings_disagree"]
+    assert summary["alroc_ranking"] == {"analytic_io": ["s1", "s2"]}
+    assert summary["auc_ranking"] == {"analytic_io": ["s2", "s1"]}
+    assert summary["rankings_disagree"] == ["analytic_io"]
+
+
+def test_ranking_report_ranks_each_observer_separately(tmp_path):
+    from scanobs.evaluation import report_to_csv
+
+    def row(observer, system, alroc, auc):
+        return {"observer": observer, "task": "bke_laplacian",
+                "system": system, "alroc": alroc, "alroc_se": 0.01,
+                "auc": auc, "auc_se": 0.01, "n_records": 10}
+
+    report_to_csv(tmp_path / "r1.csv", [row("analytic_io", "s1", 0.8, 0.85),
+                                        row("hotelling", "s1", 0.5, 0.6)])
+    report_to_csv(tmp_path / "r2.csv", [row("analytic_io", "s2", 0.6, 0.95),
+                                        row("hotelling", "s2", 0.55, 0.65)])
+    summary = ranking_report([tmp_path / "r1.csv", tmp_path / "r2.csv"])
+    assert summary["alroc_ranking"] == {"analytic_io": ["s1", "s2"],
+                                        "hotelling": ["s2", "s1"]}
+    assert summary["auc_ranking"] == {"analytic_io": ["s2", "s1"],
+                                      "hotelling": ["s2", "s1"]}
+    assert summary["rankings_disagree"] == ["analytic_io"]
+    with pytest.raises(ValueError):  # the same report merged twice
+        ranking_report([tmp_path / "r1.csv", tmp_path / "r1.csv"])
 
 
 def test_cli_generate_and_evaluate(tmp_path, capsys):
@@ -287,3 +309,7 @@ def test_cli_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "ALROC ranking: s1 > s2" in out
     assert "WARNING" in out
+    # the same report merged twice is a one-line error, not a traceback
+    assert main(["report", str(tmp_path / "r1.csv"),
+                 str(tmp_path / "r1.csv")]) == 1
+    assert "error:" in capsys.readouterr().err
