@@ -71,6 +71,8 @@ def write_dataset(path, images: np.ndarray, labels):
 def read_dataset(path):
     """Read a dataset file; returns (images (N,H,W) float32, labels (N,) uint8, meta)."""
     raw = Path(path).read_bytes()
+    if len(raw) < HEADER_SIZE:
+        raise ValueError(f"{path}: truncated header")
     magic, version, count, width, height, n_loc = _HEADER.unpack(
         raw[:_HEADER.size])
     if magic != MAGIC:
@@ -86,7 +88,7 @@ def read_dataset(path):
     images = body[:, 1:].copy().view("<f4").reshape(count, height, width)
     meta = {"count": count, "width": width, "height": height,
             "n_locations": n_loc}
-    return images.astype(np.float32), labels, meta
+    return images.astype(np.float32, copy=False), labels, meta
 
 
 def image_to_csv(path, image: np.ndarray):

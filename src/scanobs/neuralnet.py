@@ -459,6 +459,8 @@ def save_checkpoint(path, state: NetworkState):
 
 def load_checkpoint(path) -> NetworkState:
     raw = Path(path).read_bytes()
+    if len(raw) < _CKPT_HEADER.size:
+        raise ValueError(f"{path}: truncated header")
     (magic, version, conv_layers, filters, kernel, n_classes, in_h, in_w,
      slope, mean, std, step) = _CKPT_HEADER.unpack(raw[:_CKPT_HEADER.size])
     if magic != _CKPT_MAGIC:

@@ -13,6 +13,8 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 from scipy.special import logsumexp
 
+_BLOCK_ROWS = 16  # images per block in laplacian_io_log_lrs_batch
+
 
 @dataclass
 class Records:
@@ -95,16 +97,29 @@ def laplacian_io_log_lrs_batch(images: np.ndarray,
     stack of images, shape (N, J):
 
     log Lambda_j = (1/c) * sum_m (|g_m - b_m| - |g_m - b_m - s_jm|).
+
+    The stack is walked a block of images at a time through three float64
+    workspaces; each image's sum is the one a whole-stack sum would give.
     """
     if c <= 0:
         raise ValueError("Laplacian scale c must be positive")
     n = len(images)
-    flat = images.reshape(n, -1).astype(np.float64)
-    flat = flat - np.asarray(background, dtype=np.float64).ravel()
+    flat = images.reshape(n, -1)
+    b = np.asarray(background, dtype=np.float64).ravel()
     sigs = signal_images.reshape(len(signal_images), -1).astype(np.float64)
     out = np.empty((n, len(sigs)))
-    for j, s in enumerate(sigs):
-        out[:, j] = (np.abs(flat) - np.abs(flat - s)).sum(axis=1) / c
+    r, mag, work = np.empty((3, min(n, _BLOCK_ROWS), flat.shape[1]))
+    for lo in range(0, n, _BLOCK_ROWS):
+        rows = min(n - lo, _BLOCK_ROWS)
+        rk, ak, wk = r[:rows], mag[:rows], work[:rows]
+        np.subtract(flat[lo:lo + rows], b, out=rk)
+        np.abs(rk, out=ak)
+        for j, s in enumerate(sigs):
+            np.subtract(rk, s, out=wk)
+            np.abs(wk, out=wk)
+            np.subtract(ak, wk, out=wk)
+            out[lo:lo + rows, j] = wk.sum(axis=1)
+    out /= c
     return out
 
 
@@ -115,7 +130,6 @@ class HotellingObserverState:
     templates: np.ndarray        # (J, M)
     mean_background: np.ndarray  # (M,)
     signals: np.ndarray          # (J, M)
-    grid: tuple[int, int]        # (width, height)
 
 
 def build_hotelling(backgrounds, signals, noise_var: float,
@@ -127,8 +141,6 @@ def build_hotelling(backgrounds, signals, noise_var: float,
     relative residual.  With no background samples (BKE) K = noise_var * I and
     w_j = s_j / noise_var directly.
     """
-    first = np.asarray(signals[0])
-    grid_shape = (first.shape[-1], first.shape[0]) if first.ndim == 2 else (len(first), 1)
     signals = np.stack([np.asarray(s, dtype=np.float64).ravel()
                         for s in signals])
     j_count, m = signals.shape
@@ -138,7 +150,7 @@ def build_hotelling(backgrounds, signals, noise_var: float,
             raise ValueError("noise variance must be positive in the BKE case")
         mean_bg = np.zeros(m)
         templates = signals / noise_var
-        return HotellingObserverState(templates, mean_bg, signals, grid_shape)
+        return HotellingObserverState(templates, mean_bg, signals)
 
     samples = np.stack([np.asarray(b, dtype=np.float64).ravel()
                         for b in backgrounds])
@@ -161,7 +173,7 @@ def build_hotelling(backgrounds, signals, noise_var: float,
         if info != 0:
             raise RuntimeError(f"CG failed to converge for template {j + 1}")
         templates[j] = w
-    return HotellingObserverState(templates, mean_bg, signals, grid_shape)
+    return HotellingObserverState(templates, mean_bg, signals)
 
 
 def scanning_ho_records(images, labels,
@@ -192,18 +204,3 @@ def records_to_csv(path, records: Records):
         for i, (label, t, j_star, b, lams) in enumerate(rows):
             writer.writerow([i, label, repr(t), j_star, b]
                             + [repr(v) for v in lams])
-
-
-def records_from_csv(path) -> Records:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        n_lam = sum(1 for h in header if h.startswith("lambda_"))
-        rows = list(reader)
-    lams = np.array([[float(v) for v in row[5:5 + n_lam]] for row in rows])
-    binary = (np.array([float(row[4]) for row in rows])
-              if rows and rows[0][4] else None)
-    return Records(np.array([float(row[2]) for row in rows]),
-                   np.array([int(row[3]) for row in rows]),
-                   np.array([int(row[1]) for row in rows]),
-                   lams.reshape(len(rows), n_lam), binary)

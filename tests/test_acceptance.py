@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 import scanobs.neuralnet as nn
+from helpers import lroc_trapezoid_area
 from quadrature import gaussian_signal, prf_pixel_value
 from scanobs import evaluation, observers
-from scanobs.evaluation import alroc, auc, empirical_lroc, lroc_trapezoid_area
+from scanobs.evaluation import alroc, auc, empirical_lroc
 from scanobs.imaging import PrfSpec, render_signal_image
 from scanobs.mcmc import McmcConfig, mcmc_io_record
 from scanobs.observers import Records

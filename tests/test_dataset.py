@@ -56,6 +56,13 @@ def test_read_rejects_truncation(tmp_path):
         read_dataset(path)
 
 
+def test_read_rejects_truncated_header(tmp_path):
+    path = tmp_path / "short.bin"
+    path.write_bytes(b"SCANOBS1\x01")
+    with pytest.raises(ValueError, match="truncated header"):
+        read_dataset(path)
+
+
 def test_image_csv_export(tmp_path):
     img = np.arange(12, dtype=np.float32).reshape(3, 4) / 7.0
     path = tmp_path / "img.csv"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import lroc_trapezoid_area
 from scanobs.evaluation import (
     FomEstimate,
     alroc,
@@ -11,7 +12,6 @@ from scanobs.evaluation import (
     curve_to_csv,
     empirical_lroc,
     empirical_roc,
-    lroc_trapezoid_area,
 )
 from scanobs.observers import Records
 
@@ -143,6 +143,52 @@ def test_bootstrap_reproducible_and_counted():
     assert a.std_error == b.std_error
     assert a.n_bootstrap == 200
     assert a.std_error > 0
+
+
+def _sorting_bootstrap_se(t_abs, t_sig, correct, n_bootstrap, rng):
+    """Bootstrap SE that resamples both classes and re-sorts the absent
+    scores in every replicate."""
+    vals = np.empty(n_bootstrap)
+    for i in range(n_bootstrap):
+        ia = rng.integers(len(t_abs), size=len(t_abs))
+        isg = rng.integers(len(t_sig), size=len(t_sig))
+        order = np.sort(t_abs[ia])
+        n_lt = np.searchsorted(order, t_sig[isg], side="left")
+        n_le = np.searchsorted(order, t_sig[isg], side="right")
+        score = (n_lt + 0.5 * (n_le - n_lt)) * correct[isg]
+        vals[i] = score.sum() / (len(t_sig) * len(t_abs))
+    return float(vals.std(ddof=1))
+
+
+def _tied_records(rng, n_abs, n_sig):
+    """Integer-rounded scores, so most comparisons tie, and mixed
+    localization."""
+    t = np.round(np.concatenate((rng.normal(size=n_abs),
+                                 rng.normal(0.7, size=n_sig))) * 2)
+    labels = np.concatenate((np.zeros(n_abs, int),
+                             rng.integers(1, 4, size=n_sig)))
+    j_star = np.where(rng.random(n_abs + n_sig) < 0.6, labels, 4)
+    j_star[:n_abs] = rng.integers(1, 4, size=n_abs)
+    binary = np.round(t + rng.normal(size=len(t)))
+    return _records(t, j_star, labels, binary)
+
+
+@pytest.mark.parametrize("n_abs,n_sig", [(300, 900), (1, 50), (40, 1),
+                                         (7, 7)])
+def test_bootstrap_se_equals_sorting_reference(n_abs, n_sig):
+    records = _tied_records(np.random.default_rng(n_abs + n_sig), n_abs,
+                            n_sig)
+    absent = records.true_label == 0
+    correct = records.chosen_location[~absent] == records.true_label[~absent]
+    assert 0 < correct.sum() < n_sig or n_sig == 1
+    t, b = records.statistic, records.binary_statistic
+    got = alroc(records, n_bootstrap=300, rng=np.random.default_rng(11))
+    assert got.std_error == _sorting_bootstrap_se(
+        t[absent], t[~absent], correct, 300, np.random.default_rng(11))
+    got = auc(records, n_bootstrap=300, rng=np.random.default_rng(12))
+    assert got.std_error == _sorting_bootstrap_se(
+        b[absent], b[~absent], np.ones(n_sig, dtype=bool), 300,
+        np.random.default_rng(12))
 
 
 def test_requires_both_classes():

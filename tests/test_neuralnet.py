@@ -299,6 +299,15 @@ def test_checkpoint_round_trip(tmp_path):
         load_checkpoint(__file__)
 
 
+def test_load_checkpoint_rejects_truncated_header(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, init_state(Architecture(1, (4, 4), n_classes=2,
+                                                  filters=2, kernel=3)))
+    path.write_bytes(path.read_bytes()[:20])
+    with pytest.raises(ValueError, match="truncated header"):
+        load_checkpoint(path)
+
+
 def test_resume_replays_identical_trajectory(tmp_path):
     task = _toy_task()
     arch = Architecture(1, (2, 2), n_classes=2, filters=4, kernel=3)

@@ -5,7 +5,8 @@ import pytest
 from scipy import stats
 from scipy.special import logsumexp
 
-from scanobs import runner
+from helpers import records_from_csv
+from scanobs import observers, runner
 from scanobs.neuralnet import (
     Architecture,
     cnn_io_records,
@@ -17,7 +18,6 @@ from scanobs.observers import (
     build_hotelling,
     laplacian_io_log_lrs_batch,
     posteriors_from_lrs,
-    records_from_csv,
     records_from_log_lrs,
     records_to_csv,
     scanning_decision,
@@ -104,6 +104,34 @@ def test_laplacian_batch_matches_scalar():
             s = task.signal_images[j].astype(np.float64)
             ref = (np.abs(r) - np.abs(r - s)).sum() / c
             assert batch[i, j] == pytest.approx(ref, rel=1e-12)
+
+
+def _whole_stack_log_lrs(images, signal_images, background, c):
+    """The Laplacian log-LRs with every image of the stack at once."""
+    r = images.reshape(len(images), -1).astype(np.float64) \
+        - np.asarray(background, dtype=np.float64).ravel()
+    sigs = signal_images.reshape(len(signal_images), -1).astype(np.float64)
+    out = np.empty((len(images), len(sigs)))
+    for j, s in enumerate(sigs):
+        out[:, j] = (np.abs(r) - np.abs(r - s)).sum(axis=1) / c
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, observers._BLOCK_ROWS,
+                               observers._BLOCK_ROWS + 1,
+                               2 * observers._BLOCK_ROWS + 3])
+def test_laplacian_blocks_equal_whole_stack(n, dtype):
+    rng = np.random.default_rng(n)
+    # rows longer than numpy's 128-element pairwise-summation block
+    images = rng.laplace(3.0, 20.0, size=(n, 40, 33)).astype(dtype)
+    signals = rng.normal(size=(4, 40, 33)).astype(dtype)
+    background = rng.normal(2.0, 1.0, size=(40, 33)).astype(dtype)
+    c = 20.0 / math.sqrt(2.0)
+    got = laplacian_io_log_lrs_batch(images, signals, background, c)
+    assert got.dtype == np.float64
+    assert np.array_equal(
+        got, _whole_stack_log_lrs(images, signals, background, c))
 
 
 def test_posteriors_symmetry_and_substitution():

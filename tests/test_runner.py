@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from helpers import records_from_csv
 from scanobs.cli import main
 from scanobs.dataset import read_dataset
-from scanobs.observers import records_from_csv
 from scanobs.runner import (
     ConfigError,
     ExperimentPlan,
@@ -283,6 +283,16 @@ def test_cli_error_paths(tmp_path, capsys):
                          n_val_per_class=1, n_test_per_class=1)
     assert main(["evaluate", "--config", str(good)]) == 1  # nothing generated
     capsys.readouterr()
+
+
+def test_cli_evaluate_short_test_set_is_one_line_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, observers=["analytic_io"])
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "test.bin").write_bytes(b"SCANOBS1\0\0")
+    assert main(["evaluate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "truncated header" in err
+    assert err.count("\n") == 1
 
 
 def test_cli_overrides(tmp_path, capsys):
