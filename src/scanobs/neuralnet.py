@@ -3,18 +3,29 @@
 The network maps an image to J+1 class probabilities via a stack of 5x5
 same-padded convolutions (32 filters each, leaky-rectifier activations), one
 2x2 max-pool after the conv stack, and a dense head with softmax.  Forward
-and backward passes are implemented explicitly in numpy (convolutions by
-im2col); no autodiff framework is used.
+and backward passes are implemented explicitly in numpy; no autodiff
+framework is used.
+
+Activations are channels-last, (B, H, W, C).  One convolution primitive,
+``_conv``, serves the forward pass and the input gradient: per block of
+images and per kernel row it copies the contiguous k*C window of every pixel
+into a workspace and multiplies it by that row's (k*C, F) weight band (a
+band GEMM of the kn2row/kn2col family).  The weight gradient reuses the same
+band copies.  The pooled map is flattened in (C, h, w) order, so the dense
+weights and the checkpoint format do not depend on the activation layout.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .imaging import apply_noise
 from .observers import Records, records_from_statistics
@@ -33,6 +44,13 @@ class Architecture:
     def __post_init__(self):
         if self.conv_layers < 1:
             raise ValueError("need at least one conv layer")
+        if self.filters < 1:
+            raise ValueError("need at least one filter")
+        if self.kernel < 1 or self.kernel % 2 == 0:
+            # same padding is centred, and the flipped-kernel input
+            # gradient exact, only for an odd kernel
+            raise ValueError(f"kernel must be odd and positive, "
+                             f"got {self.kernel}")
         h, w = self.input_shape
         if h % 2 or w % 2:
             raise ValueError("input dimensions must be even for 2x2 pooling")
@@ -64,79 +82,105 @@ class NetworkState:
                             self.step, self.input_mean, self.input_std)
 
 
+def _param_shapes(arch: Architecture) -> list[tuple[int, ...]]:
+    """Parameter shapes in state order: conv (F, C, k, k) weight and (F,)
+    bias per layer, then the dense weight and bias."""
+    shapes = []
+    c_in = 1
+    for _ in range(arch.conv_layers):
+        shapes += [(arch.filters, c_in, arch.kernel, arch.kernel),
+                   (arch.filters,)]
+        c_in = arch.filters
+    return shapes + [(arch.n_classes, arch.dense_inputs), (arch.n_classes,)]
+
+
 def init_state(arch: Architecture, seed: int = 0,
                dtype=np.float32) -> NetworkState:
-    """Fan-in-scaled uniform initialization, fully seed-determined."""
+    """Fan-in-scaled uniform weights and zero biases, fully seed-determined."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0FFEE]))
     params = []
-    c_in = 1
-    k = arch.kernel
-    for _ in range(arch.conv_layers):
-        fan_in = c_in * k * k
-        limit = np.sqrt(6.0 / fan_in)
-        params.append(rng.uniform(-limit, limit,
-                                  (arch.filters, c_in, k, k)).astype(dtype))
-        params.append(np.zeros(arch.filters, dtype=dtype))
-        c_in = arch.filters
-    limit = np.sqrt(6.0 / arch.dense_inputs)
-    params.append(rng.uniform(-limit, limit,
-                              (arch.n_classes, arch.dense_inputs)).astype(dtype))
-    params.append(np.zeros(arch.n_classes, dtype=dtype))
-    zeros = [np.zeros_like(p) for p in params]
-    return NetworkState(arch, params, zeros,
+    for shape in _param_shapes(arch):
+        if len(shape) == 1:
+            params.append(np.zeros(shape, dtype=dtype))
+        else:
+            limit = np.sqrt(6.0 / math.prod(shape[1:]))
+            params.append(rng.uniform(-limit, limit, shape).astype(dtype))
+    return NetworkState(arch, params, [np.zeros_like(p) for p in params],
                         [np.zeros_like(p) for p in params])
 
 
 # ---------------------------------------------------------------------------
 # primitive layers
 
-def _cols_view(xp, k, h, w):
-    b, c = xp.shape[:2]
-    s = xp.strides
-    return as_strided(xp, (b, c, k, k, h, w),
-                      (s[0], s[1], s[2], s[3], s[2], s[3]))
+# Pixels per workspace block: the band copy of a 32-channel 5x5 layer then
+# takes 16384 x 160 floats (10 MB), and small images share one block.
+_PIXELS = 16384
 
 
-def _conv_forward(x, w, b):
-    k = w.shape[-1]
+def _images_per_block(x):
+    b, h, w = x.shape[:3]
+    return min(b, max(1, _PIXELS // (h * w)))
+
+
+def _band_blocks(x, k):
+    """Band copies of channels-last x (B, H, W, C) for a same-padded k x k
+    correlation.
+
+    Yields (start, count, kh, cols) per block of images and kernel row kh;
+    row r of cols (count*H*W, k*C) is the zero-padded window
+    x[b, y+kh-p, x-p:x+p+1, :] of output pixel r.  cols is reused.
+    """
+    b, h, w, c = x.shape
     p = k // 2
-    _, _, h, ww = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    cols = _cols_view(xp, k, h, ww)
-    y = np.einsum("fckl,bcklhw->bfhw", w, cols, optimize=True)
-    return y + b[None, :, None, None]
+    nb = _images_per_block(x)
+    xp = np.zeros((nb, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
+    cols = np.empty((nb, h, w, k, c), dtype=x.dtype)
+    for i in range(0, b, nb):
+        n = min(nb, b - i)
+        xp[:n, p:p + h, p:p + w] = x[i:i + n]
+        for kh in range(k):
+            win = sliding_window_view(xp[:n, kh:kh + h], k, axis=2)
+            np.copyto(cols[:n], win.swapaxes(-1, -2))
+            yield i, n, kh, cols[:n].reshape(n * h * w, k * c)
 
 
-def _conv_backward(x, w, dy):
-    k = w.shape[-1]
-    p = k // 2
-    _, _, h, ww = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    dw = np.einsum("bfhw,bcklhw->fckl", dy, _cols_view(xp, k, h, ww),
-                   optimize=True)
-    db = dy.sum(axis=(0, 2, 3))
-    dyp = np.pad(dy, ((0, 0), (0, 0), (p, p), (p, p)))
-    wflip = np.ascontiguousarray(w[:, :, ::-1, ::-1])
-    dx = np.einsum("fckl,bfklhw->bchw", wflip, _cols_view(dyp, k, h, ww),
-                   optimize=True)
-    return dw, db, dx
+def _conv(x, w, out):
+    """Add the same-padded correlation of x (B, H, W, C) with w (F, C, k, k)
+    into out (B, H, W, F); returns out."""
+    f, c, k, _ = w.shape
+    bands = w.transpose(2, 3, 1, 0).reshape(k, k * c, f)
+    prod = np.empty((_images_per_block(x),) + out.shape[1:], dtype=out.dtype)
+    for i, n, kh, cols in _band_blocks(x, k):
+        np.matmul(cols, bands[kh], out=prod[:n].reshape(len(cols), f))
+        out[i:i + n] += prod[:n]
+    return out
+
+
+def _conv_weight_grad(x, dy, k):
+    """Gradient of sum(dy * _conv(x, w)) w.r.t. w, shape (F, C, k, k)."""
+    c, f = x.shape[-1], dy.shape[-1]
+    dbands = np.zeros((k, k * c, f), dtype=dy.dtype)
+    for i, n, kh, cols in _band_blocks(x, k):
+        dbands[kh] += cols.T @ dy[i:i + n].reshape(len(cols), f)
+    return np.ascontiguousarray(
+        dbands.reshape(k, k, c, f).transpose(3, 2, 0, 1))
 
 
 def _pool_forward(x):
-    b, c, h, w = x.shape
-    xr = x.reshape(b, c, h // 2, 2, w // 2, 2) \
-          .transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h // 2, w // 2, 4)
+    b, h, w, c = x.shape
+    xr = x.reshape(b, h // 2, 2, w // 2, 2, c) \
+          .transpose(0, 1, 3, 5, 2, 4).reshape(b, h // 2, w // 2, c, 4)
     idx = xr.argmax(axis=-1)
     y = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
     return y, idx
 
 
 def _pool_backward(dy, idx, in_shape):
-    b, c, h, w = in_shape
-    dxr = np.zeros((b, c, h // 2, w // 2, 4), dtype=dy.dtype)
+    b, h, w, c = in_shape
+    dxr = np.zeros((b, h // 2, w // 2, c, 4), dtype=dy.dtype)
     np.put_along_axis(dxr, idx[..., None], dy[..., None], axis=-1)
-    return dxr.reshape(b, c, h // 2, w // 2, 2, 2) \
-              .transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h, w)
+    return dxr.reshape(b, h // 2, w // 2, c, 2, 2) \
+              .transpose(0, 1, 4, 2, 5, 3).reshape(b, h, w, c)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -155,13 +199,15 @@ def _forward_batch(x, state: NetworkState, keep_cache: bool):
     a = x
     for i in range(arch.conv_layers):
         w, b = state.params[2 * i], state.params[2 * i + 1]
-        y = _conv_forward(a, w, b)
+        y = np.empty(a.shape[:3] + b.shape, dtype=a.dtype)
+        y[...] = b
+        _conv(a, w, y)
         mask = y > 0
         if keep_cache:
             caches.append((a, mask))
         a = np.where(mask, y, arch.leaky_slope * y)
     pooled, idx = _pool_forward(a)
-    flat = pooled.reshape(len(x), -1)
+    flat = pooled.transpose(0, 3, 1, 2).reshape(len(x), -1)
     wd, bd = state.params[-2], state.params[-1]
     logits = flat @ wd.T + bd
     cache = (caches, idx, a.shape, flat) if keep_cache else None
@@ -176,20 +222,23 @@ def _backward_batch(dlogits, cache, state: NetworkState):
     grads[-2] = dlogits.T @ flat
     grads[-1] = dlogits.sum(axis=0)
     dflat = dlogits @ wd
-    b, c, h, w = act_shape
-    dpool = dflat.reshape(b, c, h // 2, w // 2)
+    b, h, w, c = act_shape
+    dpool = dflat.reshape(b, c, h // 2, w // 2).transpose(0, 2, 3, 1)
     da = _pool_backward(dpool, idx, act_shape)
     for i in reversed(range(arch.conv_layers)):
         x_in, mask = caches[i]
         dy = np.where(mask, da, arch.leaky_slope * da)
-        dw, db, da = _conv_backward(x_in, state.params[2 * i], dy)
-        grads[2 * i] = dw
-        grads[2 * i + 1] = db
+        w = state.params[2 * i]
+        grads[2 * i] = _conv_weight_grad(x_in, dy, arch.kernel)
+        grads[2 * i + 1] = dy.sum(axis=(0, 1, 2))
+        if i:  # nothing reads the gradient of the input image
+            wflip = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+            da = _conv(dy, wflip, np.zeros_like(x_in))
     return grads
 
 
 def _prepare_input(images, state: NetworkState):
-    x = np.asarray(images)[:, None]  # (B, 1, H, W)
+    x = np.asarray(images)[..., None]  # (B, H, W, 1)
     dtype = state.params[0].dtype
     return ((x - state.input_mean) / state.input_std).astype(dtype)
 
@@ -443,18 +492,30 @@ def save_checkpoint(path, state: NetworkState):
 
     Block order: every parameter (conv weight/bias pairs, dense weight,
     dense bias), then the first-moment blocks, then the second-moment blocks,
-    each in the same parameter order.
+    each in the same parameter order.  The file is written under a temporary
+    name in the same directory and then renamed over ``path``, so an
+    interrupted save leaves any previous checkpoint intact.
     """
     arch = state.arch
     hdr = _CKPT_HEADER.pack(
         _CKPT_MAGIC, 1, arch.conv_layers, arch.filters, arch.kernel,
         arch.n_classes, arch.input_shape[0], arch.input_shape[1],
         arch.leaky_slope, state.input_mean, state.input_std, state.step)
-    with open(path, "wb") as fh:
-        fh.write(hdr)
-        for group in (state.params, state.m, state.v):
-            for p in group:
-                fh.write(np.ascontiguousarray(p, dtype="<f4").tobytes())
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(hdr)
+            for group in (state.params, state.m, state.v):
+                for p in group:
+                    fh.write(np.ascontiguousarray(p, dtype="<f4").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> NetworkState:
@@ -467,20 +528,23 @@ def load_checkpoint(path) -> NetworkState:
         raise ValueError(f"{path}: not a checkpoint file")
     if version != 1:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    arch = Architecture(conv_layers, (in_h, in_w), n_classes, filters,
-                        kernel, round(float(slope), 6))
-    template = init_state(arch)
+    try:
+        arch = Architecture(conv_layers, (in_h, in_w), n_classes, filters,
+                            kernel, round(float(slope), 6))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    shapes = _param_shapes(arch)
+    sizes = [math.prod(shape) for shape in shapes]
+    if _CKPT_HEADER.size + 3 * 4 * sum(sizes) != len(raw):
+        raise ValueError(f"{path}: trailing or missing data")
     offset = _CKPT_HEADER.size
     groups = []
-    for group in (template.params, template.m, template.v):
+    for _ in range(3):
         loaded = []
-        for p in group:
-            n = p.size * 4
-            arr = np.frombuffer(raw, dtype="<f4", count=p.size, offset=offset)
-            loaded.append(arr.reshape(p.shape).astype(np.float32))
-            offset += n
+        for shape, size in zip(shapes, sizes):
+            arr = np.frombuffer(raw, dtype="<f4", count=size, offset=offset)
+            loaded.append(arr.reshape(shape).astype(np.float32))
+            offset += 4 * size
         groups.append(loaded)
-    if offset != len(raw):
-        raise ValueError(f"{path}: trailing or missing data")
     return NetworkState(arch, groups[0], groups[1], groups[2], step,
                         float(mean), float(std))

@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 
 import scanobs.neuralnet as nn
+from helpers import (
+    reference_conv_backward,
+    reference_conv_forward,
+    reference_loss_and_gradient,
+    write_even_kernel_checkpoint,
+)
 from scanobs.imaging import NoiseModel
 from scanobs.neuralnet import (
     Architecture,
@@ -57,6 +63,12 @@ def test_architecture_validation():
         Architecture(1, (7, 8))
     arch = Architecture(3, (8, 6), n_classes=4, filters=16)
     assert arch.dense_inputs == 16 * 4 * 3
+    # an even kernel has no centred same padding, so its backprop is wrong
+    for kernel in (2, 4, 0, -1):
+        with pytest.raises(ValueError, match="kernel"):
+            Architecture(1, (8, 8), kernel=kernel)
+    with pytest.raises(ValueError, match="filter"):
+        Architecture(1, (8, 8), filters=0)
 
 
 def test_init_state_deterministic_and_shaped():
@@ -74,6 +86,85 @@ def test_init_state_deterministic_and_shaped():
                for pa, pc in zip(a.params, c.params))
     limit = math.sqrt(6.0 / 9.0)
     assert np.abs(a.params[0]).max() <= limit
+
+
+def _channels_last(x):
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1))
+
+
+def _channels_first(x):
+    return x.transpose(0, 3, 1, 2)
+
+
+def _assert_close(actual, reference):
+    # float64 sums in another order: 1e-12 relative, with the absolute floor
+    # at 1e-12 of the largest entry for entries that cancel towards zero
+    np.testing.assert_allclose(actual, reference, rtol=1e-12,
+                               atol=1e-12 * np.abs(reference).max())
+
+
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("c", [1, 3])
+def test_conv_matches_einsum_reference(k, c):
+    # H != W, and a batch of one full workspace block plus a partial
+    # second block of 3 images
+    h, w, f = 6, 10, 4
+    batch = nn._PIXELS // (h * w) + 3
+    rng = np.random.default_rng(100 + 10 * k + c)
+    x = rng.normal(size=(batch, c, h, w))
+    wt = rng.normal(size=(f, c, k, k))
+    b = rng.normal(size=f)
+    dy = rng.normal(size=(batch, f, h, w))
+    assert nn._images_per_block(_channels_last(x)) < batch
+    y = nn._conv(_channels_last(x), wt, np.broadcast_to(b, (batch, h, w, f))
+                 .copy())
+    _assert_close(_channels_first(y), reference_conv_forward(x, wt, b))
+    dw_ref, db_ref, dx_ref = reference_conv_backward(x, wt, dy)
+    dy_cl = _channels_last(dy)
+    _assert_close(nn._conv_weight_grad(_channels_last(x), dy_cl, k), dw_ref)
+    _assert_close(dy_cl.sum(axis=(0, 1, 2)), db_ref)
+    dx = nn._conv(dy_cl, wt.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1],
+                  np.zeros((batch, h, w, c)))
+    _assert_close(_channels_first(dx), dx_ref)
+
+
+@pytest.mark.parametrize("arch", [
+    Architecture(2, (6, 10), n_classes=3, filters=3, kernel=5),
+    Architecture(3, (4, 8), n_classes=4, filters=2, kernel=3),
+])
+def test_network_matches_einsum_reference(arch):
+    state = init_state(arch, seed=30, dtype=np.float64)
+    rng = np.random.default_rng(31)
+    for p in state.params[1::2]:
+        p += rng.normal(scale=0.1, size=p.shape)   # non-zero biases
+    state.input_mean, state.input_std = 0.3, 1.7
+    h, w = arch.input_shape
+    batch = nn._PIXELS // (h * w) + 3                # two workspace blocks
+    images = rng.normal(size=(batch, h, w))
+    labels = rng.integers(0, arch.n_classes, size=batch)
+    probs_ref, loss_ref, grads_ref = reference_loss_and_gradient(
+        images, labels, state)
+    _assert_close(forward_posteriors(images, state), probs_ref)
+    loss, grads = loss_and_gradient(images, labels, state)
+    assert loss == pytest.approx(loss_ref, rel=1e-12)
+    for g, g_ref in zip(grads, grads_ref):
+        assert g.shape == g_ref.shape
+        _assert_close(g, g_ref)
+
+
+def test_float32_conv_forward_relative_error():
+    # the paper's inner layer: 32 channels in and out, 5x5 kernel
+    rng = np.random.default_rng(32)
+    x = rng.normal(size=(3, 32, 16, 16))
+    wt = rng.uniform(-0.07, 0.07, size=(32, 32, 5, 5))
+    b = rng.normal(scale=0.1, size=32)
+    ref = reference_conv_forward(x, wt, b)
+    x32, w32, b32 = (a.astype(np.float32) for a in (x, wt, b))
+    y = nn._conv(_channels_last(x32), w32,
+                 np.broadcast_to(b32, (3, 16, 16, 32)).copy())
+    assert y.dtype == np.float32
+    err = np.abs(_channels_first(y) - ref).max() / np.abs(ref).max()
+    assert err <= 1e-5
 
 
 def test_forward_hand_computed():
@@ -306,6 +397,42 @@ def test_load_checkpoint_rejects_truncated_header(tmp_path):
     path.write_bytes(path.read_bytes()[:20])
     with pytest.raises(ValueError, match="truncated header"):
         load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_even_kernel(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    write_even_kernel_checkpoint(path)
+    with pytest.raises(ValueError, match="kernel must be odd"):
+        load_checkpoint(path)
+
+
+def test_save_checkpoint_is_atomic(tmp_path):
+    path = tmp_path / "checkpoint.bin"
+    state = init_state(Architecture(2, (4, 4), n_classes=3, filters=4,
+                                    kernel=3), seed=25)
+    save_checkpoint(path, state)
+    before = path.read_bytes()
+    state.step = 99
+    state.v[-1] = np.array(["not a number"] * 3)  # raises after most blocks
+    with pytest.raises(ValueError):
+        save_checkpoint(path, state)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.bin"]
+
+
+def test_load_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):
+    path = tmp_path / "ckpt.bin"
+    state = init_state(Architecture(2, (4, 4), n_classes=3, filters=4,
+                                    kernel=3), seed=26)
+    save_checkpoint(path, state)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    loaded = load_checkpoint(path)
+    for a, b in zip(state.params, loaded.params):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_resume_replays_identical_trajectory(tmp_path):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import records_from_csv
+from helpers import records_from_csv, write_even_kernel_checkpoint
 from scanobs.cli import main
 from scanobs.dataset import read_dataset
 from scanobs.runner import (
@@ -292,6 +292,20 @@ def test_cli_evaluate_short_test_set_is_one_line_error(tmp_path, capsys):
     assert main(["evaluate", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "truncated header" in err
+    assert err.count("\n") == 1
+
+
+def test_cli_evaluate_even_kernel_checkpoint_is_one_line_error(tmp_path,
+                                                              capsys):
+    cfg = _write_config(tmp_path, observers=["cnn_io"], n_val_per_class=1,
+                        n_test_per_class=1)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    write_even_kernel_checkpoint(tmp_path / "out" / "checkpoint.bin",
+                                 input_shape=(64, 64), n_classes=10)
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "kernel must be odd" in err
     assert err.count("\n") == 1
 
 
