@@ -74,29 +74,43 @@ def pixel_grid(width: int, height: int):
     return np.meshgrid(x, y)
 
 
-def lump_image(center, params: LumpyParams, prf: PrfSpec) -> np.ndarray:
-    """Image of a single lump through the PRF (closed form, float64).
+def lump_kernel(params: LumpyParams, prf: PrfSpec):
+    """Closed-form lump images through the PRF, as a function of the lump
+    centers.
 
     Convolving the Gaussian lump (amplitude a, width w_b) with the Gaussian
     PRF gives a Gaussian of combined variance w_h^2 + w_b^2 and peak
-    a * h * w_b^2 / (w_h^2 + w_b^2).
+    a * h * w_b^2 / (w_h^2 + w_b^2).  The returned function maps a sequence
+    of N (x, y) centers to the float64 (N, height, width) stack of their
+    images.
     """
     w, h = prf.grid
     var = prf.width ** 2 + params.lump_width ** 2
     coef = params.amplitude * prf.height * params.lump_width ** 2 / var
-    X, Y = pixel_grid(w, h)
-    d2 = (X - center[0]) ** 2 + (Y - center[1]) ** 2
-    return coef * np.exp(-d2 / (2.0 * var))
+    x = np.arange(w, dtype=np.float64) + 0.5
+    y = np.arange(h, dtype=np.float64)[:, None] + 0.5
+
+    def lumps(centers) -> np.ndarray:
+        d2 = np.empty((len(centers), h, w))
+        for out, (cx, cy) in zip(d2, centers):
+            np.add((x - cx) ** 2, (y - cy) ** 2, out=out)
+        # coef * np.exp(-d2 / (2.0 * var)) with the same roundings, in place
+        d2 /= -2.0 * var
+        np.exp(d2, out=d2)
+        d2 *= coef
+        return d2
+
+    return lumps
 
 
 def render_lumpy_image(real: LumpyRealization, params: LumpyParams,
                        prf: PrfSpec) -> np.ndarray:
-    """Noiseless lumpy background image; empty realization renders as zeros."""
-    w, h = prf.grid
-    out = np.zeros((h, w), dtype=np.float64)
-    for center in real.centers:
-        out += lump_image(center, params, prf)
-    return out.astype(np.float32)
+    """Noiseless lumpy background image; empty realization renders as zeros.
+
+    The lump images are summed in float64 in the order of the centers.
+    """
+    return lump_kernel(params, prf)(real.centers).sum(axis=0).astype(
+        np.float32)
 
 
 def _clb_blob(dx, dy, angle, params: ClbParams):
@@ -117,11 +131,18 @@ def _clb_blob(dx, dy, angle, params: ClbParams):
     return np.where(n == 0.0, params.blob_amplitude, val)
 
 
+# Blobs are summed in chunks of _CLB_CHUNK; each chunk is evaluated over
+# tiles of whole image rows, about _CLB_TILE_PIXELS pixels each, so that a
+# temporary holds 64 x 512 float64 (256 KB) rather than the whole image.
+_CLB_CHUNK = 64
+_CLB_TILE_PIXELS = 512
+
+
 def render_clb_image(real: ClbRealization, params: ClbParams) -> np.ndarray:
     """Noiseless clustered-lumpy background rendered on the pixel grid.
 
     No PRF is applied; blobs are evaluated directly at pixel centers and
-    summed in double precision.
+    summed in double precision, chunk by chunk in blob order.
     """
     w, h = params.field_of_view
     X, Y = pixel_grid(w, h)
@@ -131,14 +152,14 @@ def render_clb_image(real: ClbRealization, params: ClbParams) -> np.ndarray:
         for off, ang in zip(cl.offsets, cl.angles):
             positions.append(cl.center + off)
             angles.append(ang)
-    # chunked broadcast over blobs keeps peak memory modest
-    chunk = 64
-    for i in range(0, len(positions), chunk):
-        pos = np.asarray(positions[i:i + chunk])        # (B, 2)
-        ang = np.asarray(angles[i:i + chunk])           # (B,)
-        dx = X[None] - pos[:, 0, None, None]
-        dy = Y[None] - pos[:, 1, None, None]
-        out += _clb_blob(dx, dy, ang[:, None, None], params).sum(axis=0)
+    rows = max(1, _CLB_TILE_PIXELS // w)
+    for i in range(0, len(positions), _CLB_CHUNK):
+        pos = np.asarray(positions[i:i + _CLB_CHUNK])   # (B, 2)
+        ang = np.asarray(angles[i:i + _CLB_CHUNK])[:, None, None]
+        for r in range(0, h, rows):
+            dx = X[None, r:r + rows] - pos[:, 0, None, None]
+            dy = Y[None, r:r + rows] - pos[:, 1, None, None]
+            out[r:r + rows] += _clb_blob(dx, dy, ang, params).sum(axis=0)
     return out.astype(np.float32)
 
 

@@ -15,9 +15,11 @@ Nbar/(N+1) for birth and N/Nbar for death.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
+from .imaging import lump_kernel
 from .observers import Records, records_from_log_lrs
 # perfbench/layers.py wraps these two names on this module.
 from .observers import posteriors_from_lrs, scanning_decision  # noqa: F401
@@ -41,6 +43,10 @@ class McmcConfig:
         probs = (self.move_prob, self.birth_prob, self.death_prob)
         if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
             raise ValueError("move/birth/death probabilities must sum to 1")
+        if self.burn_in is not None and self.burn_in < 0:
+            raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
+        if not self.move_std > 0:
+            raise ValueError(f"move_std must be positive, got {self.move_std}")
         if self.iterations <= self.effective_burn_in:
             raise ValueError("iterations must exceed burn-in")
 
@@ -51,10 +57,44 @@ class McmcConfig:
         return self.iterations // 20
 
 
-def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+def _reflect(x, lo: float, hi: float):
+    """Reflect x (a float or an array) into [lo, hi]."""
     span = hi - lo
-    t = np.mod(x - lo, 2.0 * span)
-    return lo + span - np.abs(t - span)
+    t = (x - lo) % (2.0 * span)
+    return lo + span - abs(t - span)
+
+
+# Retained conditional log-LR rows are folded into the running log-sum in
+# blocks of at most this many rows.
+_FOLD_ROWS = 4096
+
+
+class _LogSum:
+    """Running log(sum_t exp(v_t)) over the retained iterations.
+
+    v changes only when a proposal is accepted, so each state adds its row
+    once per iteration it is retained; rows are folded in iteration order by
+    a sequential logaddexp reduction, which performs the same operations as
+    one np.logaddexp per iteration.
+    """
+
+    def __init__(self, J: int):
+        self.rows = np.empty((_FOLD_ROWS + 1, J))
+        self.rows[0] = -np.inf            # row 0 holds the running sum
+        self.filled = 0
+
+    def add(self, v: np.ndarray, run: int) -> None:
+        while run:
+            k = min(run, _FOLD_ROWS - self.filled)
+            self.rows[1 + self.filled:1 + self.filled + k] = v
+            self.filled += k
+            run -= k
+            if self.filled == _FOLD_ROWS:
+                self.rows[0] = self.total()
+                self.filled = 0
+
+    def total(self) -> np.ndarray:
+        return np.logaddexp.reduce(self.rows[:1 + self.filled], axis=0)
 
 
 def mcmc_io_record(g, task: TaskConfig, cfg: McmcConfig,
@@ -70,107 +110,109 @@ def mcmc_io_record(g, task: TaskConfig, cfg: McmcConfig,
         raise ValueError("MCMC observer requires a lumpy-background task")
     if task.noise.kind != "gaussian":
         raise ValueError("MCMC observer requires Gaussian measurement noise")
-    params, prf = task.lumpy, task.prf
     w, h = task.grid
+    g = np.asarray(g)
+    if g.shape != (h, w):
+        raise ValueError(f"image shape {g.shape} does not match the task "
+                         f"grid (height, width) = {(h, w)}")
     sigma2 = task.noise.scale ** 2
-
-    x = np.arange(w, dtype=np.float64) + 0.5
-    y = np.arange(h, dtype=np.float64) + 0.5
-    xf = np.tile(x, h)
-    yf = np.repeat(y, w)
-    var = prf.width ** 2 + params.lump_width ** 2
-    coef = params.amplitude * prf.height * params.lump_width ** 2 / var
-
-    def lump_flat(center):
-        d2 = (xf - center[0]) ** 2 + (yf - center[1]) ** 2
-        return coef * np.exp(-d2 / (2.0 * var))
+    fw, fh = float(w), float(h)
+    lumps = lump_kernel(task.lumpy, task.prf)
 
     sigs = task.signal_images.reshape(task.J, -1).astype(np.float64)
     ssq = (sigs * sigs).sum(axis=1)
-    gv = np.asarray(g, dtype=np.float64).ravel()
 
     discrete = cfg.candidate_centers is not None
-    candidates = None if not discrete else np.asarray(cfg.candidate_centers,
-                                                     dtype=np.float64)
+    if discrete:
+        candidates = np.asarray(cfg.candidate_centers, dtype=np.float64)
+        candidate_lumps = lumps(candidates).reshape(len(candidates), -1)
 
-    # initial state: a prior draw (empty when the support is discrete)
-    centers: list[np.ndarray] = []
+    # initial state: a prior draw (empty when the support is discrete).
+    # Centers are pairs of Python floats, which round as float64 does; each
+    # lump's image is kept beside its center.
+    centers: list = []
     if not discrete:
-        n0 = int(rng.poisson(params.mean_count))
+        n0 = int(rng.poisson(task.lumpy.mean_count))
         if cfg.max_count is not None:
             n0 = min(n0, cfg.max_count)
-        centers = [rng.uniform((0.0, 0.0), (float(w), float(h)))
-                   for _ in range(n0)]
+        centers = ((fw, fh) * rng.random((n0, 2))).tolist()
+    images = list(lumps(centers).reshape(len(centers), w * h))
 
-    r = gv.copy()       # residual g - b, updated incrementally
-    sr = sigs @ r       # running S @ (g - b)
-    for c in centers:
-        lump = lump_flat(c)
+    r = g.astype(np.float64).ravel()    # residual g - b, updated incrementally
+    sr = sigs @ r                       # running S @ (g - b)
+    for lump in images:
         r -= lump
         sr -= sigs @ lump
 
     burn_in = cfg.effective_burn_in
-    log_sum = np.full(task.J, -np.inf)
-    n_kept = 0
-    log_nbar = np.log(params.mean_count)
+    log_sum = _LogSum(task.J)
+    log_nbar = np.log(task.lumpy.mean_count)
+    log_count = cache(np.log)    # np.log of a lump count, once per count
 
+    def keep(run):
+        # conditional BKE log-LR: (g - b - s_j/2)^T s_j / sigma^2
+        log_sum.add((sr - ssq / 2.0) / sigma2, run)
+        if count_trace is not None:
+            count_trace.extend([len(centers)] * run)
+
+    since = burn_in     # first retained iteration of the current state
     for it in range(cfg.iterations):
         u = rng.random()
         n = len(centers)
-        delta = None
-        log_prior = 0.0
-        action = None
-
         if u < cfg.move_prob:
-            if n > 0:
-                idx = int(rng.integers(n))
-                if discrete:
-                    new = candidates[int(rng.integers(len(candidates)))]
-                else:
-                    step = rng.normal(0.0, cfg.move_std, size=2)
-                    new = np.array([
-                        _reflect(centers[idx][0] + step[0], 0.0, float(w)),
-                        _reflect(centers[idx][1] + step[1], 0.0, float(h)),
-                    ])
-                delta = lump_flat(new) - lump_flat(centers[idx])
-                action = ("move", idx, new)
+            if n == 0:
+                continue
+            idx = int(rng.integers(n))
+            if discrete:
+                k = int(rng.integers(len(candidates)))
+                new, lump = candidates[k], candidate_lumps[k]
+            else:
+                sx, sy = rng.normal(0.0, cfg.move_std, size=2).tolist()
+                cx, cy = centers[idx]
+                new = (_reflect(cx + sx, 0.0, fw), _reflect(cy + sy, 0.0, fh))
+                lump = lumps([new]).ravel()
+            delta = lump - images[idx]
+            log_prior = 0.0
         elif u < cfg.move_prob + cfg.birth_prob:
-            if cfg.max_count is None or n < cfg.max_count:
-                if discrete:
-                    new = candidates[int(rng.integers(len(candidates)))]
-                else:
-                    new = rng.uniform((0.0, 0.0), (float(w), float(h)))
-                delta = lump_flat(new)
-                log_prior = log_nbar - np.log(n + 1)
-                action = ("birth", None, new)
+            if cfg.max_count is not None and n >= cfg.max_count:
+                continue
+            idx = n
+            if discrete:
+                k = int(rng.integers(len(candidates)))
+                new, lump = candidates[k], candidate_lumps[k]
+            else:
+                ux, uy = rng.random(2).tolist()
+                new = (fw * ux, fh * uy)
+                lump = lumps([new]).ravel()
+            delta = lump
+            log_prior = log_nbar - log_count(n + 1)
         else:
-            if n > 0:
-                idx = int(rng.integers(n))
-                delta = -lump_flat(centers[idx])
-                log_prior = np.log(n) - log_nbar
-                action = ("death", idx, None)
+            if n == 0:
+                continue
+            idx = int(rng.integers(n))
+            new = None
+            delta = -images[idx]
+            log_prior = log_count(n) - log_nbar
 
-        if delta is not None:
-            log_alpha = (2.0 * (r @ delta) - delta @ delta) / (2.0 * sigma2) \
-                + log_prior
-            if np.log(rng.random()) < log_alpha:
-                kind, idx, new = action
-                if kind == "move":
-                    centers[idx] = new
-                elif kind == "birth":
-                    centers.append(new)
-                else:
-                    centers.pop(idx)
-                r -= delta
-                sr -= sigs @ delta
+        # ndarray.dot is the same BLAS dot as @, with less call overhead
+        log_alpha = (2.0 * r.dot(delta) - delta.dot(delta)) / (2.0 * sigma2) \
+            + log_prior
+        if np.log(rng.random()) < log_alpha:
+            if it > since:
+                keep(it - since)
+            since = max(it, burn_in)
+            if new is None:
+                centers.pop(idx)
+                images.pop(idx)
+            elif idx == n:
+                centers.append(new)
+                images.append(lump)
+            else:
+                centers[idx] = new
+                images[idx] = lump
+            r -= delta
+            sr -= sigs @ delta
 
-        if it >= burn_in:
-            # conditional BKE log-LR: (g - b - s_j/2)^T s_j / sigma^2
-            v = (sr - ssq / 2.0) / sigma2
-            log_sum = np.logaddexp(log_sum, v)
-            n_kept += 1
-            if count_trace is not None:
-                count_trace.append(len(centers))
-
-    log_lrs = log_sum - np.log(n_kept)
+    keep(cfg.iterations - since)
+    log_lrs = log_sum.total() - np.log(cfg.iterations - burn_in)
     return records_from_log_lrs(log_lrs[None], task.priors, [true_label])

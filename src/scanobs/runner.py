@@ -73,6 +73,15 @@ class ExperimentPlan:
         for obs in self.observers:
             if obs not in OBSERVER_NAMES:
                 raise ConfigError(f"observers: unknown observer {obs!r}")
+        if self.mcmc_iterations < 1:
+            raise ConfigError(f"mcmc_iterations: must be at least 1, got "
+                              f"{self.mcmc_iterations}")
+        if self.mcmc_burn_in < -1:
+            raise ConfigError(f"mcmc_burn_in: must be >= 0, or -1 for the "
+                              f"default, got {self.mcmc_burn_in}")
+        if self.mcmc_iterations <= self.mcmc_burn_in:
+            raise ConfigError(f"mcmc_iterations: {self.mcmc_iterations} must "
+                              f"exceed mcmc_burn_in {self.mcmc_burn_in}")
         self.out_dir = Path(self.out_dir)
 
     @property

@@ -1,6 +1,8 @@
 """Test-only readers of evaluation and observer outputs, a malformed
-checkpoint writer, and the im2col einsum network that the channels-last
-convolution is checked against."""
+checkpoint writer, the im2col einsum network that the channels-last
+convolution is checked against, and the per-lump, whole-image and
+per-iteration lumpy-background references that the rendering and the MCMC
+chain must equal bit for bit."""
 
 import csv
 
@@ -9,7 +11,9 @@ from numpy.lib.stride_tricks import as_strided
 
 from scanobs import neuralnet
 from scanobs.evaluation import LrocCurve
-from scanobs.observers import Records
+from scanobs.imaging import _clb_blob, pixel_grid
+from scanobs.mcmc import _reflect
+from scanobs.observers import Records, records_from_log_lrs
 
 
 def lroc_trapezoid_area(curve: LrocCurve) -> float:
@@ -119,3 +123,149 @@ def reference_loss_and_gradient(images, labels, state):
         grads[2 * i], grads[2 * i + 1], da = reference_conv_backward(
             x_in, state.params[2 * i], dy)
     return probs, loss, grads
+
+
+# ---------------------------------------------------------------------------
+# lumpy-background references: one meshgrid per lump, the CLB chunks over the
+# whole image, and the MCMC chain that recomputes every lump and folds the
+# log-LR in at every retained iteration
+
+def reference_lump_image(center, params, prf):
+    w, h = prf.grid
+    var = prf.width ** 2 + params.lump_width ** 2
+    coef = params.amplitude * prf.height * params.lump_width ** 2 / var
+    X, Y = pixel_grid(w, h)
+    d2 = (X - center[0]) ** 2 + (Y - center[1]) ** 2
+    return coef * np.exp(-d2 / (2.0 * var))
+
+
+def reference_render_lumpy_image(real, params, prf):
+    w, h = prf.grid
+    out = np.zeros((h, w), dtype=np.float64)
+    for center in real.centers:
+        out += reference_lump_image(center, params, prf)
+    return out.astype(np.float32)
+
+
+def reference_render_clb_image(real, params):
+    w, h = params.field_of_view
+    X, Y = pixel_grid(w, h)
+    out = np.zeros((h, w), dtype=np.float64)
+    positions, angles = [], []
+    for cl in real.clusters:
+        for off, ang in zip(cl.offsets, cl.angles):
+            positions.append(cl.center + off)
+            angles.append(ang)
+    chunk = 64
+    for i in range(0, len(positions), chunk):
+        pos = np.asarray(positions[i:i + chunk])
+        ang = np.asarray(angles[i:i + chunk])
+        dx = X[None] - pos[:, 0, None, None]
+        dy = Y[None] - pos[:, 1, None, None]
+        out += _clb_blob(dx, dy, ang[:, None, None], params).sum(axis=0)
+    return out.astype(np.float32)
+
+
+def reference_mcmc_io_record(g, task, cfg, rng, true_label=0,
+                             count_trace=None):
+    params, prf = task.lumpy, task.prf
+    w, h = task.grid
+    sigma2 = task.noise.scale ** 2
+
+    x = np.arange(w, dtype=np.float64) + 0.5
+    y = np.arange(h, dtype=np.float64) + 0.5
+    xf = np.tile(x, h)
+    yf = np.repeat(y, w)
+    var = prf.width ** 2 + params.lump_width ** 2
+    coef = params.amplitude * prf.height * params.lump_width ** 2 / var
+
+    def lump_flat(center):
+        d2 = (xf - center[0]) ** 2 + (yf - center[1]) ** 2
+        return coef * np.exp(-d2 / (2.0 * var))
+
+    sigs = task.signal_images.reshape(task.J, -1).astype(np.float64)
+    ssq = (sigs * sigs).sum(axis=1)
+    gv = np.asarray(g, dtype=np.float64).ravel()
+
+    discrete = cfg.candidate_centers is not None
+    candidates = None if not discrete else np.asarray(cfg.candidate_centers,
+                                                     dtype=np.float64)
+    centers = []
+    if not discrete:
+        n0 = int(rng.poisson(params.mean_count))
+        if cfg.max_count is not None:
+            n0 = min(n0, cfg.max_count)
+        centers = [rng.uniform((0.0, 0.0), (float(w), float(h)))
+                   for _ in range(n0)]
+
+    r = gv.copy()
+    sr = sigs @ r
+    for c in centers:
+        lump = lump_flat(c)
+        r -= lump
+        sr -= sigs @ lump
+
+    burn_in = cfg.effective_burn_in
+    log_sum = np.full(task.J, -np.inf)
+    n_kept = 0
+    log_nbar = np.log(params.mean_count)
+
+    for it in range(cfg.iterations):
+        u = rng.random()
+        n = len(centers)
+        delta = None
+        log_prior = 0.0
+        action = None
+
+        if u < cfg.move_prob:
+            if n > 0:
+                idx = int(rng.integers(n))
+                if discrete:
+                    new = candidates[int(rng.integers(len(candidates)))]
+                else:
+                    step = rng.normal(0.0, cfg.move_std, size=2)
+                    new = np.array([
+                        _reflect(centers[idx][0] + step[0], 0.0, float(w)),
+                        _reflect(centers[idx][1] + step[1], 0.0, float(h)),
+                    ])
+                delta = lump_flat(new) - lump_flat(centers[idx])
+                action = ("move", idx, new)
+        elif u < cfg.move_prob + cfg.birth_prob:
+            if cfg.max_count is None or n < cfg.max_count:
+                if discrete:
+                    new = candidates[int(rng.integers(len(candidates)))]
+                else:
+                    new = rng.uniform((0.0, 0.0), (float(w), float(h)))
+                delta = lump_flat(new)
+                log_prior = log_nbar - np.log(n + 1)
+                action = ("birth", None, new)
+        else:
+            if n > 0:
+                idx = int(rng.integers(n))
+                delta = -lump_flat(centers[idx])
+                log_prior = np.log(n) - log_nbar
+                action = ("death", idx, None)
+
+        if delta is not None:
+            log_alpha = (2.0 * (r @ delta) - delta @ delta) / (2.0 * sigma2) \
+                + log_prior
+            if np.log(rng.random()) < log_alpha:
+                kind, idx, new = action
+                if kind == "move":
+                    centers[idx] = new
+                elif kind == "birth":
+                    centers.append(new)
+                else:
+                    centers.pop(idx)
+                r -= delta
+                sr -= sigs @ delta
+
+        if it >= burn_in:
+            v = (sr - ssq / 2.0) / sigma2
+            log_sum = np.logaddexp(log_sum, v)
+            n_kept += 1
+            if count_trace is not None:
+                count_trace.append(len(centers))
+
+    log_lrs = log_sum - np.log(n_kept)
+    return records_from_log_lrs(log_lrs[None], task.priors, [true_label])

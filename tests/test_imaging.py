@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import reference_render_clb_image, reference_render_lumpy_image
 from quadrature import gaussian_lump, gaussian_signal, prf_pixel_value
 from scanobs.imaging import (
     NoiseModel,
@@ -20,6 +21,7 @@ from scanobs.phantoms import (
     LumpyParams,
     LumpyRealization,
     SignalSpec,
+    sample_lumpy,
 )
 from scanobs.tasks import simulate_measurement, task_preset
 
@@ -208,3 +210,59 @@ def test_rendering_is_deterministic():
     a = render_lumpy_image(real, LB_PARAMS, LB_PRF)
     b = render_lumpy_image(real, LB_PARAMS, LB_PRF)
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("count", [0, 1, 20])
+def test_lumpy_render_equals_per_lump_reference(count):
+    rng = np.random.default_rng(count)
+    real = LumpyRealization(rng.uniform(-5.0, 69.0, size=(count, 2)))
+    img = render_lumpy_image(real, LB_PARAMS, LB_PRF)
+    ref = reference_render_lumpy_image(real, LB_PARAMS, LB_PRF)
+    assert img.dtype == np.float32 and img.shape == (64, 64)
+    np.testing.assert_array_equal(img, ref)
+
+
+def test_lumpy_render_equals_reference_on_sampled_backgrounds():
+    task = task_preset("lb")
+    rng = np.random.default_rng(11)
+    prf = PrfSpec(height=40.0, width=1.5, grid=(64, 48))  # not square
+    for _ in range(30):
+        real = sample_lumpy(task.lumpy, rng)
+        for p in (task.prf, prf):
+            np.testing.assert_array_equal(
+                render_lumpy_image(real, task.lumpy, p),
+                reference_render_lumpy_image(real, task.lumpy, p))
+
+
+def _blobs(rng, count, fov):
+    w, h = fov
+    return ClbRealization([ClbCluster(
+        np.array([w / 2.0, h / 2.0]),
+        rng.normal(0.0, 12.0, size=(count, 2)),
+        rng.uniform(0.0, 2.0 * math.pi, size=count))])
+
+
+@pytest.mark.parametrize("count, fov", [
+    (65, (128, 128)),     # crosses the 64-blob chunk boundary
+    (3, (128, 37)),       # height not a multiple of the row tile
+    (70, (40, 23)),       # narrow field: more rows per tile, ragged last tile
+    (2, (700, 5)),        # wider than a tile: one row per tile
+])
+def test_clb_render_equals_whole_image_reference(count, fov):
+    params = ClbParams(field_of_view=fov)
+    real = _blobs(np.random.default_rng(count), count, fov)
+    img = render_clb_image(real, params)
+    assert img.dtype == np.float32 and img.shape == (fov[1], fov[0])
+    ref = reference_render_clb_image(real, params)
+    np.testing.assert_array_equal(img, ref)
+
+
+def test_clb_render_blob_at_pixel_center_equals_reference():
+    params = ClbParams()
+    real = ClbRealization([ClbCluster(np.array([40.5, 40.5]),
+                                      np.array([[0.0, 0.0], [3.0, -2.0]]),
+                                      np.array([0.3, 1.1]))])
+    img = render_clb_image(real, params)
+    ref = reference_render_clb_image(real, params)
+    np.testing.assert_array_equal(img, ref)
+    assert np.isfinite(img).all()

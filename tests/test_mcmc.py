@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp
 
+from helpers import reference_mcmc_io_record
+from scanobs import mcmc
 from scanobs.imaging import NoiseModel, PrfSpec, render_lumpy_image
 from scanobs.mcmc import McmcConfig, _reflect, mcmc_io_record
 from scanobs.phantoms import LumpyParams, LumpyRealization, SignalSpec
-from scanobs.tasks import TaskConfig, task_preset
+from scanobs.tasks import TaskConfig, simulate_measurement, task_preset
 
 
 def _tiny_task(mean_count=1.5, sigma=2.0, sig_amp=0.3):
@@ -71,6 +73,25 @@ def test_config_defaults_and_validation():
         McmcConfig(move_prob=0.5, birth_prob=0.5, death_prob=0.5)
     with pytest.raises(ValueError):
         McmcConfig(iterations=100, burn_in=100)
+    assert McmcConfig(iterations=100, burn_in=0).effective_burn_in == 0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"burn_in": -5}, {"burn_in": -1}, {"move_std": 0.0}, {"move_std": -1.0},
+    {"move_std": float("nan")}])
+def test_config_rejects_bad_burn_in_and_step(kwargs):
+    with pytest.raises(ValueError, match="burn_in|move_std"):
+        McmcConfig(iterations=1000, **kwargs)
+
+
+def test_rejects_wrong_image_shape():
+    task = _tiny_task()
+    cfg = McmcConfig(iterations=100, burn_in=10)
+    for shape in [(8, 9), (64,), (1, 8, 8)]:
+        with pytest.raises(ValueError, match=r"\(8, 8\)") as err:
+            mcmc_io_record(np.zeros(shape), task, cfg,
+                           np.random.default_rng(0))
+        assert str(shape) in str(err.value)
 
 
 def test_reflect_stays_in_bounds():
@@ -178,3 +199,58 @@ def test_independent_seeds_agree():
     a = mcmc_io_record(g, task, cfg, np.random.default_rng(10)).per_location
     b = mcmc_io_record(g, task, cfg, np.random.default_rng(11)).per_location
     assert np.abs(np.expm1(a - b)).max() < 0.04
+
+
+def _assert_same_chain(task, g, cfg, seed, true_label=0):
+    trace, ref_trace = [], []
+    rec = mcmc_io_record(g, task, cfg, np.random.default_rng(seed),
+                         true_label=true_label, count_trace=trace)
+    ref = reference_mcmc_io_record(g, task, cfg, np.random.default_rng(seed),
+                                   true_label=true_label,
+                                   count_trace=ref_trace)
+    for name in ("statistic", "chosen_location", "true_label",
+                 "per_location", "binary_statistic"):
+        np.testing.assert_array_equal(getattr(rec, name), getattr(ref, name))
+    assert trace == ref_trace
+    assert all(type(c) is int for c in trace)
+    return trace
+
+
+@pytest.mark.parametrize("burn_in", [None, 0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lb_chain_equals_per_iteration_reference(seed, burn_in):
+    task = task_preset("lb")
+    g, label = simulate_measurement(task, seed * 4,
+                                    np.random.default_rng(seed))
+    cfg = McmcConfig(iterations=2500, burn_in=burn_in)
+    trace = _assert_same_chain(task, g, cfg, 100 + seed, label)
+    assert len(trace) == cfg.iterations - cfg.effective_burn_in
+
+
+@pytest.mark.parametrize("fold_rows", [1, 7, 4096])
+def test_chain_equals_reference_across_fold_blocks(monkeypatch, fold_rows):
+    # a small fold block splits long runs of one state across many blocks
+    monkeypatch.setattr(mcmc, "_FOLD_ROWS", fold_rows)
+    task = _tiny_task(mean_count=3.0, sig_amp=0.5)
+    g = np.random.default_rng(12).normal(0.0, 2.0, size=(8, 8))
+    _assert_same_chain(task, g, McmcConfig(iterations=9000, burn_in=0), 13)
+    _assert_same_chain(task, g, McmcConfig(iterations=9000), 14)
+
+
+def test_discrete_chain_equals_per_iteration_reference():
+    task = _tiny_task(sig_amp=0.15)
+    candidates = np.array([[2.5, 2.5], [5.5, 5.5], [3.5, 4.5]])
+    rng = np.random.default_rng(3)
+    g = _render_config(task, candidates[0]) + task.signal_images[0] \
+        + rng.normal(0.0, 2.0, size=(8, 8))
+    cfg = McmcConfig(iterations=20_000, candidate_centers=candidates,
+                     max_count=2)
+    _assert_same_chain(task, g, cfg, 4, true_label=1)
+
+
+def test_frozen_chain_equals_per_iteration_reference():
+    task = _tiny_task(mean_count=1e-9)
+    g = np.random.default_rng(1).normal(0.0, 2.0, size=(8, 8))
+    trace = _assert_same_chain(task, g,
+                               McmcConfig(iterations=2000, burn_in=100), 2)
+    assert set(trace) == {0}

@@ -86,6 +86,32 @@ def test_load_config_errors(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("overrides", [
+    {"mcmc_iterations": 0}, {"mcmc_iterations": -3}, {"mcmc_burn_in": -7},
+    {"mcmc_iterations": 100, "mcmc_burn_in": 100}])
+def test_plan_rejects_bad_mcmc_settings(tmp_path, overrides):
+    with pytest.raises(ConfigError, match="mcmc_"):
+        ExperimentPlan("lb", tmp_path, **overrides)
+
+
+def test_plan_accepts_default_and_zero_burn_in(tmp_path):
+    assert ExperimentPlan("lb", tmp_path, mcmc_iterations=1).mcmc_burn_in == -1
+    ExperimentPlan("lb", tmp_path, mcmc_iterations=1, mcmc_burn_in=0)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"mcmc_iterations": 0}, {"mcmc_burn_in": -7}])
+def test_cli_bad_mcmc_settings_are_one_line_errors(tmp_path, capsys,
+                                                   overrides):
+    cfg = _write_config(tmp_path, preset="lb", observers=["mcmc_io"],
+                        **overrides)
+    assert main(["generate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "mcmc_" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_learning_rate_coercion(tmp_path):
     plan = load_config(_write_config(tmp_path, learning_rate=1))
     assert plan.learning_rate == 1.0 and isinstance(plan.learning_rate, float)
