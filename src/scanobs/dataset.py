@@ -1,4 +1,4 @@
-"""Binary dataset files and CSV export.
+"""Binary dataset files.
 
 File layout: a fixed 64-byte header followed by per-record data.
 
@@ -59,15 +59,6 @@ class DatasetWriter:
         self.close()
 
 
-def write_dataset(path, images: np.ndarray, labels):
-    """Write a stack of images (N, H, W) with integer labels."""
-    n, h, w = images.shape
-    labels = np.asarray(labels)
-    with DatasetWriter(path, w, h, int(labels.max(initial=0))) as out:
-        for img, lab in zip(images, labels):
-            out.append(img, int(lab))
-
-
 def read_dataset(path):
     """Read a dataset file; returns (images (N,H,W) float32, labels (N,) uint8, meta)."""
     raw = Path(path).read_bytes()
@@ -89,8 +80,3 @@ def read_dataset(path):
     meta = {"count": count, "width": width, "height": height,
             "n_locations": n_loc}
     return images.astype(np.float32, copy=False), labels, meta
-
-
-def image_to_csv(path, image: np.ndarray):
-    """Export a single image as CSV, one row per image row."""
-    np.savetxt(path, np.asarray(image), delimiter=",", fmt="%.8g")

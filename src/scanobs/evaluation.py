@@ -29,6 +29,8 @@ class FomEstimate:
 
 
 def _split_records(records: Records, binary: bool = False):
+    """Absent scores, present scores, and per present record whether it was
+    localized correctly (always, for the binary statistic)."""
     t = records.binary_statistic if binary else records.statistic
     if t is None:
         raise ValueError("records lack a binary detection statistic")
@@ -37,8 +39,21 @@ def _split_records(records: Records, binary: bool = False):
     if not absent.any() or not present.any():
         raise ValueError("need both signal-absent and signal-present records")
     t = np.asarray(t, dtype=np.float64)
-    correct = records.chosen_location[present] == records.true_label[present]
+    correct = binary | (records.chosen_location[present]
+                        == records.true_label[present])
     return t[absent], t[present], correct
+
+
+def _curve(records: Records, binary: bool) -> LrocCurve:
+    t_abs, t_sig, correct = _split_records(records, binary)
+    taus = np.concatenate(([np.inf],
+                           np.unique(np.concatenate((t_abs, t_sig)))[::-1],
+                           [-np.inf]))
+    fpf = (t_abs[None, :] > taus[:, None]).mean(axis=1)
+    hit = t_sig[None, :] > taus[:, None]
+    hit &= correct
+    return LrocCurve(taus, fpf, hit.mean(axis=1), n_signal=len(t_sig),
+                     n_absent=len(t_abs))
 
 
 def empirical_lroc(records: Records) -> LrocCurve:
@@ -47,46 +62,35 @@ def empirical_lroc(records: Records) -> LrocCurve:
     At threshold tau: FPF = fraction of absent cases with t > tau, PCL =
     fraction of present cases with t > tau and correct localization.
     """
-    t_abs, t_sig, correct = _split_records(records)
-    taus = np.concatenate(([np.inf],
-                           np.unique(np.concatenate((t_abs, t_sig)))[::-1],
-                           [-np.inf]))
-    fpf = (t_abs[None, :] > taus[:, None]).mean(axis=1)
-    hit = (t_sig[None, :] > taus[:, None]) & correct[None, :]
-    pcl = hit.mean(axis=1)
-    return LrocCurve(taus, fpf, pcl, n_signal=len(t_sig), n_absent=len(t_abs))
+    return _curve(records, binary=False)
 
 
-def _pairwise_alroc(t_abs, t_sig, correct) -> float:
-    """2AFC estimator: mean over (present, absent) pairs of
-    1{t_i > t_k, correct localization} with half credit on ties."""
-    order = np.sort(t_abs)
-    n_lt = np.searchsorted(order, t_sig, side="left")
-    n_le = np.searchsorted(order, t_sig, side="right")
-    score = (n_lt + 0.5 * (n_le - n_lt)) * correct
-    return float(score.sum() / (len(t_sig) * len(t_abs)))
+def empirical_roc(records: Records) -> LrocCurve:
+    """Empirical ROC over the binary detection statistics (TPF in .pcl)."""
+    return _curve(records, binary=True)
 
 
-def _pairwise_auc(t_abs, t_sig) -> float:
-    """Wilcoxon-Mann-Whitney statistic with 0.5 tie credit."""
-    ones = np.ones(len(t_sig), dtype=bool)
-    return _pairwise_alroc(t_abs, t_sig, ones)
+def _two_afc(records: Records, binary: bool, n_bootstrap: int,
+             rng: np.random.Generator | None) -> FomEstimate:
+    """2AFC estimator with a within-class bootstrap SE.
 
-
-def _bootstrap(t_abs, t_sig, correct, n_bootstrap, rng):
-    """Within-class bootstrap SE of the 2AFC estimator.
-
-    Each replicate resamples the absent and the present scores (in that
+    The estimate is the mean over (present, absent) pairs of
+    1{t_i > t_k, correct localization} with half credit on ties.  Each
+    bootstrap replicate resamples the absent and the present scores (in that
     order) and counts the resampled absent scores below and tied with each
     present score from their ranks in one sort of the originals.  Every
     term is a multiple of 0.5 below 2**53, so each replicate equals the
     estimator on the resampled scores exactly.
     """
+    t_abs, t_sig, correct = _split_records(records, binary)
     na, ns = len(t_abs), len(t_sig)
     order = np.sort(t_abs)
     rank = np.searchsorted(order, t_abs, side="left")
     n_lt = np.searchsorted(order, t_sig, side="left")
     n_le = np.searchsorted(order, t_sig, side="right")
+    score = (n_lt + 0.5 * (n_le - n_lt)) * correct
+    value = float(score.sum() / (ns * na))
+    rng = rng if rng is not None else np.random.default_rng(0)
     below = np.zeros(na + 1, dtype=np.int64)  # below[k]: draws with rank < k
     vals = np.empty(n_bootstrap)
     for i in range(n_bootstrap):
@@ -96,39 +100,19 @@ def _bootstrap(t_abs, t_sig, correct, n_bootstrap, rng):
         lt = below[n_lt]
         score = (lt + 0.5 * (below[n_le] - lt)) * correct
         vals[i] = (score * np.bincount(isg, minlength=ns)).sum() / (ns * na)
-    return float(vals.std(ddof=1))
+    return FomEstimate(value, float(vals.std(ddof=1)), n_bootstrap)
 
 
 def alroc(records: Records, n_bootstrap: int = 1000,
           rng: np.random.Generator | None = None) -> FomEstimate:
     """Area under the LROC curve with a within-class bootstrap SE."""
-    t_abs, t_sig, correct = _split_records(records)
-    value = _pairwise_alroc(t_abs, t_sig, correct)
-    rng = rng if rng is not None else np.random.default_rng(0)
-    se = _bootstrap(t_abs, t_sig, correct, n_bootstrap, rng)
-    return FomEstimate(value, se, n_bootstrap)
-
-
-def empirical_roc(records: Records) -> LrocCurve:
-    """Empirical ROC over the binary detection statistics (TPF in .pcl)."""
-    t_abs, t_sig, _ = _split_records(records, binary=True)
-    taus = np.concatenate(([np.inf],
-                           np.unique(np.concatenate((t_abs, t_sig)))[::-1],
-                           [-np.inf]))
-    fpf = (t_abs[None, :] > taus[:, None]).mean(axis=1)
-    tpf = (t_sig[None, :] > taus[:, None]).mean(axis=1)
-    return LrocCurve(taus, fpf, tpf, n_signal=len(t_sig), n_absent=len(t_abs))
+    return _two_afc(records, False, n_bootstrap, rng)
 
 
 def auc(records: Records, n_bootstrap: int = 1000,
         rng: np.random.Generator | None = None) -> FomEstimate:
     """Area under the empirical ROC of the binary detection statistics."""
-    t_abs, t_sig, _ = _split_records(records, binary=True)
-    value = _pairwise_auc(t_abs, t_sig)
-    rng = rng if rng is not None else np.random.default_rng(0)
-    se = _bootstrap(t_abs, t_sig, np.ones(len(t_sig), dtype=bool),
-                    n_bootstrap, rng)
-    return FomEstimate(value, se, n_bootstrap)
+    return _two_afc(records, True, n_bootstrap, rng)
 
 
 def compare_systems(

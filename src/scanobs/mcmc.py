@@ -6,10 +6,10 @@ likelihood ratio (g - b - s_j/2)^T s_j / sigma^2 is accumulated as a running
 log-mean, giving the Monte Carlo estimate of log Lambda_j(g).
 
 Proposal scheme per iteration: move one lump (prob 0.5, isotropic Gaussian
-step reflected at the field-of-view boundary), birth a uniform new lump
-(0.25), or delete a uniformly chosen lump (0.25).  Birth/death acceptance
-includes the Poisson prior ratio, which for uniform positions reduces to
-Nbar/(N+1) for birth and N/Nbar for death.
+step of 3 px standard deviation, reflected at the field-of-view boundary),
+birth a uniform new lump (0.25), or delete a uniformly chosen lump (0.25).
+Birth/death acceptance includes the Poisson prior ratio, which for uniform
+positions reduces to Nbar/(N+1) for birth and N/Nbar for death.
 """
 
 from __future__ import annotations
@@ -25,28 +25,24 @@ from .observers import Records, records_from_log_lrs
 from .observers import posteriors_from_lrs, scanning_decision  # noqa: F401
 from .tasks import TaskConfig
 
+# Proposal probabilities (death takes the remaining 0.25) and the move step.
+MOVE_PROB = 0.5
+BIRTH_PROB = 0.25
+MOVE_STD = 3.0    # pixels
+
 
 @dataclass(frozen=True)
 class McmcConfig:
     iterations: int = 200_000
     burn_in: int | None = None            # default: 5% of iterations
-    move_prob: float = 0.5
-    birth_prob: float = 0.25
-    death_prob: float = 0.25
-    move_std: float = 3.0                 # pixels
     # Optional discrete support (used by enumeration-oracle tests): lump
     # centers restricted to these candidates, and lump count capped.
     candidate_centers: np.ndarray | None = None
     max_count: int | None = None
 
     def __post_init__(self):
-        probs = (self.move_prob, self.birth_prob, self.death_prob)
-        if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
-            raise ValueError("move/birth/death probabilities must sum to 1")
         if self.burn_in is not None and self.burn_in < 0:
             raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
-        if not self.move_std > 0:
-            raise ValueError(f"move_std must be positive, got {self.move_std}")
         if self.iterations <= self.effective_burn_in:
             raise ValueError("iterations must exceed burn-in")
 
@@ -159,7 +155,7 @@ def mcmc_io_record(g, task: TaskConfig, cfg: McmcConfig,
     for it in range(cfg.iterations):
         u = rng.random()
         n = len(centers)
-        if u < cfg.move_prob:
+        if u < MOVE_PROB:
             if n == 0:
                 continue
             idx = int(rng.integers(n))
@@ -167,13 +163,13 @@ def mcmc_io_record(g, task: TaskConfig, cfg: McmcConfig,
                 k = int(rng.integers(len(candidates)))
                 new, lump = candidates[k], candidate_lumps[k]
             else:
-                sx, sy = rng.normal(0.0, cfg.move_std, size=2).tolist()
+                sx, sy = rng.normal(0.0, MOVE_STD, size=2).tolist()
                 cx, cy = centers[idx]
                 new = (_reflect(cx + sx, 0.0, fw), _reflect(cy + sy, 0.0, fh))
                 lump = lumps([new]).ravel()
             delta = lump - images[idx]
             log_prior = 0.0
-        elif u < cfg.move_prob + cfg.birth_prob:
+        elif u < MOVE_PROB + BIRTH_PROB:
             if cfg.max_count is not None and n >= cfg.max_count:
                 continue
             idx = n

@@ -289,9 +289,6 @@ class TrainSchedule:
     total_minibatches: int
     batch_per_class: int = 80
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     val_period: int = 1000
     seed: int = 0
 
@@ -304,23 +301,26 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
-def adam_step(state: NetworkState, grads, lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> NetworkState:
+# Adam moment decay rates and denominator offset
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
+
+def adam_step(state: NetworkState, grads, lr: float) -> NetworkState:
     """One Adam update with bias correction; mutates and returns state."""
     for g in grads:
         if not np.all(np.isfinite(g)):
             raise TrainingDiverged(f"non-finite gradient at step {state.step}")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for p, m, v, g in zip(state.params, state.m, state.v, grads):
         g = g.astype(p.dtype, copy=False)
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
     return state
 
 
@@ -413,8 +413,7 @@ def train(arch: Architecture, task, backgrounds, schedule: TrainSchedule,
                 if not np.isfinite(loss):
                     raise TrainingDiverged(
                         f"loss became non-finite at step {step}")
-                adam_step(state, grads, schedule.learning_rate, schedule.beta1,
-                          schedule.beta2, schedule.epsilon)
+                adam_step(state, grads, schedule.learning_rate)
             except TrainingDiverged as exc:
                 # the state has not been touched by the failing update
                 exc.state = state

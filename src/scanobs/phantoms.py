@@ -99,7 +99,9 @@ def sample_lumpy(params: LumpyParams, rng: np.random.Generator) -> LumpyRealizat
     """Draw one lumpy realization: Poisson count, uniform centers over the FOV."""
     n = int(rng.poisson(params.mean_count))
     w, h = params.field_of_view
-    centers = rng.uniform(low=(0.0, 0.0), high=(float(w), float(h)), size=(n, 2))
+    # the same values and stream position as rng.uniform((0, 0), (w, h)),
+    # without its per-call argument broadcasting
+    centers = (float(w), float(h)) * rng.random((n, 2))
     return LumpyRealization(centers=centers)
 
 
@@ -114,7 +116,7 @@ def sample_clb(params: ClbParams, rng: np.random.Generator) -> ClbRealization:
     n_clusters = int(rng.poisson(params.mean_cluster_count))
     clusters = []
     for _ in range(n_clusters):
-        center = rng.uniform(low=(0.0, 0.0), high=(float(w), float(h)))
+        center = (float(w), float(h)) * rng.random(2)
         n_blobs = int(rng.poisson(params.mean_blobs_per_cluster))
         offsets = rng.normal(0.0, params.cluster_spread, size=(n_blobs, 2))
         angles = rng.uniform(0.0, 2.0 * math.pi, size=n_blobs)

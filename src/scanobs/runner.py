@@ -7,7 +7,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,26 +21,15 @@ from .tasks import PRESETS, TaskConfig, simulate_measurement, task_preset
 
 OBSERVER_NAMES = ("analytic_io", "hotelling", "mcmc_io", "cnn_io")
 
-# key -> (type, default); required keys have default REQUIRED
-_REQUIRED = object()
-_SCHEMA = {
-    "preset": (str, _REQUIRED),
-    "observers": (list, []),
-    "n_train_backgrounds": (int, 0),
-    "n_val_per_class": (int, 200),
-    "n_test_per_class": (int, 200),
-    "seed": (int, 0),
-    "out_dir": (str, _REQUIRED),
-    "batch_per_class": (int, 80),
-    "total_minibatches": (int, 50_000),
-    "learning_rate": (float, 1e-4),
-    "val_period": (int, 1000),
-    "conv_layers": ((int, list), 5),
-    "cov_samples": (int, 2000),
-    "mcmc_iterations": (int, 200_000),
-    "mcmc_burn_in": (int, -1),       # -1 -> default 5%
-    "bootstrap_samples": (int, 1000),
-}
+# JSON types a plan key may hold, by the annotation of its ExperimentPlan
+# field; an int is accepted for a float, and a bool for nothing
+_JSON_TYPES = {"str": str, "Path": str, "list[str]": list, "int": int,
+               "float": (int, float), "int | list[int]": (int, list)}
+
+# Smallest accepted value of each bounded count
+_LEAST = {"n_train_backgrounds": 0, "n_val_per_class": 0,
+          "n_test_per_class": 0, "batch_per_class": 1, "total_minibatches": 1,
+          "val_period": 1, "mcmc_iterations": 1, "bootstrap_samples": 2}
 
 
 class ConfigError(ValueError):
@@ -73,9 +62,17 @@ class ExperimentPlan:
         for obs in self.observers:
             if obs not in OBSERVER_NAMES:
                 raise ConfigError(f"observers: unknown observer {obs!r}")
-        if self.mcmc_iterations < 1:
-            raise ConfigError(f"mcmc_iterations: must be at least 1, got "
-                              f"{self.mcmc_iterations}")
+        for key, least in _LEAST.items():
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key}: must be at least {least}, got "
+                                  f"{getattr(self, key)}")
+        depths = self.conv_layers
+        if not isinstance(depths, list):
+            depths = [depths]
+        if not depths or not all(isinstance(d, int) and d >= 1
+                                 for d in depths):
+            raise ConfigError(f"conv_layers: need one or more depths of at "
+                              f"least 1, got {self.conv_layers}")
         if self.mcmc_burn_in < -1:
             raise ConfigError(f"mcmc_burn_in: must be >= 0, or -1 for the "
                               f"default, got {self.mcmc_burn_in}")
@@ -90,30 +87,29 @@ class ExperimentPlan:
 
 
 def load_config(path) -> ExperimentPlan:
-    """Load and validate a flat-key JSON experiment plan."""
+    """Load and validate a flat-key JSON experiment plan.  Its keys, which
+    of them are required, and their types and defaults are the fields of
+    ExperimentPlan."""
     try:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    unknown = set(raw) - set(_SCHEMA)
+    unknown = set(raw) - {f.name for f in fields(ExperimentPlan)}
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    values = {}
-    for key, (typ, default) in _SCHEMA.items():
-        if key in raw:
-            val = raw[key]
-            if typ is float and isinstance(val, int):
-                val = float(val)
-            if not isinstance(val, typ) or isinstance(val, bool):
-                raise ConfigError(f"{path}: key {key!r} must be {typ}")
-            values[key] = val
-        elif default is _REQUIRED:
-            raise ConfigError(f"{path}: missing required key {key!r}")
-        else:
-            values[key] = default
-    return ExperimentPlan(**values)
+    for f in fields(ExperimentPlan):
+        if f.name not in raw:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{path}: missing required key {f.name!r}")
+            continue
+        val = raw[f.name]
+        if not isinstance(val, _JSON_TYPES[f.type]) or isinstance(val, bool):
+            raise ConfigError(f"{path}: key {f.name!r} must be {f.type}")
+        if f.type == "float":
+            raw[f.name] = float(val)
+    return ExperimentPlan(**raw)
 
 
 def _sha256(path: Path) -> str:
@@ -282,6 +278,9 @@ def run_training(plan: ExperimentPlan):
         raise FileNotFoundError(f"missing training store {bg_path}; "
                                 "run generate first")
     val_images, val_labels, _ = read_dataset(out / "val.bin")
+    if len(val_images) == 0:
+        raise ConfigError(f"n_val_per_class: training needs validation "
+                          f"images, and {out / 'val.bin'} has none")
     schedule = TrainSchedule(
         total_minibatches=plan.total_minibatches,
         batch_per_class=plan.batch_per_class,

@@ -1,19 +1,37 @@
-"""Test-only readers of evaluation and observer outputs, a malformed
-checkpoint writer, the im2col einsum network that the channels-last
-convolution is checked against, and the per-lump, whole-image and
-per-iteration lumpy-background references that the rendering and the MCMC
-chain must equal bit for bit."""
+"""Test-only dataset writers, readers of evaluation and observer outputs, a
+malformed checkpoint writer, the im2col einsum network that the
+channels-last convolution is checked against, and the ``rng.uniform``
+samplers and the per-lump, whole-image and per-iteration lumpy-background
+references that the sampling, the rendering and the MCMC chain must equal
+bit for bit."""
 
 import csv
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from scanobs import neuralnet
+from scanobs.dataset import DatasetWriter
 from scanobs.evaluation import LrocCurve
 from scanobs.imaging import _clb_blob, pixel_grid
-from scanobs.mcmc import _reflect
+from scanobs.mcmc import BIRTH_PROB, MOVE_PROB, MOVE_STD, _reflect
 from scanobs.observers import Records, records_from_log_lrs
+from scanobs.phantoms import ClbCluster, ClbRealization, LumpyRealization
+
+
+def write_dataset(path, images: np.ndarray, labels):
+    """Write a stack of images (N, H, W) with integer labels."""
+    n, h, w = images.shape
+    labels = np.asarray(labels)
+    with DatasetWriter(path, w, h, int(labels.max(initial=0))) as out:
+        for img, lab in zip(images, labels):
+            out.append(img, int(lab))
+
+
+def image_to_csv(path, image: np.ndarray):
+    """Export a single image as CSV, one row per image row."""
+    np.savetxt(path, np.asarray(image), delimiter=",", fmt="%.8g")
 
 
 def lroc_trapezoid_area(curve: LrocCurve) -> float:
@@ -126,6 +144,29 @@ def reference_loss_and_gradient(images, labels, state):
 
 
 # ---------------------------------------------------------------------------
+# background samplers that draw uniform positions with rng.uniform
+
+def reference_sample_lumpy(params, rng):
+    n = int(rng.poisson(params.mean_count))
+    w, h = params.field_of_view
+    centers = rng.uniform(low=(0.0, 0.0), high=(float(w), float(h)),
+                          size=(n, 2))
+    return LumpyRealization(centers=centers)
+
+
+def reference_sample_clb(params, rng):
+    w, h = params.field_of_view
+    clusters = []
+    for _ in range(int(rng.poisson(params.mean_cluster_count))):
+        center = rng.uniform(low=(0.0, 0.0), high=(float(w), float(h)))
+        n_blobs = int(rng.poisson(params.mean_blobs_per_cluster))
+        offsets = rng.normal(0.0, params.cluster_spread, size=(n_blobs, 2))
+        angles = rng.uniform(0.0, 2.0 * math.pi, size=n_blobs)
+        clusters.append(ClbCluster(center, offsets, angles))
+    return ClbRealization(clusters)
+
+
+# ---------------------------------------------------------------------------
 # lumpy-background references: one meshgrid per lump, the CLB chunks over the
 # whole image, and the MCMC chain that recomputes every lump and folds the
 # log-LR in at every retained iteration
@@ -217,20 +258,20 @@ def reference_mcmc_io_record(g, task, cfg, rng, true_label=0,
         log_prior = 0.0
         action = None
 
-        if u < cfg.move_prob:
+        if u < MOVE_PROB:
             if n > 0:
                 idx = int(rng.integers(n))
                 if discrete:
                     new = candidates[int(rng.integers(len(candidates)))]
                 else:
-                    step = rng.normal(0.0, cfg.move_std, size=2)
+                    step = rng.normal(0.0, MOVE_STD, size=2)
                     new = np.array([
                         _reflect(centers[idx][0] + step[0], 0.0, float(w)),
                         _reflect(centers[idx][1] + step[1], 0.0, float(h)),
                     ])
                 delta = lump_flat(new) - lump_flat(centers[idx])
                 action = ("move", idx, new)
-        elif u < cfg.move_prob + cfg.birth_prob:
+        elif u < MOVE_PROB + BIRTH_PROB:
             if cfg.max_count is None or n < cfg.max_count:
                 if discrete:
                     new = candidates[int(rng.integers(len(candidates)))]

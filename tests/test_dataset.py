@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from scanobs.dataset import (
-    HEADER_SIZE,
-    DatasetWriter,
-    image_to_csv,
-    read_dataset,
-    write_dataset,
-)
+from helpers import image_to_csv, write_dataset
+from scanobs.dataset import HEADER_SIZE, DatasetWriter, read_dataset
 
 
 def test_round_trip(tmp_path):

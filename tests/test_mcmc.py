@@ -70,17 +70,13 @@ def test_config_defaults_and_validation():
     assert cfg.effective_burn_in == 10_000
     assert McmcConfig(iterations=1000, burn_in=77).effective_burn_in == 77
     with pytest.raises(ValueError):
-        McmcConfig(move_prob=0.5, birth_prob=0.5, death_prob=0.5)
-    with pytest.raises(ValueError):
         McmcConfig(iterations=100, burn_in=100)
     assert McmcConfig(iterations=100, burn_in=0).effective_burn_in == 0
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"burn_in": -5}, {"burn_in": -1}, {"move_std": 0.0}, {"move_std": -1.0},
-    {"move_std": float("nan")}])
+@pytest.mark.parametrize("kwargs", [{"burn_in": -5}, {"burn_in": -1}])
 def test_config_rejects_bad_burn_in_and_step(kwargs):
-    with pytest.raises(ValueError, match="burn_in|move_std"):
+    with pytest.raises(ValueError, match="burn_in"):
         McmcConfig(iterations=1000, **kwargs)
 
 

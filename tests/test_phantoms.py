@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from helpers import reference_sample_clb, reference_sample_lumpy
 from scanobs.phantoms import (
     ClbParams,
     LumpyParams,
@@ -67,6 +68,33 @@ def test_clb_mean_cluster_count():
     counts = [sample_clb(params, rng).cluster_count for _ in range(n_draws)]
     se = math.sqrt(50.0 / n_draws)
     assert abs(np.mean(counts) - 50.0) < 3 * se
+
+
+@pytest.mark.parametrize("mean_count", [1e-9, 1.0, 3.0, 8.0, 17.0])
+def test_lumpy_sampler_equals_uniform_reference(mean_count):
+    params = LumpyParams(mean_count=mean_count, field_of_view=(64, 48))
+    for seed in range(40):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_lumpy(params, rng).centers
+        want = reference_sample_lumpy(params, ref).centers
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert rng.random() == ref.random()  # the streams stay in step
+
+
+def test_clb_sampler_equals_uniform_reference():
+    params = ClbParams(mean_cluster_count=4.0, mean_blobs_per_cluster=3.0,
+                       field_of_view=(128, 96))
+    for seed in range(40):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_clb(params, rng).clusters
+        want = reference_sample_clb(params, ref).clusters
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.center.shape == b.center.shape == (2,)
+            assert np.array_equal(a.center, b.center)
+            assert np.array_equal(a.offsets, b.offsets)
+            assert np.array_equal(a.angles, b.angles)
+        assert rng.random() == ref.random()
 
 
 def test_clb_vanishing_mean_gives_empty():

@@ -112,9 +112,71 @@ def test_cli_bad_mcmc_settings_are_one_line_errors(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("overrides", [
+    {"val_period": 0}, {"total_minibatches": 0}, {"batch_per_class": 0},
+    {"bootstrap_samples": 0}, {"bootstrap_samples": 1}, {"conv_layers": []},
+    {"conv_layers": 0}, {"conv_layers": [2, 0]}, {"n_train_backgrounds": -1},
+    {"n_val_per_class": -1}, {"n_test_per_class": -1}])
+def test_plan_rejects_out_of_range_settings(tmp_path, overrides):
+    key = next(iter(overrides))
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        ExperimentPlan("bke_system1", tmp_path, **overrides)
+
+
+def test_plan_accepts_smallest_settings(tmp_path):
+    ExperimentPlan("bke_system1", tmp_path, n_train_backgrounds=0,
+                   n_val_per_class=0, n_test_per_class=0, batch_per_class=1,
+                   total_minibatches=1, val_period=1, bootstrap_samples=2,
+                   conv_layers=[1])
+
+
+@pytest.mark.parametrize("overrides", [
+    {"val_period": 0}, {"total_minibatches": 0}, {"bootstrap_samples": 1},
+    {"conv_layers": []}])
+def test_cli_out_of_range_plans_are_one_line_errors(tmp_path, capsys,
+                                                    overrides):
+    key = next(iter(overrides))
+    cfg = _write_config(tmp_path, observers=["analytic_io"], **overrides)
+    for verb in ("generate", "train", "evaluate"):
+        assert main([verb, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_train_without_validation_images_is_one_line_error(tmp_path,
+                                                              capsys):
+    cfg = _write_config(tmp_path, n_val_per_class=0, n_test_per_class=1,
+                        conv_layers=1, batch_per_class=1, total_minibatches=1,
+                        val_period=1)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: n_val_per_class: ")
+    assert err.count("\n") == 1
+    assert not list((tmp_path / "out").glob("checkpoint*"))
+    assert not list((tmp_path / "out").glob("training_log*"))
+
+
 def test_learning_rate_coercion(tmp_path):
     plan = load_config(_write_config(tmp_path, learning_rate=1))
     assert plan.learning_rate == 1.0 and isinstance(plan.learning_rate, float)
+
+
+def test_load_config_accepts_depth_list(tmp_path):
+    assert load_config(_write_config(tmp_path, conv_layers=[1, 3])) \
+        .conv_layers == [1, 3]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("conv_layers", "5"), ("observers", "hotelling"), ("out_dir", 5),
+    ("learning_rate", True)])
+def test_load_config_rejects_wrong_json_type(tmp_path, key, value):
+    path = _write_config(tmp_path, **{key: value})
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(exc.value).startswith(f"{path}: key {key!r} must be ")
 
 
 def test_generate_dataset_reproducible(tmp_path):
