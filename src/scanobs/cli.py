@@ -57,10 +57,9 @@ def main(argv=None) -> int:
         elif args.verb == "evaluate":
             rows = runner.run_observers(_load_plan(args))
             for row in rows:
-                auc = (f"  AUC={row['auc']:.4f}+-{row['auc_se']:.4f}"
-                       if "auc" in row else "")
                 print(f"{row['observer']:12s} "
-                      f"ALROC={row['alroc']:.4f}+-{row['alroc_se']:.4f}{auc}")
+                      f"ALROC={row['alroc']:.4f}+-{row['alroc_se']:.4f}  "
+                      f"AUC={row['auc']:.4f}+-{row['auc_se']:.4f}")
         else:
             summary = runner.ranking_report(args.reports)
             for obs, systems in summary["alroc_ranking"].items():

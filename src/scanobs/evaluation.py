@@ -17,23 +17,18 @@ class LrocCurve:
     thresholds: np.ndarray  # descending sweep, +inf first
     fpf: np.ndarray         # nondecreasing, 0 .. 1
     pcl: np.ndarray         # nondecreasing along the sweep
-    n_signal: int
-    n_absent: int
 
 
 @dataclass
 class FomEstimate:
     value: float
     std_error: float
-    n_bootstrap: int
 
 
 def _split_records(records: Records, binary: bool = False):
     """Absent scores, present scores, and per present record whether it was
     localized correctly (always, for the binary statistic)."""
     t = records.binary_statistic if binary else records.statistic
-    if t is None:
-        raise ValueError("records lack a binary detection statistic")
     absent = records.true_label == 0
     present = ~absent
     if not absent.any() or not present.any():
@@ -52,8 +47,7 @@ def _curve(records: Records, binary: bool) -> LrocCurve:
     fpf = (t_abs[None, :] > taus[:, None]).mean(axis=1)
     hit = t_sig[None, :] > taus[:, None]
     hit &= correct
-    return LrocCurve(taus, fpf, hit.mean(axis=1), n_signal=len(t_sig),
-                     n_absent=len(t_abs))
+    return LrocCurve(taus, fpf, hit.mean(axis=1))
 
 
 def empirical_lroc(records: Records) -> LrocCurve:
@@ -100,7 +94,7 @@ def _two_afc(records: Records, binary: bool, n_bootstrap: int,
         lt = below[n_lt]
         score = (lt + 0.5 * (below[n_le] - lt)) * correct
         vals[i] = (score * np.bincount(isg, minlength=ns)).sum() / (ns * na)
-    return FomEstimate(value, float(vals.std(ddof=1)), n_bootstrap)
+    return FomEstimate(value, float(vals.std(ddof=1)))
 
 
 def alroc(records: Records, n_bootstrap: int = 1000,
@@ -162,5 +156,4 @@ def report_to_csv(path, rows: list[dict]):
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k, "") for k in fields})
+        writer.writerows(rows)

@@ -163,8 +163,8 @@ def render_clb_image(real: ClbRealization, params: ClbParams) -> np.ndarray:
     return out.astype(np.float32)
 
 
-def render_signal_image(spec: SignalSpec, prf: PrfSpec | None = None,
-                        grid: tuple[int, int] | None = None) -> np.ndarray:
+def render_signal_image(spec: SignalSpec, grid: tuple[int, int],
+                        prf: PrfSpec | None = None) -> np.ndarray:
     """Noiseless signal image at the spec's location.
 
     With a PRF the closed form of the imaged Gaussian is used: peak
@@ -173,19 +173,15 @@ def render_signal_image(spec: SignalSpec, prf: PrfSpec | None = None,
     evaluated directly on the pixel grid with peak equal to the amplitude.
     """
     if prf is not None:
-        w, h = prf.grid
         vx = prf.width ** 2 + spec.width1 ** 2
         vy = prf.width ** 2 + spec.width2 ** 2
         peak = (spec.amplitude * prf.height * spec.width1 * spec.width2
                 * np.sqrt(1.0 / (vx * vy)))
     else:
-        if grid is None:
-            raise ValueError("grid is required when no PRF is given")
-        w, h = grid
         vx = spec.width1 ** 2
         vy = spec.width2 ** 2
         peak = spec.amplitude
-    X, Y = pixel_grid(w, h)
+    X, Y = pixel_grid(*grid)
     dx = X - spec.center[0]
     dy = Y - spec.center[1]
     c, s = np.cos(spec.angle), np.sin(spec.angle)

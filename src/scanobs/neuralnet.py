@@ -369,11 +369,13 @@ def validation_loss(images, labels, state: NetworkState,
     return total / len(labels)
 
 
-def estimate_normalization(task, backgrounds, schedule: TrainSchedule,
-                           n_probe: int = 200):
+_NORMALIZATION_PROBE = 200  # images in the input-normalization probe
+
+
+def estimate_normalization(task, backgrounds, schedule: TrainSchedule):
     """Global input mean/std from a probe of simulated noisy training images."""
     rng = stream(schedule.seed, "input-normalization")
-    per_class = max(1, n_probe // (task.J + 1))
+    per_class = max(1, _NORMALIZATION_PROBE // (task.J + 1))
     images, _ = _compose_batch(task, backgrounds, per_class, rng)
     std = float(images.std())
     return float(images.mean()), std if std > 0 else 1.0
@@ -461,21 +463,18 @@ def select_depth(depths, trainer):
 # ---------------------------------------------------------------------------
 # observer interface
 
-def cnn_io_records(images, labels, state: NetworkState,
-                   priors=None) -> Records:
+def cnn_io_records(images, labels, state: NetworkState, priors) -> Records:
     """Observer records from the network posteriors.
 
-    lambda_j = log Pr(H_j|g) - log Pr(H_0|g) (plus the log prior ratio when
-    non-uniform priors are supplied); the binary statistic is 1 - Pr(H_0|g).
+    lambda_j = log Pr(H_j|g) - log Pr(H_0|g) + log Pr(H_j) - log Pr(H_0),
+    with priors of length J+1; the binary statistic is 1 - Pr(H_0|g).
     Posteriors are floored at the smallest normal number of their dtype, so
     a posterior that underflows to 0 still gives a finite lambda.
     """
     probs = forward_posteriors(images, state)
     logp = np.log(np.maximum(probs, np.finfo(probs.dtype).tiny))
-    lams = logp[:, 1:] - logp[:, :1]
-    if priors is not None:
-        priors = np.asarray(priors, dtype=np.float64)
-        lams = lams + (np.log(priors[1:]) - np.log(priors[0]))
+    priors = np.asarray(priors, dtype=np.float64)
+    lams = logp[:, 1:] - logp[:, :1] + (np.log(priors[1:]) - np.log(priors[0]))
     return records_from_statistics(lams, labels, 1.0 - probs[:, 0])
 
 

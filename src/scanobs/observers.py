@@ -14,6 +14,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 from scipy.special import logsumexp
 
 _BLOCK_ROWS = 16  # images per block in laplacian_io_log_lrs_batch
+_CG_RTOL = 1e-6   # relative residual of each Hotelling template solve
 
 
 @dataclass
@@ -25,7 +26,7 @@ class Records:
     chosen_location: np.ndarray  # (N,) j* in 1..J (lowest index on ties)
     true_label: np.ndarray       # (N,) y in 0..J
     per_location: np.ndarray     # (N, J) per-location statistics lambda_j
-    binary_statistic: np.ndarray | None = None  # (N,) detection-only statistic
+    binary_statistic: np.ndarray  # (N,) detection-only statistic
 
     def __len__(self) -> int:
         return len(self.statistic)
@@ -33,10 +34,8 @@ class Records:
     @classmethod
     def concatenate(cls, parts: list[Records]) -> Records:
         """Stack the rows of several record sets, in order."""
-        columns = {f.name: [getattr(p, f.name) for p in parts]
-                   for f in fields(cls)}
-        return cls(**{name: None if col[0] is None else np.concatenate(col)
-                      for name, col in columns.items()})
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts])
+                     for f in fields(cls)))
 
 
 def scanning_decision(lams):
@@ -132,14 +131,14 @@ class HotellingObserverState:
     signals: np.ndarray          # (J, M)
 
 
-def build_hotelling(backgrounds, signals, noise_var: float,
-                    rtol: float = 1e-6) -> HotellingObserverState:
+def build_hotelling(backgrounds, signals,
+                    noise_var: float) -> HotellingObserverState:
     """Build scanning-HO templates by conjugate gradients.
 
     The covariance K = K_b + noise_var * I is applied matrix-free through the
-    centered background samples; each template solves K w_j = s_j to the given
-    relative residual.  With no background samples (BKE) K = noise_var * I and
-    w_j = s_j / noise_var directly.
+    centered background samples; each template solves K w_j = s_j to the
+    relative residual _CG_RTOL.  With no background samples (BKE)
+    K = noise_var * I and w_j = s_j / noise_var directly.
     """
     signals = np.stack([np.asarray(s, dtype=np.float64).ravel()
                         for s in signals])
@@ -169,7 +168,7 @@ def build_hotelling(backgrounds, signals, noise_var: float,
     op = LinearOperator((m, m), matvec=apply_k, dtype=np.float64)
     templates = np.empty_like(signals)
     for j in range(j_count):
-        w, info = cg(op, signals[j], rtol=rtol, atol=0.0, maxiter=10 * m)
+        w, info = cg(op, signals[j], rtol=_CG_RTOL, atol=0.0, maxiter=10 * m)
         if info != 0:
             raise RuntimeError(f"CG failed to converge for template {j + 1}")
         templates[j] = w
@@ -189,18 +188,17 @@ def scanning_ho_records(images, labels,
 
 def records_to_csv(path, records: Records):
     """Write records as CSV: image_id, true_label, t, j_star,
-    binary_statistic (empty when absent), lambda_1..J."""
-    n, j_count = records.per_location.shape
-    binary = ([""] * n if records.binary_statistic is None
-              else [repr(v) for v in records.binary_statistic.tolist()])
+    binary_statistic, lambda_1..J."""
+    j_count = records.per_location.shape[1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["image_id", "true_label", "t", "j_star",
                          "binary_statistic"]
                         + [f"lambda_{j + 1}" for j in range(j_count)])
         rows = zip(records.true_label.tolist(), records.statistic.tolist(),
-                   records.chosen_location.tolist(), binary,
+                   records.chosen_location.tolist(),
+                   records.binary_statistic.tolist(),
                    records.per_location.tolist())
         for i, (label, t, j_star, b, lams) in enumerate(rows):
-            writer.writerow([i, label, repr(t), j_star, b]
+            writer.writerow([i, label, repr(t), j_star, repr(b)]
                             + [repr(v) for v in lams])

@@ -28,10 +28,6 @@ class LumpyParams:
 class LumpyRealization:
     centers: np.ndarray  # (N, 2) float, (x, y) in pixels
 
-    @property
-    def count(self) -> int:
-        return len(self.centers)
-
 
 @dataclass(frozen=True)
 class ClbParams:
@@ -69,10 +65,6 @@ class ClbCluster:
 @dataclass(frozen=True)
 class ClbRealization:
     clusters: list[ClbCluster]
-
-    @property
-    def cluster_count(self) -> int:
-        return len(self.clusters)
 
     @property
     def blob_count(self) -> int:
@@ -167,7 +159,6 @@ def make_signal_ensemble(kind: str, field_of_view: tuple[int, int]) -> list[Sign
         else:
             raise ValueError(f"unknown task kind: {kind!r}")
         specs.append(spec)
-    validate_signal_ensemble(specs, field_of_view)
     return specs
 
 

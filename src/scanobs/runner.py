@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import time
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -19,8 +20,6 @@ from .neuralnet import Architecture, TrainSchedule, TrainingDiverged
 from .rng import stream, substream
 from .tasks import PRESETS, TaskConfig, simulate_measurement, task_preset
 
-OBSERVER_NAMES = ("analytic_io", "hotelling", "mcmc_io", "cnn_io")
-
 # JSON types a plan key may hold, by the annotation of its ExperimentPlan
 # field; an int is accepted for a float, and a bool for nothing
 _JSON_TYPES = {"str": str, "Path": str, "list[str]": list, "int": int,
@@ -29,7 +28,8 @@ _JSON_TYPES = {"str": str, "Path": str, "list[str]": list, "int": int,
 # Smallest accepted value of each bounded count
 _LEAST = {"n_train_backgrounds": 0, "n_val_per_class": 0,
           "n_test_per_class": 0, "batch_per_class": 1, "total_minibatches": 1,
-          "val_period": 1, "mcmc_iterations": 1, "bootstrap_samples": 2}
+          "val_period": 1, "mcmc_iterations": 1, "bootstrap_samples": 2,
+          "cov_samples": 2}
 
 
 class ConfigError(ValueError):
@@ -60,12 +60,15 @@ class ExperimentPlan:
             raise ConfigError(f"preset: unknown preset {self.preset!r}; "
                               f"expected one of {PRESETS}")
         for obs in self.observers:
-            if obs not in OBSERVER_NAMES:
+            if obs not in OBSERVERS:
                 raise ConfigError(f"observers: unknown observer {obs!r}")
         for key, least in _LEAST.items():
             if getattr(self, key) < least:
                 raise ConfigError(f"{key}: must be at least {least}, got "
                                   f"{getattr(self, key)}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate: must be a finite number above "
+                              f"0, got {self.learning_rate}")
         depths = self.conv_layers
         if not isinstance(depths, list):
             depths = [depths]
@@ -180,11 +183,7 @@ def generate_dataset(plan: ExperimentPlan, force: bool = False) -> dict:
     return manifest
 
 
-def _noise_variance(task: TaskConfig) -> float:
-    return task.noise.std ** 2
-
-
-def _analytic_io_records(images, labels, task):
+def _analytic_io_records(images, labels, task, plan):
     if task.kind != "bke_laplacian":
         raise ValueError("analytic IO is available only for the Laplacian "
                          "BKE task")
@@ -202,7 +201,7 @@ def _hotelling_records(images, labels, task, plan):
         backgrounds = np.stack([task.sample_background(rng)
                                 for _ in range(plan.cov_samples)])
     state = observers.build_hotelling(backgrounds, task.signal_images,
-                                      _noise_variance(task))
+                                      task.noise.std ** 2)
     return observers.scanning_ho_records(images, labels, state)
 
 
@@ -222,7 +221,14 @@ def _cnn_records(images, labels, task, plan):
     if not ckpt.exists():
         raise FileNotFoundError(f"cnn_io requires a checkpoint at {ckpt}")
     state = neuralnet.load_checkpoint(ckpt)
-    return neuralnet.cnn_io_records(images, labels, state, priors=task.priors)
+    return neuralnet.cnn_io_records(images, labels, state, task.priors)
+
+
+# Each observer maps (images, labels, task, plan) to its test-split records
+OBSERVERS = {"analytic_io": _analytic_io_records,
+             "hotelling": _hotelling_records,
+             "mcmc_io": _mcmc_records,
+             "cnn_io": _cnn_records}
 
 
 def run_observers(plan: ExperimentPlan) -> list[dict]:
@@ -236,32 +242,22 @@ def run_observers(plan: ExperimentPlan) -> list[dict]:
         raise FileNotFoundError(f"missing test set {test_path}; "
                                 "run generate first")
     images, labels, _ = read_dataset(test_path)
-
-    runners = {
-        "analytic_io": lambda: _analytic_io_records(images, labels, task),
-        "hotelling": lambda: _hotelling_records(images, labels, task, plan),
-        "mcmc_io": lambda: _mcmc_records(images, labels, task, plan),
-        "cnn_io": lambda: _cnn_records(images, labels, task, plan),
-    }
     rows = []
     for name in plan.observers:
-        records = runners[name]()
+        records = OBSERVERS[name](images, labels, task, plan)
         observers.records_to_csv(plan.out_dir / f"records_{name}.csv", records)
         evaluation.curve_to_csv(plan.out_dir / f"lroc_{name}.csv",
                                 evaluation.empirical_lroc(records))
         alroc = evaluation.alroc(records, plan.bootstrap_samples,
                                  stream(plan.seed, f"bootstrap-{name}"))
-        row = {"observer": name, "task": task.kind, "system": plan.preset,
-               "alroc": alroc.value, "alroc_se": alroc.std_error,
-               "n_records": len(records)}
-        if records.binary_statistic is not None:
-            evaluation.curve_to_csv(plan.out_dir / f"roc_{name}.csv",
-                                    evaluation.empirical_roc(records))
-            auc = evaluation.auc(records, plan.bootstrap_samples,
-                                 stream(plan.seed, f"bootstrap-roc-{name}"))
-            row["auc"] = auc.value
-            row["auc_se"] = auc.std_error
-        rows.append(row)
+        evaluation.curve_to_csv(plan.out_dir / f"roc_{name}.csv",
+                                evaluation.empirical_roc(records))
+        auc = evaluation.auc(records, plan.bootstrap_samples,
+                             stream(plan.seed, f"bootstrap-roc-{name}"))
+        rows.append({"observer": name, "task": task.kind,
+                     "system": plan.preset, "alroc": alroc.value,
+                     "alroc_se": alroc.std_error, "auc": auc.value,
+                     "auc_se": auc.std_error, "n_records": len(records)})
     evaluation.report_to_csv(plan.out_dir / "report.csv", rows)
     return rows
 
@@ -332,8 +328,8 @@ def ranking_report(report_paths) -> dict:
                     row["observer"],
                     row["system"],
                     evaluation.FomEstimate(float(row["alroc"]),
-                                           float(row["alroc_se"]), 0),
+                                           float(row["alroc_se"])),
                     evaluation.FomEstimate(float(row["auc"]),
-                                           float(row["auc_se"]), 0),
+                                           float(row["auc_se"])),
                 ))
     return evaluation.compare_systems(entries)

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +33,6 @@ class TaskConfig:
     lumpy: LumpyParams | None = None
     clb: ClbParams | None = None
     priors: np.ndarray | None = None   # length J+1; uniform when None
-    _signal_images: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         phantoms.validate_signal_ensemble(self.signals, self.grid)
@@ -50,14 +50,11 @@ class TaskConfig:
     def J(self) -> int:
         return len(self.signals)
 
-    @property
+    @cached_property
     def signal_images(self) -> np.ndarray:
         """Stack of the J noiseless signal images, shape (J, height, width)."""
-        if self._signal_images is None:
-            imgs = [render_signal_image(s, prf=self.prf, grid=self.grid)
-                    for s in self.signals]
-            self._signal_images = np.stack(imgs)
-        return self._signal_images
+        return np.stack([render_signal_image(s, self.grid, self.prf)
+                         for s in self.signals])
 
     def sample_background(self, rng: np.random.Generator) -> np.ndarray:
         """Draw one noiseless background image (zeros for BKE tasks)."""

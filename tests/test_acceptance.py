@@ -242,7 +242,7 @@ def test_criterion_6c_rendering_oracles():
     prf = PrfSpec(height=60.0, width=5.0, grid=(64, 64))
     spec = SignalSpec(1, (30.7, 28.2), amplitude=0.2, width1=3.0, width2=2.0,
                       angle=0.5)
-    img = render_signal_image(spec, prf=prf)
+    img = render_signal_image(spec, prf.grid, prf=prf)
     obj = gaussian_signal(spec.center, 0.2, 3.0, 2.0, 0.5)
     rng = np.random.default_rng(1)
     worst = 0.0
@@ -254,7 +254,7 @@ def test_criterion_6c_rendering_oracles():
 
     # closed-form peak amplitude a h w1 w2 / sqrt((wh^2+w1^2)(wh^2+w2^2))
     centered = SignalSpec(1, (32.5, 32.5), 0.2, 3.0, 3.0)
-    peak = render_signal_image(centered, prf=prf)[32, 32]
+    peak = render_signal_image(centered, prf.grid, prf=prf)[32, 32]
     amp_err = abs(peak - 0.2 * 60.0 * 9.0 / 34.0)
     _check(f"criterion 6c: rendering vs quadrature ({worst:.2e} <= 1e-6), "
            f"closed-form amplitude ({amp_err:.2e})",

@@ -12,8 +12,9 @@ from scanobs.evaluation import (
     curve_to_csv,
     empirical_lroc,
     empirical_roc,
+    report_to_csv,
 )
-from scanobs.observers import Records
+from scanobs.observers import Records, records_to_csv
 
 
 def _records(t, j_star, labels, binary=None):
@@ -141,7 +142,6 @@ def test_bootstrap_reproducible_and_counted():
     a = alroc(records, n_bootstrap=200, rng=np.random.default_rng(8))
     b = alroc(records, n_bootstrap=200, rng=np.random.default_rng(8))
     assert a.std_error == b.std_error
-    assert a.n_bootstrap == 200
     assert a.std_error > 0
 
 
@@ -198,16 +198,9 @@ def test_requires_both_classes():
         auc(_records([0.0], [1], [1]))
 
 
-def test_roc_requires_binary_statistic():
-    bad = _records([0.0, 1.0], [1, 1], [0, 1])
-    bad.binary_statistic = None
-    with pytest.raises(ValueError):
-        auc(bad)
-
-
 def test_compare_systems_agree_and_disagree():
     def fom(v):
-        return FomEstimate(v, 0.01, 10)
+        return FomEstimate(v, 0.01)
 
     agree = compare_systems([("io", "s1", fom(0.8), fom(0.9)),
                              ("io", "s2", fom(0.6), fom(0.7))])
@@ -236,3 +229,27 @@ def test_curve_csv(tmp_path):
     assert data.shape == (len(curve.thresholds), 3)
     np.testing.assert_allclose(data[1:, 0], curve.thresholds[1:])
     np.testing.assert_allclose(data[:, 1], curve.fpf)
+
+
+def test_records_and_report_writers_emit_exact_text(tmp_path):
+    records = Records(np.array([0.5, -1.25]), np.array([2, 1]),
+                      np.array([0, 2]),
+                      np.array([[0.1, 0.5], [-1.25, -3.0]]),
+                      np.array([0.1 + 0.2, 1e-20]))
+    records_to_csv(tmp_path / "records.csv", records)
+    assert (tmp_path / "records.csv").read_bytes() == (
+        b"image_id,true_label,t,j_star,binary_statistic,lambda_1,lambda_2\r\n"
+        b"0,0,0.5,2,0.30000000000000004,0.1,0.5\r\n"
+        b"1,2,-1.25,1,1e-20,-1.25,-3.0\r\n")
+    report_to_csv(tmp_path / "report.csv", [
+        {"observer": "hotelling", "task": "lb_gaussian", "system": "lb",
+         "alroc": 0.625, "alroc_se": 0.1 + 0.2, "auc": 0.75, "auc_se": 1e-3,
+         "n_records": 90},
+        {"observer": "mcmc_io", "task": "lb_gaussian", "system": "lb",
+         "alroc": 1.0, "alroc_se": 0.0, "auc": 1.0, "auc_se": 0.0,
+         "n_records": 10}])
+    assert (tmp_path / "report.csv").read_bytes() == (
+        b"observer,task,system,alroc,alroc_se,auc,auc_se,n_records\r\n"
+        b"hotelling,lb_gaussian,lb,0.625,0.30000000000000004,0.75,0.001,90"
+        b"\r\n"
+        b"mcmc_io,lb_gaussian,lb,1.0,0.0,1.0,0.0,10\r\n")

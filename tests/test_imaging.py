@@ -88,7 +88,7 @@ def test_clb_rotation_by_pi_invariant():
 
 def test_zero_amplitude_signal():
     spec = SignalSpec(1, (32.0, 32.0), amplitude=0.0, width1=3.0, width2=3.0)
-    img = render_signal_image(spec, prf=PrfSpec(60.0, 5.0, (64, 64)))
+    img = render_signal_image(spec, (64, 64), prf=PrfSpec(60.0, 5.0, (64, 64)))
     assert np.all(img == 0)
 
 
@@ -96,7 +96,7 @@ def test_signal_closed_form_amplitude_system1():
     # A = a*h*w1*w2/sqrt((w_h^2+w1^2)(w_h^2+w2^2)) = 0.2*60*9/34
     prf = PrfSpec(height=60.0, width=5.0, grid=(64, 64))
     spec = SignalSpec(1, (32.5, 32.5), amplitude=0.2, width1=3.0, width2=3.0)
-    img = render_signal_image(spec, prf=prf)
+    img = render_signal_image(spec, prf.grid, prf=prf)
     assert img[32, 32] == pytest.approx(0.2 * 60.0 * 9.0 / 34.0, rel=1e-6)
 
 
@@ -104,7 +104,7 @@ def test_signal_render_matches_quadrature():
     prf = PrfSpec(height=60.0, width=5.0, grid=(64, 64))
     spec = SignalSpec(1, (30.7, 28.2), amplitude=0.2, width1=3.0, width2=2.0,
                       angle=0.5)
-    img = render_signal_image(spec, prf=prf)
+    img = render_signal_image(spec, prf.grid, prf=prf)
     obj = gaussian_signal(spec.center, 0.2, 3.0, 2.0, 0.5)
     rng = np.random.default_rng(1)
     for _ in range(12):
@@ -117,7 +117,7 @@ def test_signal_render_matches_quadrature():
 def test_signal_without_prf_has_object_peak():
     spec = SignalSpec(1, (64.5, 64.5), amplitude=80.0, width1=5.0,
                       width2=8.0, angle=-math.pi / 4)
-    img = render_signal_image(spec, grid=(128, 128))
+    img = render_signal_image(spec, (128, 128))
     assert img[64, 64] == pytest.approx(80.0, rel=1e-6)
 
 

@@ -334,7 +334,8 @@ def test_cnn_records_fields():
     state = init_state(arch, seed=16)
     rng = np.random.default_rng(17)
     images = rng.normal(size=(4, 4, 4)).astype(np.float32)
-    recs = cnn_io_records(images, [0, 1, 2, 0], state)
+    uniform = np.full(3, 1.0 / 3.0)
+    recs = cnn_io_records(images, [0, 1, 2, 0], state, uniform)
     probs = forward_posteriors(images, state)
     assert list(recs.true_label) == [0, 1, 2, 0]
     np.testing.assert_allclose(recs.binary_statistic, 1.0 - probs[:, 0],
@@ -342,10 +343,9 @@ def test_cnn_records_fields():
     np.testing.assert_allclose(
         recs.per_location,
         np.log(probs[:, 1:]) - np.log(probs[:, :1]), rtol=1e-5)
-    single = cnn_io_records(images[:1], [0], state)
+    single = cnn_io_records(images[:1], [0], state, uniform)
     assert single.chosen_location[0] == recs.chosen_location[0]
-    shifted = cnn_io_records(images[:1], [0], state,
-                             priors=[0.5, 0.3, 0.2])
+    shifted = cnn_io_records(images[:1], [0], state, [0.5, 0.3, 0.2])
     np.testing.assert_allclose(
         shifted.per_location[0] - recs.per_location[0],
         np.log([0.3, 0.2]) - math.log(0.5), rtol=1e-6)
@@ -360,7 +360,7 @@ def test_cnn_records_survive_underflowing_posteriors():
     state.params[-1][:] = np.array([0.0, 120.0, 0.0], dtype=np.float32)
     images = np.zeros((2, 2, 2), dtype=np.float32)
     assert forward_posteriors(images, state)[0, 0] == 0.0
-    recs = cnn_io_records(images, [0, 1], state)
+    recs = cnn_io_records(images, [0, 1], state, np.full(3, 1.0 / 3.0))
     assert np.all(np.isfinite(recs.per_location))
     assert list(recs.chosen_location) == [1, 1]
     assert recs.per_location[0, 0] == pytest.approx(

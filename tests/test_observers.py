@@ -292,9 +292,6 @@ def test_records_csv_round_trip(tmp_path):
     records_to_csv(path, records)
     loaded = records_from_csv(path)
     _assert_records_equal(loaded, records)
-    records.binary_statistic = None
-    records_to_csv(path, records)
-    assert records_from_csv(path).binary_statistic is None
 
 
 def test_laplacian_io_record_end_to_end():

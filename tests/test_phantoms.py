@@ -21,7 +21,7 @@ def test_lumpy_mean_count():
     params = LumpyParams()
     rng = np.random.default_rng(1)
     n_draws = 20_000
-    counts = [sample_lumpy(params, rng).count for _ in range(n_draws)]
+    counts = [len(sample_lumpy(params, rng).centers) for _ in range(n_draws)]
     se = math.sqrt(8.0 / n_draws)
     assert abs(np.mean(counts) - 8.0) < 3 * se
 
@@ -30,14 +30,14 @@ def test_lumpy_vanishing_mean_gives_empty():
     params = LumpyParams(mean_count=1e-9)
     rng = np.random.default_rng(2)
     for _ in range(100):
-        assert sample_lumpy(params, rng).count == 0
+        assert len(sample_lumpy(params, rng).centers) == 0
 
 
 def test_lumpy_count_distribution_chi_square():
     params = LumpyParams()
     rng = np.random.default_rng(3)
     n_draws = 100_000
-    counts = np.array([sample_lumpy(params, rng).count
+    counts = np.array([len(sample_lumpy(params, rng).centers)
                        for _ in range(n_draws)])
     kmax = counts.max()
     observed = np.bincount(counts, minlength=kmax + 1).astype(float)
@@ -65,7 +65,8 @@ def test_clb_mean_cluster_count():
     params = ClbParams()
     rng = np.random.default_rng(4)
     n_draws = 10_000
-    counts = [sample_clb(params, rng).cluster_count for _ in range(n_draws)]
+    counts = [len(sample_clb(params, rng).clusters)
+              for _ in range(n_draws)]
     se = math.sqrt(50.0 / n_draws)
     assert abs(np.mean(counts) - 50.0) < 3 * se
 
@@ -100,7 +101,7 @@ def test_clb_sampler_equals_uniform_reference():
 def test_clb_vanishing_mean_gives_empty():
     params = ClbParams(mean_cluster_count=1e-9)
     real = sample_clb(params, np.random.default_rng(5))
-    assert real.cluster_count == 0
+    assert len(real.clusters) == 0
     assert real.blob_count == 0
 
 

@@ -116,7 +116,9 @@ def test_cli_bad_mcmc_settings_are_one_line_errors(tmp_path, capsys,
     {"val_period": 0}, {"total_minibatches": 0}, {"batch_per_class": 0},
     {"bootstrap_samples": 0}, {"bootstrap_samples": 1}, {"conv_layers": []},
     {"conv_layers": 0}, {"conv_layers": [2, 0]}, {"n_train_backgrounds": -1},
-    {"n_val_per_class": -1}, {"n_test_per_class": -1}])
+    {"n_val_per_class": -1}, {"n_test_per_class": -1}, {"cov_samples": 0},
+    {"cov_samples": 1}, {"learning_rate": 0}, {"learning_rate": -1.0},
+    {"learning_rate": math.nan}])
 def test_plan_rejects_out_of_range_settings(tmp_path, overrides):
     key = next(iter(overrides))
     with pytest.raises(ConfigError, match=f"^{key}: "):
@@ -127,12 +129,13 @@ def test_plan_accepts_smallest_settings(tmp_path):
     ExperimentPlan("bke_system1", tmp_path, n_train_backgrounds=0,
                    n_val_per_class=0, n_test_per_class=0, batch_per_class=1,
                    total_minibatches=1, val_period=1, bootstrap_samples=2,
-                   conv_layers=[1])
+                   conv_layers=[1], cov_samples=2)
 
 
 @pytest.mark.parametrize("overrides", [
     {"val_period": 0}, {"total_minibatches": 0}, {"bootstrap_samples": 1},
-    {"conv_layers": []}])
+    {"conv_layers": []}, {"cov_samples": 0}, {"learning_rate": 0},
+    {"learning_rate": -1.0}, {"learning_rate": math.nan}])
 def test_cli_out_of_range_plans_are_one_line_errors(tmp_path, capsys,
                                                     overrides):
     key = next(iter(overrides))
