@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import runner
+from . import neuralnet, runner
 
 
 def _add_common(parser):
@@ -69,7 +69,7 @@ def main(argv=None) -> int:
                       " > ".join(summary["auc_ranking"][obs]))
                 if obs in summary["rankings_disagree"]:
                     print("  WARNING: ALROC and AUC rankings disagree")
-    except (ValueError, FileNotFoundError, FileExistsError) as exc:
+    except (ValueError, OSError, neuralnet.TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -243,19 +243,28 @@ def _prepare_input(images, state: NetworkState):
     return ((x - state.input_mean) / state.input_std).astype(dtype)
 
 
-def forward_posteriors(images, state: NetworkState,
-                       chunk: int = 128) -> np.ndarray:
+# Images per inference chunk, for posteriors and the validation loss alike
+_CHUNK = 256
+
+
+def forward_posteriors(images, state: NetworkState) -> np.ndarray:
     """Batched posteriors for a stack of images, shape (N, J+1)."""
     images = np.asarray(images)
     if images.shape[1:] != state.arch.input_shape:
         raise ValueError(f"image shape {images.shape[1:]} does not match "
                          f"architecture input {state.arch.input_shape}")
     out = []
-    for i in range(0, len(images), chunk):
-        logits, _ = _forward_batch(_prepare_input(images[i:i + chunk], state),
+    for i in range(0, len(images), _CHUNK):
+        logits, _ = _forward_batch(_prepare_input(images[i:i + _CHUNK], state),
                                    state, False)
         out.append(softmax(logits))
     return np.concatenate(out)
+
+
+def _cross_entropy(probs, labels):
+    """Per-image cross-entropy -log Pr(label | image), in float64."""
+    sel = probs[np.arange(len(labels)), labels].astype(np.float64)
+    return -np.log(sel + 1e-300)
 
 
 def loss_and_gradient(images, labels, state: NetworkState):
@@ -272,8 +281,7 @@ def loss_and_gradient(images, labels, state: NetworkState):
     logits, cache = _forward_batch(x, state, True)
     probs = softmax(logits)
     n = len(labels)
-    sel = probs[np.arange(n), labels].astype(np.float64)
-    loss = float(-np.log(sel + 1e-300).mean())
+    loss = float(_cross_entropy(probs, labels).mean())
     dlogits = probs.astype(logits.dtype)
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
@@ -298,7 +306,11 @@ class TrainSchedule:
 
 
 class TrainingDiverged(RuntimeError):
-    pass
+    """A non-finite loss or gradient; ``state`` is as before the update."""
+
+    def __init__(self, message: str, state: NetworkState):
+        super().__init__(message)
+        self.state = state
 
 
 # Adam moment decay rates and denominator offset
@@ -309,7 +321,8 @@ def adam_step(state: NetworkState, grads, lr: float) -> NetworkState:
     """One Adam update with bias correction; mutates and returns state."""
     for g in grads:
         if not np.all(np.isfinite(g)):
-            raise TrainingDiverged(f"non-finite gradient at step {state.step}")
+            raise TrainingDiverged(f"non-finite gradient at step {state.step}",
+                                   state)
     state.step += 1
     t = state.step
     bc1 = 1.0 - BETA1 ** t
@@ -357,16 +370,13 @@ def _compose_batch(task, backgrounds, batch_per_class, rng):
     return images, labels
 
 
-def validation_loss(images, labels, state: NetworkState,
-                    chunk: int = 256) -> float:
-    """Mean cross-entropy of a fixed labeled set."""
-    labels = np.asarray(labels)
+def validation_loss(images, labels, state: NetworkState) -> float:
+    """Mean cross-entropy of a fixed labeled set, summed chunk by chunk."""
+    losses = _cross_entropy(forward_posteriors(images, state), labels)
     total = 0.0
-    for i in range(0, len(images), chunk):
-        probs = forward_posteriors(images[i:i + chunk], state, chunk=chunk)
-        sel = probs[np.arange(len(probs)), labels[i:i + chunk]]
-        total += float(-np.log(sel.astype(np.float64) + 1e-300).sum())
-    return total / len(labels)
+    for i in range(0, len(losses), _CHUNK):
+        total += float(losses[i:i + _CHUNK].sum())
+    return total / len(losses)
 
 
 _NORMALIZATION_PROBE = 200  # images in the input-normalization probe
@@ -382,15 +392,14 @@ def estimate_normalization(task, backgrounds, schedule: TrainSchedule):
 
 
 def train(arch: Architecture, task, backgrounds, schedule: TrainSchedule,
-          val_images=None, val_labels=None, start_state=None,
-          log_path=None) -> TrainResult:
+          val_images, val_labels, log_path, start_state=None) -> TrainResult:
     """Semi-online training: stored noiseless images, noise drawn per batch.
 
     Every mini-batch is balanced over the J+1 classes.  Each step's
     randomness derives only from (schedule.seed, step), so training resumed
-    from a checkpoint replays the identical trajectory.  Returns the state
-    with the lowest validation cross-entropy seen at checkpoints, plus the
-    final state.
+    from a checkpoint replays the identical trajectory.  Every validation
+    is logged to the CSV at log_path.  Returns the state with the lowest
+    validation cross-entropy seen at checkpoints, plus the final state.
     """
     if start_state is not None:
         state = start_state
@@ -398,46 +407,30 @@ def train(arch: Architecture, task, backgrounds, schedule: TrainSchedule,
         state = init_state(arch, seed=schedule.seed)
         state.input_mean, state.input_std = estimate_normalization(
             task, backgrounds, schedule)
-    has_val = val_images is not None
     best_state = state.copy()
     best_val = np.inf
     history = []
-    log_fh = open(log_path, "w") if log_path else None
-    if log_fh:
-        log_fh.write("step,train_loss,val_loss\n")
-    try:
+    # non-finite values raise TrainingDiverged; numpy's warnings add nothing
+    with open(log_path, "w") as log, np.errstate(all="ignore"):
+        log.write("step,train_loss,val_loss\n")
         for step in range(state.step, schedule.total_minibatches):
             rng = substream(schedule.seed, "train-step", step)
             images, labels = _compose_batch(task, backgrounds,
                                             schedule.batch_per_class, rng)
-            try:
-                loss, grads = loss_and_gradient(images, labels, state)
-                if not np.isfinite(loss):
-                    raise TrainingDiverged(
-                        f"loss became non-finite at step {step}")
-                adam_step(state, grads, schedule.learning_rate)
-            except TrainingDiverged as exc:
-                # the state has not been touched by the failing update
-                exc.state = state
-                raise
-            at_checkpoint = (state.step % schedule.val_period == 0
-                             or state.step == schedule.total_minibatches)
-            if at_checkpoint:
-                val = validation_loss(val_images, val_labels, state) \
-                    if has_val else np.nan
+            loss, grads = loss_and_gradient(images, labels, state)
+            if not np.isfinite(loss):
+                raise TrainingDiverged(
+                    f"loss became non-finite at step {step}", state)
+            adam_step(state, grads, schedule.learning_rate)
+            if (state.step % schedule.val_period == 0
+                    or state.step == schedule.total_minibatches):
+                val = validation_loss(val_images, val_labels, state)
                 history.append((state.step, loss, val))
-                if log_fh:
-                    log_fh.write(f"{state.step},{loss:.6f},{val:.6f}\n")
-                    log_fh.flush()
-                if has_val and val < best_val:
+                log.write(f"{state.step},{loss:.6f},{val:.6f}\n")
+                log.flush()
+                if val < best_val:
                     best_val = val
                     best_state = state.copy()
-    finally:
-        if log_fh:
-            log_fh.close()
-    if not has_val:
-        best_state = state.copy()
-        best_val = history[-1][1] if history else np.nan
     return TrainResult(best_state, state, float(best_val), history)
 
 
@@ -445,19 +438,20 @@ def select_depth(depths, trainer):
     """Depth search: train increasing depths until the validation
     cross-entropy improves by less than 1% over the previous depth.
 
-    trainer(depth) must return (result, val_loss).  Returns
-    (best_depth, best_result, [(depth, val_loss), ...]).
+    trainer(depth) must return a TrainResult.  Returns (best result,
+    [(depth, best_val_loss), ...]).
     """
     trained = []
     prev = None
     for depth in depths:
-        result, val = trainer(depth)
-        trained.append((depth, result, val))
+        result = trainer(depth)
+        trained.append((depth, result))
+        val = result.best_val_loss
         if prev is not None and (prev - val) < 0.01 * prev:
             break
         prev = val
-    best = min(trained, key=lambda t: t[2])
-    return best[0], best[1], [(d, v) for d, _, v in trained]
+    best = min(trained, key=lambda t: t[1].best_val_loss)[1]
+    return best, [(d, r.best_val_loss) for d, r in trained]
 
 
 # ---------------------------------------------------------------------------

@@ -69,11 +69,8 @@ class ExperimentPlan:
         if not 0.0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate: must be a finite number above "
                               f"0, got {self.learning_rate}")
-        depths = self.conv_layers
-        if not isinstance(depths, list):
-            depths = [depths]
-        if not depths or not all(isinstance(d, int) and d >= 1
-                                 for d in depths):
+        if not self.depths or not all(isinstance(d, int) and d >= 1
+                                      for d in self.depths):
             raise ConfigError(f"conv_layers: need one or more depths of at "
                               f"least 1, got {self.conv_layers}")
         if self.mcmc_burn_in < -1:
@@ -87,6 +84,12 @@ class ExperimentPlan:
     @property
     def task(self) -> TaskConfig:
         return task_preset(self.preset)
+
+    @property
+    def depths(self) -> list[int]:
+        """The depths to train: conv_layers as a list."""
+        c = self.conv_layers
+        return c if isinstance(c, list) else [c]
 
 
 def load_config(path) -> ExperimentPlan:
@@ -183,6 +186,16 @@ def generate_dataset(plan: ExperimentPlan, force: bool = False) -> dict:
     return manifest
 
 
+def _read_split(path, task):
+    """Images and labels of a dataset file made for the task's grid and J."""
+    images, labels, meta = read_dataset(path)
+    found = (meta["width"], meta["height"], meta["n_locations"])
+    if found != (*task.grid, task.J):
+        raise ValueError(f"{path}: (width, height, J) is {found}, but the "
+                         f"plan's task has {(*task.grid, task.J)}")
+    return images, labels
+
+
 def _analytic_io_records(images, labels, task, plan):
     if task.kind != "bke_laplacian":
         raise ValueError("analytic IO is available only for the Laplacian "
@@ -241,7 +254,7 @@ def run_observers(plan: ExperimentPlan) -> list[dict]:
     if not test_path.exists():
         raise FileNotFoundError(f"missing test set {test_path}; "
                                 "run generate first")
-    images, labels, _ = read_dataset(test_path)
+    images, labels = _read_split(test_path, task)
     rows = []
     for name in plan.observers:
         records = OBSERVERS[name](images, labels, task, plan)
@@ -269,48 +282,30 @@ def run_training(plan: ExperimentPlan):
     bg_path = out / "train_backgrounds.bin"
     backgrounds = None
     if bg_path.exists():
-        backgrounds, _, _ = read_dataset(bg_path)
+        backgrounds, _ = _read_split(bg_path, task)
     elif task.kind != "bke_laplacian":
         raise FileNotFoundError(f"missing training store {bg_path}; "
                                 "run generate first")
-    val_images, val_labels, _ = read_dataset(out / "val.bin")
+    val_images, val_labels = _read_split(out / "val.bin", task)
     if len(val_images) == 0:
         raise ConfigError(f"n_val_per_class: training needs validation "
                           f"images, and {out / 'val.bin'} has none")
-    schedule = TrainSchedule(
-        total_minibatches=plan.total_minibatches,
-        batch_per_class=plan.batch_per_class,
-        learning_rate=plan.learning_rate,
-        val_period=plan.val_period,
-        seed=plan.seed,
-    )
-    h, w = task.grid[1], task.grid[0]
-
-    def trainer(depth):
-        arch = Architecture(conv_layers=depth, input_shape=(h, w),
-                            n_classes=task.J + 1)
-        try:
-            result = neuralnet.train(
-                arch, task, backgrounds, schedule,
-                val_images=val_images, val_labels=val_labels,
-                log_path=out / f"training_log_depth{depth}.csv")
-        except TrainingDiverged as exc:
-            stable = getattr(exc, "state", None)
-            if stable is not None:
-                neuralnet.save_checkpoint(out / "checkpoint_diverged.bin",
-                                          stable)
-            raise
-        return result, result.best_val_loss
-
-    depths = plan.conv_layers
-    if isinstance(depths, list):
-        depth, result, history = neuralnet.select_depth(depths, trainer)
+    schedule = TrainSchedule(plan.total_minibatches, plan.batch_per_class,
+                             plan.learning_rate, plan.val_period, plan.seed)
+    try:
+        result, history = neuralnet.select_depth(
+            plan.depths, lambda depth: neuralnet.train(
+                Architecture(depth, task.grid[::-1], task.J + 1), task,
+                backgrounds, schedule, val_images, val_labels,
+                out / f"training_log_depth{depth}.csv"))
+    except TrainingDiverged as exc:
+        neuralnet.save_checkpoint(out / "checkpoint_diverged.bin", exc.state)
+        raise
+    if isinstance(plan.conv_layers, list):
         with open(out / "depth_selection.csv", "w") as fh:
             fh.write("conv_layers,val_loss\n")
             for d, v in history:
                 fh.write(f"{d},{v:.6f}\n")
-    else:
-        result, _ = trainer(depths)
     neuralnet.save_checkpoint(out / "checkpoint.bin", result.best_state)
     return result
 

@@ -38,6 +38,10 @@ class TaskConfig:
         phantoms.validate_signal_ensemble(self.signals, self.grid)
         if self.prf is not None and self.prf.grid != self.grid:
             raise ValueError("PRF grid does not match task grid")
+        for name, params in (("lumpy", self.lumpy), ("clb", self.clb)):
+            if params is not None and params.field_of_view != self.grid:
+                raise ValueError(f"{name} field of view {params.field_of_view}"
+                                 f" does not match task grid {self.grid}")
         if self.priors is None:
             self.priors = np.full(self.J + 1, 1.0 / (self.J + 1))
         self.priors = np.asarray(self.priors, dtype=np.float64)

@@ -1,9 +1,9 @@
-"""Test-only dataset writers, readers of evaluation and observer outputs, a
-malformed checkpoint writer, the im2col einsum network that the
-channels-last convolution is checked against, and the ``rng.uniform``
-samplers and the per-lump, whole-image and per-iteration lumpy-background
-references that the sampling, the rendering and the MCMC chain must equal
-bit for bit."""
+"""Test-only dataset writers, readers of evaluation and observer outputs, the
+chunk-by-chunk validation loss, a malformed checkpoint writer, the im2col
+einsum network that the channels-last convolution is checked against, and
+the ``rng.uniform`` samplers and the per-lump, whole-image and
+per-iteration lumpy-background references that the sampling, the rendering
+and the MCMC chain must equal bit for bit."""
 
 import csv
 import math
@@ -46,12 +46,23 @@ def records_from_csv(path) -> Records:
         n_lam = sum(1 for h in header if h.startswith("lambda_"))
         rows = list(reader)
     lams = np.array([[float(v) for v in row[5:5 + n_lam]] for row in rows])
-    binary = (np.array([float(row[4]) for row in rows])
-              if rows and rows[0][4] else None)
     return Records(np.array([float(row[2]) for row in rows]),
                    np.array([int(row[3]) for row in rows]),
                    np.array([int(row[1]) for row in rows]),
-                   lams.reshape(len(rows), n_lam), binary)
+                   lams.reshape(len(rows), n_lam),
+                   np.array([float(row[4]) for row in rows]))
+
+
+def reference_validation_loss(images, labels, state, chunk=256) -> float:
+    """Mean validation cross-entropy as a loop over 256-image chunks, each
+    summed on its own and added in order."""
+    labels = np.asarray(labels)
+    total = 0.0
+    for i in range(0, len(images), chunk):
+        probs = neuralnet.forward_posteriors(images[i:i + chunk], state)
+        sel = probs[np.arange(len(probs)), labels[i:i + chunk]]
+        total += float(-np.log(sel.astype(np.float64) + 1e-300).sum())
+    return total / len(labels)
 
 
 def write_even_kernel_checkpoint(path, input_shape=(4, 4), n_classes=2):

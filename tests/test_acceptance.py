@@ -326,7 +326,7 @@ def test_criterion_6f_decision_equivalence():
            "identical decisions", ok)
 
 
-def test_criterion_6g_bayes_posterior_toy():
+def test_criterion_6g_bayes_posterior_toy(tmp_path):
     from test_neuralnet import _toy_task
 
     task = _toy_task(amplitude=1.5, sigma=1.0)
@@ -340,7 +340,8 @@ def test_criterion_6g_bayes_posterior_toy():
     val_images += rng.normal(0.0, 1.0, val_images.shape)
     schedule = nn.TrainSchedule(total_minibatches=3000, batch_per_class=32,
                                 learning_rate=3e-3, val_period=500, seed=15)
-    result = nn.train(arch, task, None, schedule, val_images, val_labels)
+    result = nn.train(arch, task, None, schedule, val_images, val_labels,
+                      tmp_path / "train.csv")
     test_images = np.zeros((400, 2, 2))
     test_labels = np.tile([0, 1], 200)
     test_images[test_labels == 1] += s

@@ -139,10 +139,17 @@ def test_bootstrap_se_tracks_monte_carlo_se():
 def test_bootstrap_reproducible_and_counted():
     rng = np.random.default_rng(7)
     records = _synthetic(rng, 80, 80)
-    a = alroc(records, n_bootstrap=200, rng=np.random.default_rng(8))
+    drawn = np.random.default_rng(8)
+    a = alroc(records, n_bootstrap=200, rng=drawn)
     b = alroc(records, n_bootstrap=200, rng=np.random.default_rng(8))
     assert a.std_error == b.std_error
     assert a.std_error > 0
+    # 200 replicates, each one absent and one present resample
+    counted = np.random.default_rng(8)
+    for _ in range(200):
+        counted.integers(80, size=80)
+        counted.integers(80, size=80)
+    assert drawn.bit_generator.state == counted.bit_generator.state
 
 
 def _sorting_bootstrap_se(t_abs, t_sig, correct, n_bootstrap, rng):

@@ -9,7 +9,8 @@ from helpers import reference_mcmc_io_record
 from scanobs import mcmc
 from scanobs.imaging import NoiseModel, PrfSpec, render_lumpy_image
 from scanobs.mcmc import McmcConfig, _reflect, mcmc_io_record
-from scanobs.phantoms import LumpyParams, LumpyRealization, SignalSpec
+from scanobs.phantoms import (ClbParams, LumpyParams, LumpyRealization,
+                              SignalSpec)
 from scanobs.tasks import TaskConfig, simulate_measurement, task_preset
 
 
@@ -25,6 +26,18 @@ def _tiny_task(mean_count=1.5, sigma=2.0, sig_amp=0.3):
         signals=[SignalSpec(1, (2.5, 2.5), sig_amp, 1.0, 1.0),
                  SignalSpec(2, (5.5, 5.5), sig_amp, 1.0, 1.0)],
     )
+
+
+def test_task_rejects_field_of_view_other_than_grid():
+    grid = (8, 8)
+    with pytest.raises(ValueError, match="lumpy field of view"):
+        TaskConfig(kind="custom", grid=grid, noise=NoiseModel.gaussian(1.0),
+                   lumpy=LumpyParams(field_of_view=(64, 64)),
+                   signals=[SignalSpec(1, (2.5, 2.5), 0.3, 1.0, 1.0)])
+    with pytest.raises(ValueError, match="clb field of view"):
+        TaskConfig(kind="custom", grid=grid, noise=NoiseModel.gaussian(1.0),
+                   clb=ClbParams(field_of_view=(8, 16)),
+                   signals=[SignalSpec(1, (2.5, 2.5), 0.3, 1.0, 1.0)])
 
 
 def _render_config(task, centers):

@@ -6,7 +6,8 @@ import pytest
 
 from helpers import records_from_csv, write_even_kernel_checkpoint
 from scanobs.cli import main
-from scanobs.dataset import read_dataset
+from scanobs.dataset import DatasetWriter, read_dataset
+from scanobs.neuralnet import TrainingDiverged, load_checkpoint
 from scanobs.runner import (
     ConfigError,
     ExperimentPlan,
@@ -16,6 +17,7 @@ from scanobs.runner import (
     run_observers,
     run_training,
 )
+from scanobs.tasks import task_preset
 
 
 def _write_config(tmp_path, **overrides):
@@ -160,6 +162,66 @@ def test_cli_train_without_validation_images_is_one_line_error(tmp_path,
     assert err.count("\n") == 1
     assert not list((tmp_path / "out").glob("checkpoint*"))
     assert not list((tmp_path / "out").glob("training_log*"))
+
+
+# learning_rate 1e30 moves every weight by about 1e30 at step 0, so the
+# loss of step 1 overflows
+_DIVERGING = dict(n_val_per_class=1, n_test_per_class=1, conv_layers=1,
+                  batch_per_class=1, total_minibatches=3, val_period=1,
+                  learning_rate=1e30)
+
+
+def test_diverged_training_saves_last_completed_step(tmp_path):
+    plan = ExperimentPlan("bke_system1", tmp_path / "o", **_DIVERGING)
+    generate_dataset(plan)
+    with pytest.raises(TrainingDiverged, match="at step 1$"):
+        run_training(plan)
+    state = load_checkpoint(tmp_path / "o" / "checkpoint_diverged.bin")
+    assert state.step == 1
+    assert all(np.isfinite(p).all() for p in state.params)
+    assert not (tmp_path / "o" / "checkpoint.bin").exists()
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would print too
+def test_cli_diverging_train_is_one_line_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, **_DIVERGING)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: loss became non-finite at step 1\n"
+    assert (tmp_path / "out" / "checkpoint_diverged.bin").exists()
+
+
+def test_cli_config_directory_is_one_line_error(tmp_path, capsys):
+    assert main(["generate", "--config", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _write_clb_shaped_splits(out):
+    """val.bin and test.bin as a clb plan writes them: 128x128, J = 9."""
+    clb = task_preset("clb")
+    out.mkdir()
+    for split in ("val", "test"):
+        with DatasetWriter(out / f"{split}.bin", *clb.grid, clb.J) as w:
+            for label in range(clb.J + 1):
+                w.append(np.zeros(clb.grid[::-1], np.float32), label)
+
+
+@pytest.mark.parametrize("verb", ["evaluate", "train"])
+def test_cli_split_of_another_task_is_one_line_error(tmp_path, capsys, verb):
+    cfg = _write_config(tmp_path, observers=["analytic_io"], conv_layers=1,
+                        total_minibatches=1)
+    _write_clb_shaped_splits(tmp_path / "out")
+    split = "test" if verb == "evaluate" else "val"
+    assert main([verb, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {tmp_path / 'out' / split}.bin: (width, height, "
+                   f"J) is (128, 128, 9), but the plan's task has "
+                   f"(64, 64, 9)\n")
+    assert not list((tmp_path / "out").glob("*.csv"))
+    assert not list((tmp_path / "out").glob("checkpoint*"))
 
 
 def test_learning_rate_coercion(tmp_path):
