@@ -13,6 +13,11 @@ into a workspace and multiplies it by that row's (k*C, F) weight band (a
 band GEMM of the kn2row/kn2col family).  The weight gradient reuses the same
 band copies.  The pooled map is flattened in (C, h, w) order, so the dense
 weights and the checkpoint format do not depend on the activation layout.
+
+The rest is exact elementwise numpy: the leaky ReLU max(y, slope * y) in
+place, exact only for 0 <= slope <= 1; its derivative max(sign(out), slope)
+from the cached output, as out > 0 exactly where y > 0; and the 2x2 max-pool
+of four strided views, with argmax's first-occurrence gradient routing.
 """
 
 from __future__ import annotations
@@ -51,6 +56,9 @@ class Architecture:
             # gradient exact, only for an odd kernel
             raise ValueError(f"kernel must be odd and positive, "
                              f"got {self.kernel}")
+        if not 0.0 <= self.leaky_slope <= 1.0:
+            raise ValueError(f"leaky_slope must be in [0, 1], got "
+                             f"{self.leaky_slope}")
         h, w = self.input_shape
         if h % 2 or w % 2:
             raise ValueError("input dimensions must be even for 2x2 pooling")
@@ -167,20 +175,24 @@ def _conv_weight_grad(x, dy, k):
 
 
 def _pool_forward(x):
-    b, h, w, c = x.shape
-    xr = x.reshape(b, h // 2, 2, w // 2, 2, c) \
-          .transpose(0, 1, 3, 5, 2, 4).reshape(b, h // 2, w // 2, c, 4)
-    idx = xr.argmax(axis=-1)
-    y = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
-    return y, idx
+    """2x2 max-pool of channels-last x.  On x86 numpy's maximum returns its
+    second operand when +0 meets -0, so this order keeps the first of tied
+    values, as argmax does; elsewhere a pooled zero's sign may differ."""
+    v = [x[:, r::2, s::2] for r in (0, 1) for s in (0, 1)]
+    return np.maximum(np.maximum(v[3], v[2]), np.maximum(v[1], v[0]))
 
 
-def _pool_backward(dy, idx, in_shape):
-    b, h, w, c = in_shape
-    dxr = np.zeros((b, h // 2, w // 2, c, 4), dtype=dy.dtype)
-    np.put_along_axis(dxr, idx[..., None], dy[..., None], axis=-1)
-    return dxr.reshape(b, h // 2, w // 2, c, 2, 2) \
-              .transpose(0, 1, 4, 2, 5, 3).reshape(b, h, w, c)
+def _pool_backward(dy, x, pooled):
+    """Route each pooled gradient to the first maximum in its window."""
+    bits = np.dtype(f"u{x.itemsize}")
+    dx = np.empty_like(x)
+    free = np.ones(pooled.shape, dtype=bool)
+    for r, s in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        hit = (x[:, r::2, s::2] == pooled) & free
+        free ^= hit
+        # dy's bits where hit, +0 elsewhere: an integer product is exact
+        np.multiply(dy.view(bits), hit, out=dx[:, r::2, s::2].view(bits))
+    return dx
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -195,44 +207,41 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 def _forward_batch(x, state: NetworkState, keep_cache: bool):
     arch = state.arch
-    caches = []
+    acts = [x]  # the input of every conv layer, then the last output
     a = x
     for i in range(arch.conv_layers):
         w, b = state.params[2 * i], state.params[2 * i + 1]
         y = np.empty(a.shape[:3] + b.shape, dtype=a.dtype)
         y[...] = b
         _conv(a, w, y)
-        mask = y > 0
+        a = np.maximum(y, arch.leaky_slope * y, out=y)
         if keep_cache:
-            caches.append((a, mask))
-        a = np.where(mask, y, arch.leaky_slope * y)
-    pooled, idx = _pool_forward(a)
+            acts.append(a)
+    pooled = _pool_forward(a)
     flat = pooled.transpose(0, 3, 1, 2).reshape(len(x), -1)
     wd, bd = state.params[-2], state.params[-1]
     logits = flat @ wd.T + bd
-    cache = (caches, idx, a.shape, flat) if keep_cache else None
-    return logits, cache
+    return logits, (acts, pooled, flat) if keep_cache else None
 
 
 def _backward_batch(dlogits, cache, state: NetworkState):
     arch = state.arch
-    caches, idx, act_shape, flat = cache
+    acts, pooled, flat = cache
     wd = state.params[-2]
     grads = [None] * len(state.params)
     grads[-2] = dlogits.T @ flat
     grads[-1] = dlogits.sum(axis=0)
     dflat = dlogits @ wd
-    b, h, w, c = act_shape
-    dpool = dflat.reshape(b, c, h // 2, w // 2).transpose(0, 2, 3, 1)
-    da = _pool_backward(dpool, idx, act_shape)
+    b, h, w, c = pooled.shape
+    dpool = dflat.reshape(b, c, h, w).transpose(0, 2, 3, 1)
+    da = _pool_backward(dpool, acts[-1], pooled)
     for i in reversed(range(arch.conv_layers)):
-        x_in, mask = caches[i]
-        dy = np.where(mask, da, arch.leaky_slope * da)
-        w = state.params[2 * i]
+        dy = da * np.maximum(np.sign(acts.pop()), arch.leaky_slope)
+        x_in = acts[i]
         grads[2 * i] = _conv_weight_grad(x_in, dy, arch.kernel)
         grads[2 * i + 1] = dy.sum(axis=(0, 1, 2))
         if i:  # nothing reads the gradient of the input image
-            wflip = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+            wflip = state.params[2 * i].transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
             da = _conv(dy, wflip, np.zeros_like(x_in))
     return grads
 
@@ -306,7 +315,8 @@ class TrainSchedule:
 
 
 class TrainingDiverged(RuntimeError):
-    """A non-finite loss or gradient; ``state`` is as before the update."""
+    """A non-finite loss or gradient, with ``state`` as before the update, or
+    validation loss, with the last (or starting) state validated finite."""
 
     def __init__(self, message: str, state: NetworkState):
         super().__init__(message)
@@ -407,7 +417,7 @@ def train(arch: Architecture, task, backgrounds, schedule: TrainSchedule,
         state = init_state(arch, seed=schedule.seed)
         state.input_mean, state.input_std = estimate_normalization(
             task, backgrounds, schedule)
-    best_state = state.copy()
+    best_state = validated = state.copy()
     best_val = np.inf
     history = []
     # non-finite values raise TrainingDiverged; numpy's warnings add nothing
@@ -428,9 +438,14 @@ def train(arch: Architecture, task, backgrounds, schedule: TrainSchedule,
                 history.append((state.step, loss, val))
                 log.write(f"{state.step},{loss:.6f},{val:.6f}\n")
                 log.flush()
+                if not np.isfinite(val):
+                    raise TrainingDiverged(f"validation loss became "
+                                           f"non-finite at step {state.step}",
+                                           validated)
+                validated = state.copy()
                 if val < best_val:
                     best_val = val
-                    best_state = state.copy()
+                    best_state = validated
     return TrainResult(best_state, state, float(best_val), history)
 
 

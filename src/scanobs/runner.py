@@ -6,7 +6,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import time
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -30,6 +29,9 @@ _LEAST = {"n_train_backgrounds": 0, "n_val_per_class": 0,
           "n_test_per_class": 0, "batch_per_class": 1, "total_minibatches": 1,
           "val_period": 1, "mcmc_iterations": 1, "bootstrap_samples": 2,
           "cov_samples": 2}
+
+# Adam applies the rate to float32 parameters, so it must be a finite float32
+_LARGEST_RATE = float(np.finfo(np.float32).max)
 
 
 class ConfigError(ValueError):
@@ -66,9 +68,9 @@ class ExperimentPlan:
             if getattr(self, key) < least:
                 raise ConfigError(f"{key}: must be at least {least}, got "
                                   f"{getattr(self, key)}")
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ConfigError(f"learning_rate: must be a finite number above "
-                              f"0, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate <= _LARGEST_RATE:
+            raise ConfigError(f"learning_rate: must be above 0 and at most "
+                              f"{_LARGEST_RATE:.8g}, got {self.learning_rate}")
         if not self.depths or not all(isinstance(d, int) and d >= 1
                                       for d in self.depths):
             raise ConfigError(f"conv_layers: need one or more depths of at "

@@ -1,9 +1,10 @@
 """Test-only dataset writers, readers of evaluation and observer outputs, the
 chunk-by-chunk validation loss, a malformed checkpoint writer, the im2col
-einsum network that the channels-last convolution is checked against, and
+einsum network that the channels-last convolution is checked against, the
+channels-last network with ``np.where`` activations and an argmax pool, and
 the ``rng.uniform`` samplers and the per-lump, whole-image and
-per-iteration lumpy-background references that the sampling, the rendering
-and the MCMC chain must equal bit for bit."""
+per-iteration lumpy-background references; the network passes, the
+sampling, the rendering and the MCMC chain must equal these bit for bit."""
 
 import csv
 import math
@@ -65,12 +66,14 @@ def reference_validation_loss(images, labels, state, chunk=256) -> float:
     return total / len(labels)
 
 
-def write_even_kernel_checkpoint(path, input_shape=(4, 4), n_classes=2):
-    """A checkpoint that is well formed apart from its 4x4 kernels."""
-    filters, kernel = 2, 4
+def write_malformed_checkpoint(path, input_shape=(4, 4), n_classes=2,
+                               kernel=4, leaky_slope=0.01):
+    """A well-formed checkpoint apart from its header's kernel (by default
+    an even 4) or leaky slope."""
+    filters = 2
     header = neuralnet._CKPT_HEADER.pack(
         neuralnet._CKPT_MAGIC, 1, 1, filters, kernel, n_classes, *input_shape,
-        0.01, 0.0, 1.0, 0)
+        leaky_slope, 0.0, 1.0, 0)
     dense = filters * (input_shape[0] // 2) * (input_shape[1] // 2)
     floats = filters * kernel * kernel + filters + n_classes * (dense + 1)
     path.write_bytes(header + bytes(3 * 4 * floats))
@@ -152,6 +155,91 @@ def reference_loss_and_gradient(images, labels, state):
         grads[2 * i], grads[2 * i + 1], da = reference_conv_backward(
             x_in, state.params[2 * i], dy)
     return probs, loss, grads
+
+
+# ---------------------------------------------------------------------------
+# channels-last reference network: the same convolutions, with the leaky ReLU
+# by np.where over stored masks and the max-pool by a transposed argmax
+
+def _reference_pool_forward(x):
+    b, h, w, c = x.shape
+    xr = x.reshape(b, h // 2, 2, w // 2, 2, c) \
+          .transpose(0, 1, 3, 5, 2, 4).reshape(b, h // 2, w // 2, c, 4)
+    idx = xr.argmax(axis=-1)
+    y = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
+    return y, idx
+
+
+def _reference_pool_backward(dy, idx, in_shape):
+    b, h, w, c = in_shape
+    dxr = np.zeros((b, h // 2, w // 2, c, 4), dtype=dy.dtype)
+    np.put_along_axis(dxr, idx[..., None], dy[..., None], axis=-1)
+    return dxr.reshape(b, h // 2, w // 2, c, 2, 2) \
+              .transpose(0, 1, 4, 2, 5, 3).reshape(b, h, w, c)
+
+
+def _reference_forward_batch(x, state, keep_cache):
+    arch = state.arch
+    caches = []
+    a = x
+    for i in range(arch.conv_layers):
+        w, b = state.params[2 * i], state.params[2 * i + 1]
+        y = np.empty(a.shape[:3] + b.shape, dtype=a.dtype)
+        y[...] = b
+        neuralnet._conv(a, w, y)
+        mask = y > 0
+        if keep_cache:
+            caches.append((a, mask))
+        a = np.where(mask, y, arch.leaky_slope * y)
+    pooled, idx = _reference_pool_forward(a)
+    flat = pooled.transpose(0, 3, 1, 2).reshape(len(x), -1)
+    wd, bd = state.params[-2], state.params[-1]
+    logits = flat @ wd.T + bd
+    cache = (caches, idx, a.shape, flat) if keep_cache else None
+    return logits, cache
+
+
+def _reference_backward_batch(dlogits, cache, state):
+    arch = state.arch
+    caches, idx, act_shape, flat = cache
+    wd = state.params[-2]
+    grads = [None] * len(state.params)
+    grads[-2] = dlogits.T @ flat
+    grads[-1] = dlogits.sum(axis=0)
+    dflat = dlogits @ wd
+    b, h, w, c = act_shape
+    dpool = dflat.reshape(b, c, h // 2, w // 2).transpose(0, 2, 3, 1)
+    da = _reference_pool_backward(dpool, idx, act_shape)
+    for i in reversed(range(arch.conv_layers)):
+        x_in, mask = caches[i]
+        dy = np.where(mask, da, arch.leaky_slope * da)
+        w = state.params[2 * i]
+        grads[2 * i] = neuralnet._conv_weight_grad(x_in, dy, arch.kernel)
+        grads[2 * i + 1] = dy.sum(axis=(0, 1, 2))
+        if i:
+            wflip = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+            da = neuralnet._conv(dy, wflip, np.zeros_like(x_in))
+    return grads
+
+
+def reference_channels_last(images, labels, state):
+    """(posteriors, mean cross-entropy, gradients) as forward_posteriors and
+    loss_and_gradient compute them, with the reference passes."""
+    probs = np.concatenate([
+        neuralnet.softmax(_reference_forward_batch(
+            neuralnet._prepare_input(images[i:i + neuralnet._CHUNK], state),
+            state, False)[0])
+        for i in range(0, len(images), neuralnet._CHUNK)])
+    labels = np.asarray(labels)
+    n = len(labels)
+    logits, cache = _reference_forward_batch(
+        neuralnet._prepare_input(images, state), state, True)
+    batch_probs = neuralnet.softmax(logits)
+    loss = float(neuralnet._cross_entropy(batch_probs, labels).mean())
+    dlogits = batch_probs.astype(logits.dtype)
+    dlogits[np.arange(n), labels] -= 1.0
+    dlogits /= n
+    return probs, loss, _reference_backward_batch(dlogits, cache, state)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,12 @@ import pytest
 
 import scanobs.neuralnet as nn
 from helpers import (
+    reference_channels_last,
     reference_conv_backward,
     reference_conv_forward,
     reference_loss_and_gradient,
     reference_validation_loss,
-    write_even_kernel_checkpoint,
+    write_malformed_checkpoint,
 )
 from scanobs.imaging import NoiseModel
 from scanobs.neuralnet import (
@@ -71,6 +72,12 @@ def test_architecture_validation():
             Architecture(1, (8, 8), kernel=kernel)
     with pytest.raises(ValueError, match="filter"):
         Architecture(1, (8, 8), filters=0)
+    # max(y, slope * y) is the leaky ReLU only for a slope in [0, 1]
+    for slope in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="leaky_slope"):
+            Architecture(1, (8, 8), leaky_slope=slope)
+    for slope in (0.0, 1.0):
+        Architecture(1, (8, 8), leaky_slope=slope)
 
 
 def test_init_state_deterministic_and_shaped():
@@ -152,6 +159,60 @@ def test_network_matches_einsum_reference(arch):
     for g, g_ref in zip(grads, grads_ref):
         assert g.shape == g_ref.shape
         _assert_close(g, g_ref)
+
+
+def _tied_state(arch, dtype):
+    """Random weights and biases, except that layer 0's biases are zero, so
+    an image at the input mean has pre-activations of exactly 0 there, and
+    half of the last layer's filters are zero, so those channels equal their
+    biases and every one of their pool windows ties."""
+    state = init_state(arch, seed=33, dtype=dtype)
+    rng = np.random.default_rng(34)
+    for p in state.params[3::2]:
+        p += rng.normal(scale=0.1, size=p.shape)
+    state.params[2 * arch.conv_layers - 2][::2] = 0.0
+    state.input_mean, state.input_std = 0.3, 1.7
+    return state
+
+
+def _tied_images(n, h, w, seed):
+    """A constant image at the input mean, an image of duplicated 2x2
+    pixel pairs, then random images; the first n of them."""
+    rng = np.random.default_rng(seed)
+    images = rng.normal(size=(max(n, 2), h, w))
+    images[0] = 0.3
+    images[1] = np.kron(rng.normal(size=(h // 2, w // 2)), np.ones((2, 2)))
+    return images[:n]
+
+
+def _assert_equals_channels_last_reference(state, images):
+    labels = np.arange(len(images)) % state.arch.n_classes
+    probs_ref, loss_ref, grads_ref = reference_channels_last(images, labels,
+                                                             state)
+    assert np.array_equal(forward_posteriors(images, state), probs_ref)
+    loss, grads = loss_and_gradient(images, labels, state)
+    assert loss == loss_ref
+    for g, g_ref in zip(grads, grads_ref):
+        assert g.dtype == g_ref.dtype and np.array_equal(g, g_ref)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("slope", [0.0, 0.01, 1.0])
+@pytest.mark.parametrize("blocks", ["one image", "a block and 3"])
+def test_network_equals_channels_last_reference(dtype, slope, blocks):
+    # the in-place leaky ReLU, the strided-view pool and the derivative read
+    # from the cached outputs give the bits of np.where masks and argmax
+    arch = Architecture(3, (8, 12), n_classes=4, filters=6, kernel=5,
+                        leaky_slope=slope)
+    n = 1 if blocks == "one image" else nn._PIXELS // (8 * 12) + 3
+    _assert_equals_channels_last_reference(_tied_state(arch, dtype),
+                                           _tied_images(n, 8, 12, 35))
+
+
+def test_paper_network_equals_channels_last_reference():
+    arch = Architecture(5, (64, 64))
+    _assert_equals_channels_last_reference(_tied_state(arch, np.float32),
+                                           _tied_images(6, 64, 64, 36))
 
 
 def test_float32_conv_forward_relative_error():
@@ -405,7 +466,7 @@ def test_load_checkpoint_rejects_truncated_header(tmp_path):
 
 def test_load_checkpoint_rejects_even_kernel(tmp_path):
     path = tmp_path / "ckpt.bin"
-    write_even_kernel_checkpoint(path)
+    write_malformed_checkpoint(path)
     with pytest.raises(ValueError, match="kernel must be odd"):
         load_checkpoint(path)
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import records_from_csv, write_even_kernel_checkpoint
+from helpers import records_from_csv, write_malformed_checkpoint
 from scanobs.cli import main
 from scanobs.dataset import DatasetWriter, read_dataset
 from scanobs.neuralnet import TrainingDiverged, load_checkpoint
@@ -120,7 +120,7 @@ def test_cli_bad_mcmc_settings_are_one_line_errors(tmp_path, capsys,
     {"conv_layers": 0}, {"conv_layers": [2, 0]}, {"n_train_backgrounds": -1},
     {"n_val_per_class": -1}, {"n_test_per_class": -1}, {"cov_samples": 0},
     {"cov_samples": 1}, {"learning_rate": 0}, {"learning_rate": -1.0},
-    {"learning_rate": math.nan}])
+    {"learning_rate": math.nan}, {"learning_rate": 1e39}])
 def test_plan_rejects_out_of_range_settings(tmp_path, overrides):
     key = next(iter(overrides))
     with pytest.raises(ConfigError, match=f"^{key}: "):
@@ -137,7 +137,8 @@ def test_plan_accepts_smallest_settings(tmp_path):
 @pytest.mark.parametrize("overrides", [
     {"val_period": 0}, {"total_minibatches": 0}, {"bootstrap_samples": 1},
     {"conv_layers": []}, {"cov_samples": 0}, {"learning_rate": 0},
-    {"learning_rate": -1.0}, {"learning_rate": math.nan}])
+    {"learning_rate": -1.0}, {"learning_rate": math.nan},
+    {"learning_rate": 1e39}])
 def test_cli_out_of_range_plans_are_one_line_errors(tmp_path, capsys,
                                                     overrides):
     key = next(iter(overrides))
@@ -165,9 +166,9 @@ def test_cli_train_without_validation_images_is_one_line_error(tmp_path,
 
 
 # learning_rate 1e30 moves every weight by about 1e30 at step 0, so the
-# loss of step 1 overflows
+# loss of step 1 overflows; the only validation is after the last step
 _DIVERGING = dict(n_val_per_class=1, n_test_per_class=1, conv_layers=1,
-                  batch_per_class=1, total_minibatches=3, val_period=1,
+                  batch_per_class=1, total_minibatches=3, val_period=3,
                   learning_rate=1e30)
 
 
@@ -191,6 +192,27 @@ def test_cli_diverging_train_is_one_line_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: loss became non-finite at step 1\n"
     assert (tmp_path / "out" / "checkpoint_diverged.bin").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_nonfinite_validation_loss_is_one_line_error(tmp_path, capsys):
+    # one step at learning_rate 1e30: the step's loss is finite, but the
+    # validation loss after it is not
+    cfg = _write_config(tmp_path, n_val_per_class=1, n_test_per_class=1,
+                        conv_layers=1, batch_per_class=1, total_minibatches=1,
+                        learning_rate=1e30)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: validation loss became non-finite at step 1\n"
+    out = tmp_path / "out"
+    log = (out / "training_log_depth1.csv").read_text().splitlines()
+    assert log[-1].startswith("1,") and log[-1].endswith(",nan")
+    state = load_checkpoint(out / "checkpoint_diverged.bin")
+    assert state.step == 0     # no state validated finite: the initial one
+    assert all(np.isfinite(p).all() for p in state.params)
+    assert not (out / "checkpoint.bin").exists()
 
 
 def test_cli_config_directory_is_one_line_error(tmp_path, capsys):
@@ -453,12 +475,28 @@ def test_cli_evaluate_even_kernel_checkpoint_is_one_line_error(tmp_path,
     cfg = _write_config(tmp_path, observers=["cnn_io"], n_val_per_class=1,
                         n_test_per_class=1)
     assert main(["generate", "--config", str(cfg)]) == 0
-    write_even_kernel_checkpoint(tmp_path / "out" / "checkpoint.bin",
-                                 input_shape=(64, 64), n_classes=10)
+    write_malformed_checkpoint(tmp_path / "out" / "checkpoint.bin",
+                               input_shape=(64, 64), n_classes=10)
     capsys.readouterr()
     assert main(["evaluate", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "kernel must be odd" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("slope", [-0.1, 1.5, math.nan])
+def test_cli_evaluate_checkpoint_slope_outside_unit_interval(tmp_path, capsys,
+                                                           slope):
+    cfg = _write_config(tmp_path, observers=["cnn_io"], n_val_per_class=1,
+                        n_test_per_class=1)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    ckpt = tmp_path / "out" / "checkpoint.bin"
+    write_malformed_checkpoint(ckpt, input_shape=(64, 64), n_classes=10,
+                               kernel=3, leaky_slope=slope)
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}: leaky_slope must be in [0, 1]")
     assert err.count("\n") == 1
 
 
