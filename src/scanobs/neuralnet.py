@@ -8,16 +8,18 @@ framework is used.
 
 Activations are channels-last, (B, H, W, C).  One convolution primitive,
 ``_conv``, serves the forward pass and the input gradient: per block of
-images and per kernel row it copies the contiguous k*C window of every pixel
-into a workspace and multiplies it by that row's (k*C, F) weight band (a
-band GEMM of the kn2row/kn2col family).  The weight gradient reuses the same
-band copies.  The pooled map is flattened in (C, h, w) order, so the dense
-weights and the checkpoint format do not depend on the activation layout.
+images it copies the k*C windows of each padded row once into a workspace
+whose rows kh..kh+H-1 are the band of kernel row kh, multiplied in place by
+that row's (k*C, F) weights (a band GEMM of the kn2row/kn2col family).  The
+weight gradient slides one band matrix down the rows.  The pooled map is
+flattened in (C, h, w) order, so the dense weights and the checkpoint
+format do not depend on the activation layout.
 
 The rest is exact elementwise numpy: the leaky ReLU max(y, slope * y) in
-place, exact only for 0 <= slope <= 1; its derivative max(sign(out), slope)
-from the cached output, as out > 0 exactly where y > 0; and the 2x2 max-pool
-of four strided views, with argmax's first-occurrence gradient routing.
+place, one block of images at a time, exact only for 0 <= slope <= 1; its
+derivative max(sign(out), slope) from the cached output, as out > 0 exactly
+where y > 0; and the 2x2 max-pool of four strided views, with argmax's
+first-occurrence gradient routing.
 """
 
 from __future__ import annotations
@@ -120,8 +122,10 @@ def init_state(arch: Architecture, seed: int = 0,
 # ---------------------------------------------------------------------------
 # primitive layers
 
-# Pixels per workspace block: the band copy of a 32-channel 5x5 layer then
-# takes 16384 x 160 floats (10 MB), and small images share one block.
+# Pixels per workspace block: at 64x64 a block is 4 images, whose row
+# windows in a 32-channel 5x5 layer take 68 x 4 x 64 x 160 floats (11 MB),
+# and the weight gradient's band matrix 4 x 64 x 64 x 160 (10 MB); small
+# images share one block.
 _PIXELS = 16384
 
 
@@ -130,46 +134,63 @@ def _images_per_block(x):
     return min(b, max(1, _PIXELS // (h * w)))
 
 
-def _band_blocks(x, k):
-    """Band copies of channels-last x (B, H, W, C) for a same-padded k x k
-    correlation.
+def _view(buf, *shape):
+    """The leading elements of a flat workspace as a contiguous array."""
+    return buf[:math.prod(shape)].reshape(shape)
 
-    Yields (start, count, kh, cols) per block of images and kernel row kh;
-    row r of cols (count*H*W, k*C) is the zero-padded window
-    x[b, y+kh-p, x-p:x+p+1, :] of output pixel r.  cols is reused.
-    """
+
+def _padded_blocks(x, k):
+    """Yields (start, count, win) per block of images of channels-last x
+    (B, H, W, C): win (count, H+2p, W, k, C) is the view win[b, yp, x] =
+    xp[b, yp, x:x+k, :] of the zero-padded block xp, which is reused."""
     b, h, w, c = x.shape
     p = k // 2
     nb = _images_per_block(x)
     xp = np.zeros((nb, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
-    cols = np.empty((nb, h, w, k, c), dtype=x.dtype)
     for i in range(0, b, nb):
         n = min(nb, b - i)
         xp[:n, p:p + h, p:p + w] = x[i:i + n]
-        for kh in range(k):
-            win = sliding_window_view(xp[:n, kh:kh + h], k, axis=2)
-            np.copyto(cols[:n], win.swapaxes(-1, -2))
-            yield i, n, kh, cols[:n].reshape(n * h * w, k * c)
+        yield i, n, sliding_window_view(xp[:n], k, axis=2).swapaxes(-1, -2)
 
 
 def _conv(x, w, out):
     """Add the same-padded correlation of x (B, H, W, C) with w (F, C, k, k)
     into out (B, H, W, F); returns out."""
     f, c, k, _ = w.shape
+    h, wd = x.shape[1:3]
     bands = w.transpose(2, 3, 1, 0).reshape(k, k * c, f)
-    prod = np.empty((_images_per_block(x),) + out.shape[1:], dtype=out.dtype)
-    for i, n, kh, cols in _band_blocks(x, k):
-        np.matmul(cols, bands[kh], out=prod[:n].reshape(len(cols), f))
-        out[i:i + n] += prod[:n]
+    nb = _images_per_block(x)
+    rows = np.empty((h + k - 1) * nb * wd * k * c, dtype=x.dtype)
+    prod = np.empty(h * nb * wd * f, dtype=out.dtype)
+    for i, n, win in _padded_blocks(x, k):
+        # one copy of the windows, images interleaved: rows[kh:kh+H] is the
+        # band of kernel row kh as one (H*n*W, k*C) matrix in (y, b, x) order
+        r = _view(rows, h + k - 1, n, wd, k, c)
+        np.copyto(r, win.swapaxes(0, 1))
+        yxf = _view(prod, h * n * wd, f)
+        for kh in range(k):
+            np.matmul(r[kh:kh + h].reshape(-1, k * c), bands[kh], out=yxf)
+            out[i:i + n] += yxf.reshape(h, n, wd, f).swapaxes(0, 1)
     return out
 
 
 def _conv_weight_grad(x, dy, k):
-    """Gradient of sum(dy * _conv(x, w)) w.r.t. w, shape (F, C, k, k)."""
-    c, f = x.shape[-1], dy.shape[-1]
+    """Gradient of sum(dy * _conv(x, w)) w.r.t. w, shape (F, C, k, k).
+    Kernel row kh+1's band is kh's moved up one row in each image (a 1-D
+    overlapping assignment: a memmove, no temporary) and a new bottom row."""
+    h, w, c = x.shape[1:]
+    f = dy.shape[-1]
     dbands = np.zeros((k, k * c, f), dtype=dy.dtype)
-    for i, n, kh, cols in _band_blocks(x, k):
-        dbands[kh] += cols.T @ dy[i:i + n].reshape(len(cols), f)
+    cols = np.empty((_images_per_block(x), h, w, k, c), dtype=x.dtype)
+    for i, n, win in _padded_blocks(x, k):
+        band = cols[:n]
+        band[...] = win[:, :h]
+        for kh in range(k):
+            if kh:
+                for img in band.reshape(n, -1):
+                    img[:-w * k * c] = img[w * k * c:]
+                band[:, -1] = win[:, h - 1 + kh]
+            dbands[kh] += band.reshape(-1, k * c).T @ dy[i:i + n].reshape(-1, f)
     return np.ascontiguousarray(
         dbands.reshape(k, k, c, f).transpose(3, 2, 0, 1))
 
@@ -214,7 +235,11 @@ def _forward_batch(x, state: NetworkState, keep_cache: bool):
         y = np.empty(a.shape[:3] + b.shape, dtype=a.dtype)
         y[...] = b
         _conv(a, w, y)
-        a = np.maximum(y, arch.leaky_slope * y, out=y)
+        nb = _images_per_block(y)
+        for j in range(0, len(y), nb):  # no whole-batch slope * y temporary
+            yj = y[j:j + nb]
+            np.maximum(yj, arch.leaky_slope * yj, out=yj)
+        a = y
         if keep_cache:
             acts.append(a)
     pooled = _pool_forward(a)

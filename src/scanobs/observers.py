@@ -180,7 +180,8 @@ def scanning_ho_records(images, labels,
     """Scanning HO: lambda_j = w_j^T (g - mean_b - s_j / 2); the binary
     statistic is max_j lambda_j."""
     n = len(images)
-    flat = images.reshape(n, -1).astype(np.float64) - state.mean_background
+    flat = images.reshape(n, -1).astype(np.float64)  # a copy, even of float64
+    flat -= state.mean_background
     lams = flat @ state.templates.T \
         - 0.5 * (state.templates * state.signals).sum(axis=1)
     return records_from_statistics(lams, labels, lams.max(axis=1))

@@ -1,7 +1,8 @@
 """Test-only dataset writers, readers of evaluation and observer outputs, the
 chunk-by-chunk validation loss, a malformed checkpoint writer, the im2col
 einsum network that the channels-last convolution is checked against, the
-channels-last network with ``np.where`` activations and an argmax pool, and
+band-copy convolutions, the channels-last network with those convolutions,
+``np.where`` activations and an argmax pool, and
 the ``rng.uniform`` samplers and the per-lump, whole-image and
 per-iteration lumpy-background references; the network passes, the
 sampling, the rendering and the MCMC chain must equal these bit for bit."""
@@ -10,7 +11,7 @@ import csv
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from scanobs import neuralnet
 from scanobs.dataset import DatasetWriter
@@ -158,8 +159,54 @@ def reference_loss_and_gradient(images, labels, state):
 
 
 # ---------------------------------------------------------------------------
-# channels-last reference network: the same convolutions, with the leaky ReLU
-# by np.where over stored masks and the max-pool by a transposed argmax
+# band-copy convolutions: per block of images and per kernel row, a strided
+# gather of every pixel's k*C window into a (count*H*W, k*C) band matrix and
+# one band GEMM; the rows of a block sum in kernel-row order
+
+def _band_blocks(x, k):
+    """Yields (start, count, kh, cols) per block of images and kernel row
+    kh; row r of cols (count*H*W, k*C) is the zero-padded window
+    x[b, y+kh-p, x-p:x+p+1, :] of output pixel r.  cols is reused."""
+    b, h, w, c = x.shape
+    p = k // 2
+    nb = neuralnet._images_per_block(x)
+    xp = np.zeros((nb, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
+    cols = np.empty((nb, h, w, k, c), dtype=x.dtype)
+    for i in range(0, b, nb):
+        n = min(nb, b - i)
+        xp[:n, p:p + h, p:p + w] = x[i:i + n]
+        for kh in range(k):
+            win = sliding_window_view(xp[:n, kh:kh + h], k, axis=2)
+            np.copyto(cols[:n], win.swapaxes(-1, -2))
+            yield i, n, kh, cols[:n].reshape(n * h * w, k * c)
+
+
+def reference_band_conv(x, w, out):
+    """Add the same-padded correlation of x (B, H, W, C) with w (F, C, k, k)
+    into out (B, H, W, F); returns out."""
+    f, c, k, _ = w.shape
+    bands = w.transpose(2, 3, 1, 0).reshape(k, k * c, f)
+    prod = np.empty((neuralnet._images_per_block(x),) + out.shape[1:],
+                    dtype=out.dtype)
+    for i, n, kh, cols in _band_blocks(x, k):
+        np.matmul(cols, bands[kh], out=prod[:n].reshape(len(cols), f))
+        out[i:i + n] += prod[:n]
+    return out
+
+
+def reference_band_conv_weight_grad(x, dy, k):
+    """Gradient of sum(dy * reference_band_conv(x, w)) w.r.t. w."""
+    c, f = x.shape[-1], dy.shape[-1]
+    dbands = np.zeros((k, k * c, f), dtype=dy.dtype)
+    for i, n, kh, cols in _band_blocks(x, k):
+        dbands[kh] += cols.T @ dy[i:i + n].reshape(len(cols), f)
+    return np.ascontiguousarray(
+        dbands.reshape(k, k, c, f).transpose(3, 2, 0, 1))
+
+
+# ---------------------------------------------------------------------------
+# channels-last reference network: the band-copy convolutions, with the leaky
+# ReLU by np.where over stored masks and the max-pool by a transposed argmax
 
 def _reference_pool_forward(x):
     b, h, w, c = x.shape
@@ -186,7 +233,7 @@ def _reference_forward_batch(x, state, keep_cache):
         w, b = state.params[2 * i], state.params[2 * i + 1]
         y = np.empty(a.shape[:3] + b.shape, dtype=a.dtype)
         y[...] = b
-        neuralnet._conv(a, w, y)
+        reference_band_conv(a, w, y)
         mask = y > 0
         if keep_cache:
             caches.append((a, mask))
@@ -214,11 +261,12 @@ def _reference_backward_batch(dlogits, cache, state):
         x_in, mask = caches[i]
         dy = np.where(mask, da, arch.leaky_slope * da)
         w = state.params[2 * i]
-        grads[2 * i] = neuralnet._conv_weight_grad(x_in, dy, arch.kernel)
+        grads[2 * i] = reference_band_conv_weight_grad(x_in, dy,
+                                                       arch.kernel)
         grads[2 * i + 1] = dy.sum(axis=(0, 1, 2))
         if i:
             wflip = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-            da = neuralnet._conv(dy, wflip, np.zeros_like(x_in))
+            da = reference_band_conv(dy, wflip, np.zeros_like(x_in))
     return grads
 
 

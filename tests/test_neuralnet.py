@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 
 import scanobs.neuralnet as nn
 from helpers import (
+    reference_band_conv,
+    reference_band_conv_weight_grad,
     reference_channels_last,
     reference_conv_backward,
     reference_conv_forward,
@@ -135,6 +138,83 @@ def test_conv_matches_einsum_reference(k, c):
     dx = nn._conv(dy_cl, wt.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1],
                   np.zeros((batch, h, w, c)))
     _assert_close(_channels_first(dx), dx_ref)
+
+
+# (whole workspace blocks, further images) per batch
+_BATCHES = {"one image": (0, 1), "one block": (1, 0), "a block and 3": (1, 3),
+            "a block and 1": (1, 1)}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("c", [1, 3, 32])
+@pytest.mark.parametrize("batch", list(_BATCHES))
+def test_conv_equals_band_copy_reference(dtype, k, c, batch):
+    # the row-window convolutions keep each output's products and sums in
+    # the order of the band copies: the same bits, for whole and partial
+    # blocks, in the forward pass and both gradients.  (With F = 4 the
+    # input gradient into C = 1 is a GEMV of K = 4k; past K of about 30 a
+    # GEMV's bits follow the BLAS thread count, at the band copies too.)
+    h, w, f = 6, 10, 4
+    blocks, extra = _BATCHES[batch]
+    n = blocks * (nn._PIXELS // (h * w)) + extra
+    rng = np.random.default_rng(200 + 10 * k + c)
+    x = rng.normal(size=(n, h, w, c)).astype(dtype)
+    wt = rng.normal(size=(f, c, k, k)).astype(dtype)
+    b = rng.normal(size=f).astype(dtype)
+    dy = rng.normal(size=(n, h, w, f)).astype(dtype)
+    y = nn._conv(x, wt, np.broadcast_to(b, (n, h, w, f)).copy())
+    y_ref = reference_band_conv(x, wt, np.broadcast_to(b, (n, h, w, f))
+                                .copy())
+    assert y.dtype == dtype and np.array_equal(y, y_ref)
+    wflip = wt.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+    dx = nn._conv(dy, wflip, np.zeros_like(x))
+    assert np.array_equal(dx, reference_band_conv(dy, wflip,
+                                                  np.zeros_like(x)))
+    dw = nn._conv_weight_grad(x, dy, k)
+    dw_ref = reference_band_conv_weight_grad(x, dy, k)
+    assert dw.dtype == dtype and np.array_equal(dw, dw_ref)
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes that fn(*args) allocates above what is live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_conv_workspace_is_one_block():
+    # the paper's inner layer: the workspaces are sized for one block of
+    # images, whatever the batch, and hold nothing beyond the padded block
+    # and, for the forward pass, its row windows and products, or, for the
+    # weight gradient, one band matrix and the weight bands
+    h = w = 64
+    c, f, k = 32, 32, 5
+    nb = nn._PIXELS // (h * w)
+    rng = np.random.default_rng(37)
+    wt = rng.normal(size=(f, c, k, k)).astype(np.float32)
+    item = 4
+    xp = nb * (h + k - 1) * (w + k - 1) * c * item
+    rows = nb * (h + k - 1) * w * k * c * item
+    band = nb * h * w * k * c * item
+    prod = nb * h * w * f * item
+    dbands = k * k * c * f * item
+    small = 4 * wt.nbytes  # the weight bands, the GEMM result, dW itself
+    peaks = {}
+    for blocks in (1, 3):
+        x = rng.normal(size=(blocks * nb, h, w, c)).astype(np.float32)
+        out = np.zeros((blocks * nb, h, w, f), dtype=np.float32)
+        peaks[blocks] = (_traced_peak(nn._conv, x, wt, out),
+                         _traced_peak(nn._conv_weight_grad, x, out, k))
+    conv, grad = zip(*peaks.values())
+    assert conv[1] <= 1.05 * conv[0] and grad[1] <= 1.05 * grad[0]
+    assert max(conv) <= xp + rows + prod + small
+    assert max(grad) <= xp + band + dbands + small
 
 
 @pytest.mark.parametrize("arch", [

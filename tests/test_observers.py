@@ -275,6 +275,29 @@ def test_scanning_ho_batch_matches_single():
         assert batch.chosen_location[i] == np.argmax(ref) + 1
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scanning_ho_centres_a_copy_with_whole_stack_bits(dtype):
+    # centring in place on the float64 copy gives the bits of subtracting
+    # the mean from the whole stack, and leaves the caller's images alone
+    task = task_preset("lb")
+    rng = np.random.default_rng(13)
+    backgrounds = np.stack([task.sample_background(rng) for _ in range(30)])
+    state = build_hotelling(backgrounds, task.signal_images, 400.0)
+    imgs = np.stack([simulate_measurement(task, i % 10, rng)[0]
+                     for i in range(7)]).astype(dtype)
+    before = imgs.copy()
+    rec = scanning_ho_records(imgs, np.arange(7) % 10, state)
+    assert np.array_equal(imgs, before)
+    centred = imgs.reshape(7, -1).astype(np.float64) - state.mean_background
+    lams = centred @ state.templates.T \
+        - 0.5 * (state.templates * state.signals).sum(axis=1)
+    ref = observers.records_from_statistics(lams, np.arange(7) % 10,
+                                            lams.max(axis=1))
+    for field in ("true_label", "statistic", "chosen_location",
+                  "binary_statistic", "per_location"):
+        assert np.array_equal(getattr(rec, field), getattr(ref, field))
+
+
 def test_constant_shift_leaves_chosen_location():
     rng = np.random.default_rng(12)
     lams = rng.normal(size=9)
