@@ -25,7 +25,7 @@ class FomEstimate:
     std_error: float
 
 
-def _split_records(records: Records, binary: bool = False):
+def _split_records(records: Records, binary: bool):
     """Absent scores, present scores, and per present record whether it was
     localized correctly (always, for the binary statistic)."""
     t = records.binary_statistic if binary else records.statistic
@@ -44,10 +44,13 @@ def _curve(records: Records, binary: bool) -> LrocCurve:
     taus = np.concatenate(([np.inf],
                            np.unique(np.concatenate((t_abs, t_sig)))[::-1],
                            [-np.inf]))
-    fpf = (t_abs[None, :] > taus[:, None]).mean(axis=1)
-    hit = t_sig[None, :] > taus[:, None]
-    hit &= correct
-    return LrocCurve(taus, fpf, hit.mean(axis=1))
+    # counts of scores above each threshold, from one sort per class
+    fpf = (len(t_abs) - np.searchsorted(np.sort(t_abs), taus,
+                                        side="right")) / len(t_abs)
+    hits = t_sig[correct]
+    pcl = (len(hits) - np.searchsorted(np.sort(hits), taus,
+                                       side="right")) / len(t_sig)
+    return LrocCurve(taus, fpf, pcl)
 
 
 def empirical_lroc(records: Records) -> LrocCurve:

@@ -2,8 +2,8 @@
 
 A Metropolis-Hastings chain over lumpy-background realizations targets
 p(b | g, H0).  Per retained state the conditional (background-known) log
-likelihood ratio (g - b - s_j/2)^T s_j / sigma^2 is accumulated as a running
-log-mean, giving the Monte Carlo estimate of log Lambda_j(g).
+likelihood ratio (g - b - s_j/2)^T s_j / sigma^2 is stored, and the log-mean
+of the stored rows is the Monte Carlo estimate of log Lambda_j(g).
 
 Proposal scheme per iteration: move one lump (prob 0.5, isotropic Gaussian
 step of 3 px standard deviation, reflected at the field-of-view boundary),
@@ -60,39 +60,6 @@ def _reflect(x, lo: float, hi: float):
     return lo + span - abs(t - span)
 
 
-# Retained conditional log-LR rows are folded into the running log-sum in
-# blocks of at most this many rows.
-_FOLD_ROWS = 4096
-
-
-class _LogSum:
-    """Running log(sum_t exp(v_t)) over the retained iterations.
-
-    v changes only when a proposal is accepted, so each state adds its row
-    once per iteration it is retained; rows are folded in iteration order by
-    a sequential logaddexp reduction, which performs the same operations as
-    one np.logaddexp per iteration.
-    """
-
-    def __init__(self, J: int):
-        self.rows = np.empty((_FOLD_ROWS + 1, J))
-        self.rows[0] = -np.inf            # row 0 holds the running sum
-        self.filled = 0
-
-    def add(self, v: np.ndarray, run: int) -> None:
-        while run:
-            k = min(run, _FOLD_ROWS - self.filled)
-            self.rows[1 + self.filled:1 + self.filled + k] = v
-            self.filled += k
-            run -= k
-            if self.filled == _FOLD_ROWS:
-                self.rows[0] = self.total()
-                self.filled = 0
-
-    def total(self) -> np.ndarray:
-        return np.logaddexp.reduce(self.rows[:1 + self.filled], axis=0)
-
-
 def mcmc_io_record(g, task: TaskConfig, cfg: McmcConfig,
                    rng: np.random.Generator, true_label: int = 0,
                    count_trace: list | None = None) -> Records:
@@ -141,13 +108,20 @@ def mcmc_io_record(g, task: TaskConfig, cfg: McmcConfig,
         sr -= sigs @ lump
 
     burn_in = cfg.effective_burn_in
-    log_sum = _LogSum(task.J)
+    # Row 0 is -inf; each retained iteration stores its state's conditional
+    # log-LR in the next row, and one sequential logaddexp reduction folds
+    # them in iteration order.
+    rows = np.empty((cfg.iterations - burn_in + 1, task.J))
+    rows[0] = -np.inf
+    filled = 1
     log_nbar = np.log(task.lumpy.mean_count)
     log_count = cache(np.log)    # np.log of a lump count, once per count
 
     def keep(run):
+        nonlocal filled
         # conditional BKE log-LR: (g - b - s_j/2)^T s_j / sigma^2
-        log_sum.add((sr - ssq / 2.0) / sigma2, run)
+        rows[filled:filled + run] = (sr - ssq / 2.0) / sigma2
+        filled += run
         if count_trace is not None:
             count_trace.extend([len(centers)] * run)
 
@@ -210,5 +184,6 @@ def mcmc_io_record(g, task: TaskConfig, cfg: McmcConfig,
             sr -= sigs @ delta
 
     keep(cfg.iterations - since)
-    log_lrs = log_sum.total() - np.log(cfg.iterations - burn_in)
+    log_lrs = np.logaddexp.reduce(rows, axis=0) \
+        - np.log(cfg.iterations - burn_in)
     return records_from_log_lrs(log_lrs[None], task.priors, [true_label])

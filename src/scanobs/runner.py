@@ -281,13 +281,17 @@ def run_training(plan: ExperimentPlan):
     """Train the posterior network per plan; writes checkpoint + log CSV."""
     task = plan.task
     out = plan.out_dir
-    bg_path = out / "train_backgrounds.bin"
     backgrounds = None
-    if bg_path.exists():
+    if plan.n_train_backgrounds > 0:
+        bg_path = out / "train_backgrounds.bin"
+        if not bg_path.exists():
+            raise FileNotFoundError(f"missing training store {bg_path}; "
+                                    "run generate first")
         backgrounds, _ = _read_split(bg_path, task)
     elif task.kind != "bke_laplacian":
-        raise FileNotFoundError(f"missing training store {bg_path}; "
-                                "run generate first")
+        raise ConfigError(f"n_train_backgrounds: training on the {task.kind} "
+                          "task needs stored backgrounds, and the plan has "
+                          "none")
     val_images, val_labels = _read_split(out / "val.bin", task)
     if len(val_images) == 0:
         raise ConfigError(f"n_val_per_class: training needs validation "
@@ -319,8 +323,6 @@ def ranking_report(report_paths) -> dict:
     for path in report_paths:
         with open(path, newline="") as fh:
             for row in csv.DictReader(fh):
-                if not row.get("auc"):
-                    continue
                 entries.append((
                     row["observer"],
                     row["system"],

@@ -1,11 +1,12 @@
 """Test-only dataset writers, readers of evaluation and observer outputs, the
-chunk-by-chunk validation loss, a malformed checkpoint writer, the im2col
-einsum network that the channels-last convolution is checked against, the
-band-copy convolutions, the channels-last network with those convolutions,
-``np.where`` activations and an argmax pool, and
-the ``rng.uniform`` samplers and the per-lump, whole-image and
-per-iteration lumpy-background references; the network passes, the
-sampling, the rendering and the MCMC chain must equal these bit for bit."""
+comparison-matrix LROC/ROC sweep, the chunk-by-chunk validation loss, a
+malformed checkpoint writer, the im2col einsum network that the
+channels-last convolution is checked against, the band-copy convolutions,
+the channels-last network with those convolutions, ``np.where`` activations
+and an argmax pool, and the ``rng.uniform`` samplers and the per-lump,
+whole-image and per-iteration lumpy-background references; the curves, the
+network passes, the sampling, the rendering and the MCMC chain must equal
+these bit for bit."""
 
 import csv
 import math
@@ -15,7 +16,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from scanobs import neuralnet
 from scanobs.dataset import DatasetWriter
-from scanobs.evaluation import LrocCurve
+from scanobs.evaluation import LrocCurve, _split_records
 from scanobs.imaging import _clb_blob, pixel_grid
 from scanobs.mcmc import BIRTH_PROB, MOVE_PROB, MOVE_STD, _reflect
 from scanobs.observers import Records, records_from_log_lrs
@@ -38,6 +39,19 @@ def image_to_csv(path, image: np.ndarray):
 
 def lroc_trapezoid_area(curve: LrocCurve) -> float:
     return float(np.trapezoid(curve.pcl, curve.fpf))
+
+
+def reference_curve(records: Records, binary: bool) -> LrocCurve:
+    """The LROC (or, with binary, ROC) sweep as a (threshold x case)
+    comparison matrix averaged over cases."""
+    t_abs, t_sig, correct = _split_records(records, binary)
+    taus = np.concatenate(([np.inf],
+                           np.unique(np.concatenate((t_abs, t_sig)))[::-1],
+                           [-np.inf]))
+    fpf = (t_abs[None, :] > taus[:, None]).mean(axis=1)
+    hit = t_sig[None, :] > taus[:, None]
+    hit &= correct
+    return LrocCurve(taus, fpf, hit.mean(axis=1))
 
 
 def records_from_csv(path) -> Records:

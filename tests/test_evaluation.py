@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import lroc_trapezoid_area
+from helpers import lroc_trapezoid_area, reference_curve
 from scanobs.evaluation import (
     FomEstimate,
     alroc,
@@ -196,6 +196,23 @@ def test_bootstrap_se_equals_sorting_reference(n_abs, n_sig):
     assert got.std_error == _sorting_bootstrap_se(
         b[absent], b[~absent], np.ones(n_sig, dtype=bool), 300,
         np.random.default_rng(12))
+
+
+@pytest.mark.parametrize("n_abs,n_sig", [(300, 900), (1, 50), (40, 1),
+                                         (7, 7)])
+def test_curves_equal_comparison_matrix_reference(n_abs, n_sig):
+    rng = np.random.default_rng(n_abs * n_sig)
+    records = _tied_records(rng, n_abs, n_sig)
+    # signed zeros and infinite scores among the ties
+    records.statistic[rng.random(n_abs + n_sig) < 0.1] = -0.0
+    records.statistic[rng.random(n_abs + n_sig) < 0.05] = np.inf
+    records.binary_statistic[rng.random(n_abs + n_sig) < 0.1] = -0.0
+    records.binary_statistic[rng.random(n_abs + n_sig) < 0.05] = -np.inf
+    for curve, binary in ((empirical_lroc(records), False),
+                          (empirical_roc(records), True)):
+        ref = reference_curve(records, binary)
+        for name in ("thresholds", "fpf", "pcl"):
+            assert np.array_equal(getattr(curve, name), getattr(ref, name))
 
 
 def test_requires_both_classes():

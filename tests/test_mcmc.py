@@ -6,7 +6,6 @@ import pytest
 from scipy.special import gammaln, logsumexp
 
 from helpers import reference_mcmc_io_record
-from scanobs import mcmc
 from scanobs.imaging import NoiseModel, PrfSpec, render_lumpy_image
 from scanobs.mcmc import McmcConfig, _reflect, mcmc_io_record
 from scanobs.phantoms import (ClbParams, LumpyParams, LumpyRealization,
@@ -236,10 +235,9 @@ def test_lb_chain_equals_per_iteration_reference(seed, burn_in):
     assert len(trace) == cfg.iterations - cfg.effective_burn_in
 
 
-@pytest.mark.parametrize("fold_rows", [1, 7, 4096])
-def test_chain_equals_reference_across_fold_blocks(monkeypatch, fold_rows):
-    # a small fold block splits long runs of one state across many blocks
-    monkeypatch.setattr(mcmc, "_FOLD_ROWS", fold_rows)
+def test_long_chain_equals_per_iteration_reference():
+    # long runs of one state, retained from the first iteration and after
+    # the default burn-in
     task = _tiny_task(mean_count=3.0, sig_amp=0.5)
     g = np.random.default_rng(12).normal(0.0, 2.0, size=(8, 8))
     _assert_same_chain(task, g, McmcConfig(iterations=9000, burn_in=0), 13)

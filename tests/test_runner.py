@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import records_from_csv, write_malformed_checkpoint
+from scanobs import neuralnet
 from scanobs.cli import main
 from scanobs.dataset import DatasetWriter, read_dataset
 from scanobs.neuralnet import TrainingDiverged, load_checkpoint
@@ -380,10 +381,49 @@ def test_train_then_evaluate_cnn(tmp_path):
 
 
 def test_training_missing_store_for_lb(tmp_path):
-    plan = ExperimentPlan("lb", tmp_path / "o", conv_layers=1,
-                          total_minibatches=1)
+    plan = ExperimentPlan("lb", tmp_path / "o", n_train_backgrounds=2,
+                          conv_layers=1, total_minibatches=1)
     with pytest.raises(FileNotFoundError):
         run_training(plan)
+
+
+def test_training_without_stored_backgrounds_for_lb(tmp_path, capsys):
+    cfg = _write_config(tmp_path, preset="lb", n_val_per_class=1,
+                        n_test_per_class=1, conv_layers=1,
+                        total_minibatches=1)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: n_train_backgrounds: ")
+    assert err.count("\n") == 1
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_bke_training_ignores_a_stale_store(tmp_path, monkeypatch):
+    # an lb plan stores backgrounds; a BKE plan regenerated over it stores
+    # none, so its training must not read the lumpy store left behind
+    out = tmp_path / "o"
+    generate_dataset(ExperimentPlan("lb", out, n_train_backgrounds=2,
+                                    n_val_per_class=1, n_test_per_class=1))
+    bke = ExperimentPlan("bke_system1", out, n_val_per_class=1,
+                         n_test_per_class=1, conv_layers=1,
+                         total_minibatches=1)
+    generate_dataset(bke, force=True)
+    assert (out / "train_backgrounds.bin").exists()
+    seen = []
+
+    def train(arch, task, backgrounds, *rest):
+        seen.append(backgrounds)
+        raise _Stop
+
+    monkeypatch.setattr(neuralnet, "train", train)
+    with pytest.raises(_Stop):
+        run_training(bke)
+    assert len(seen) == 1 and seen[0] is None
 
 
 def test_depth_selection_writes_history(tmp_path):
