@@ -235,6 +235,18 @@ def test_lb_chain_equals_per_iteration_reference(seed, burn_in):
     assert len(trace) == cfg.iterations - cfg.effective_burn_in
 
 
+@pytest.mark.parametrize("fold_rows", [1, 7, 4096])
+def test_chain_equals_reference_across_fold_blocks(fold_rows):
+    # the stored rows are folded in one block of fold_rows retained
+    # iterations, from the first iteration and after a burn-in
+    task = _tiny_task(mean_count=3.0, sig_amp=0.5)
+    g = np.random.default_rng(12).normal(0.0, 2.0, size=(8, 8))
+    for burn_in in (0, 50):
+        cfg = McmcConfig(iterations=burn_in + fold_rows, burn_in=burn_in)
+        trace = _assert_same_chain(task, g, cfg, 13 + burn_in)
+        assert len(trace) == fold_rows
+
+
 def test_long_chain_equals_per_iteration_reference():
     # long runs of one state, retained from the first iteration and after
     # the default burn-in
