@@ -4,10 +4,13 @@ execution, and network training."""
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import json
+import os
 import time
 from dataclasses import MISSING, dataclass, field, fields
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -142,49 +145,60 @@ def generate_dataset(plan: ExperimentPlan, force: bool = False) -> dict:
     """Write the noiseless training store and fixed noisy val/test splits.
 
     Each split draws from its own named random stream, so no background can
-    appear in more than one split.  Returns the manifest entries.
+    appear in more than one split.  Every file is written under a temporary
+    name in the output directory and renamed into place only once all are
+    complete, the manifest last; if anything raises, an interrupt included,
+    the temporaries are removed and the files already there keep their
+    bytes.  Nothing is fsynced: this guards against a failing or interrupted
+    process, not against power loss.  Returns the manifest entries.
     """
     task = plan.task
     out = plan.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    files = {}
     w, h = task.grid
 
-    targets = [out / "val.bin", out / "test.bin"]
+    names = ["val", "test"]
     if plan.n_train_backgrounds > 0:
-        targets.append(out / "train_backgrounds.bin")
-    existing = [p for p in targets if p.exists()]
+        names.insert(0, "train_backgrounds")
+    existing = [out / f"{n}.bin" for n in names if (out / f"{n}.bin").exists()]
     if existing and not force:
         raise FileExistsError(
             f"refusing to overwrite {existing[0]} (use force)")
 
-    if plan.n_train_backgrounds > 0:
-        rng = stream(plan.seed, "train-backgrounds")
-        path = out / "train_backgrounds.bin"
-        with DatasetWriter(path, w, h, task.J) as writer:
-            for _ in range(plan.n_train_backgrounds):
-                writer.append(task.sample_background(rng), 0)
-        files["train_backgrounds"] = path
+    # file name -> temporary path, in renaming order: the manifest last
+    temps = {f: out / f".{f}.partial"
+             for f in [f"{n}.bin" for n in names] + ["manifest.txt"]}
+    try:
+        if plan.n_train_backgrounds > 0:
+            rng = stream(plan.seed, "train-backgrounds")
+            with DatasetWriter(temps["train_backgrounds.bin"], w, h,
+                               task.J) as writer:
+                for _ in range(plan.n_train_backgrounds):
+                    writer.append(task.sample_background(rng), 0)
 
-    for split, n in (("val", plan.n_val_per_class),
-                     ("test", plan.n_test_per_class)):
-        path = out / f"{split}.bin"
-        _write_split(path, task, n, stream(plan.seed, f"{split}-images"))
-        files[split] = path
+        for split, n in (("val", plan.n_val_per_class),
+                         ("test", plan.n_test_per_class)):
+            _write_split(temps[f"{split}.bin"], task, n,
+                         stream(plan.seed, f"{split}-images"))
 
-    manifest = {
-        "preset": plan.preset,
-        "seed": plan.seed,
-        "n_train_backgrounds": plan.n_train_backgrounds,
-        "n_val_per_class": plan.n_val_per_class,
-        "n_test_per_class": plan.n_test_per_class,
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
-    for name, path in files.items():
-        manifest[f"sha256_{name}"] = _sha256(path)
-    with open(out / "manifest.txt", "w") as fh:
-        for key, val in manifest.items():
-            fh.write(f"{key}={val}\n")
+        manifest = {
+            "preset": plan.preset,
+            "seed": plan.seed,
+            "n_train_backgrounds": plan.n_train_backgrounds,
+            "n_val_per_class": plan.n_val_per_class,
+            "n_test_per_class": plan.n_test_per_class,
+            "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        }
+        for name in names:
+            manifest[f"sha256_{name}"] = _sha256(temps[f"{name}.bin"])
+        with open(temps["manifest.txt"], "w") as fh:
+            for key, val in manifest.items():
+                fh.write(f"{key}={val}\n")
+        for name, tmp in temps.items():
+            os.replace(tmp, out / name)
+    finally:
+        for tmp in temps.values():
+            tmp.unlink(missing_ok=True)
     return manifest
 
 
@@ -220,15 +234,49 @@ def _hotelling_records(images, labels, task, plan):
     return observers.scanning_ho_records(images, labels, state)
 
 
+def _one_blas_thread():
+    """Set the OpenBLAS that numpy loaded to one thread; does nothing where
+    no such library or setter is found.  Pool workers call it, so that two
+    workers do not crowd each other with spinning BLAS threads."""
+    with open("/proc/self/maps") as fh:
+        libs = {line.split(None, 5)[5].strip() for line in fh
+                if "openblas" in line}
+    for lib in map(ctypes.CDLL, libs):
+        for name in ("scipy_openblas_set_num_threads64_",
+                     "openblas_set_num_threads"):
+            if hasattr(lib, name):
+                setter = getattr(lib, name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+
+
+def _mcmc_chain(g, task, cfg, rng, label):
+    """One chain's one-row records, run in a pool worker.  The pool sends
+    this function by name, and it looks mcmc_io_record up here when called,
+    so a worker runs whatever the parent had bound to that name."""
+    return mcmc_io_record(g, task, cfg, rng, true_label=int(label))
+
+
 def _mcmc_records(images, labels, task, plan):
+    """One chain per image, each from its own substream, run one per usable
+    CPU in forked single-BLAS-thread workers; the rows are concatenated in
+    image order, so the records do not depend on the worker count.  If a
+    chain raises, map cancels the chains not yet started."""
     cfg = McmcConfig(
         iterations=plan.mcmc_iterations,
         burn_in=None if plan.mcmc_burn_in < 0 else plan.mcmc_burn_in)
-    return observers.Records.concatenate([
-        mcmc_io_record(images[i], task, cfg,
-                       substream(plan.seed, "mcmc-chain", i),
-                       true_label=int(labels[i]))
-        for i in range(len(images))])
+    # imported here, so that a process that runs no chain does not load
+    # the pool machinery (about 2 MB)
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    chains = len(images)
+    rngs = (substream(plan.seed, "mcmc-chain", i) for i in range(chains))
+    with ProcessPoolExecutor(min(chains, len(os.sched_getaffinity(0))),
+                             get_context("fork"),
+                             initializer=_one_blas_thread) as pool:
+        return observers.Records.concatenate(list(pool.map(
+            _mcmc_chain, images, repeat(task), repeat(cfg), rngs, labels)))
 
 
 def _cnn_records(images, labels, task, plan):

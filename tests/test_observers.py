@@ -23,6 +23,7 @@ from scanobs.observers import (
     scanning_decision,
     scanning_ho_records,
 )
+from scanobs.rng import substream
 from scanobs.tasks import simulate_measurement, task_preset
 
 
@@ -411,6 +412,12 @@ def test_mcmc_records_match_per_row_reference(tmp_path, monkeypatch):
     rng = np.random.default_rng(18)
     labels = np.arange(6) % 10
     imgs = np.stack([simulate_measurement(task, y, rng)[0] for y in labels])
+    # the observer runs its chains in worker processes, so the log-LRs are
+    # kept from the same chains run here
+    cfg = scanobs.mcmc.McmcConfig(iterations=300, burn_in=30)
+    for i, g in enumerate(imgs):
+        scanobs.mcmc.mcmc_io_record(g, task, cfg,
+                                    substream(17, "mcmc-chain", i))
     rec = runner._mcmc_records(imgs, labels, task, plan)
     _assert_records_equal(rec, _reference_io_rows(np.array(seen),
                                                   task.priors, labels))

@@ -1,14 +1,26 @@
+import concurrent.futures
+import ctypes
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import records_from_csv, write_malformed_checkpoint
-from scanobs import neuralnet
+from scanobs import neuralnet, runner
 from scanobs.cli import main
 from scanobs.dataset import DatasetWriter, read_dataset
+from scanobs.mcmc import McmcConfig, mcmc_io_record
 from scanobs.neuralnet import TrainingDiverged, load_checkpoint
+from scanobs.observers import Records
+from scanobs.rng import substream
 from scanobs.runner import (
     ConfigError,
     ExperimentPlan,
@@ -305,6 +317,37 @@ def test_generate_refuses_overwrite(tmp_path):
     generate_dataset(plan, force=True)  # no error
 
 
+def test_interrupted_generate_keeps_the_old_files(tmp_path, monkeypatch):
+    out = tmp_path / "o"
+    plan = ExperimentPlan("bke_system1", out, n_val_per_class=1,
+                          n_test_per_class=3, seed=1)
+    generate_dataset(plan)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert set(before) == {"val.bin", "test.bin", "manifest.txt"}
+    simulate = runner.simulate_measurement
+    calls = []
+
+    def interrupt_at_fifth_test_image(task, label, rng):
+        calls.append(label)
+        if len(calls) == 10 + 5:  # the 10 validation images come first
+            raise KeyboardInterrupt
+        return simulate(task, label, rng)
+
+    monkeypatch.setattr(runner, "simulate_measurement",
+                        interrupt_at_fifth_test_image)
+    plan.seed = 2
+    with pytest.raises(KeyboardInterrupt):
+        generate_dataset(plan, force=True)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    # interrupted in an empty directory, a run leaves nothing behind
+    calls.clear()
+    plan.out_dir = tmp_path / "new"
+    with pytest.raises(KeyboardInterrupt):
+        generate_dataset(plan)
+    assert list((tmp_path / "new").iterdir()) == []
+
+
 def test_run_observers_analytic(tmp_path):
     plan = ExperimentPlan("bke_system1", tmp_path / "o",
                           observers=["analytic_io"], n_val_per_class=1,
@@ -339,6 +382,135 @@ def test_run_observers_hotelling_and_mcmc_on_lb(tmp_path):
     for row in rows:
         assert row["n_records"] == 20
         assert np.isfinite(row["alroc"])
+
+
+# An lb plan for short MCMC chains, one test image per class
+_CHAINS = {"preset": "lb", "observers": ["mcmc_io"], "n_val_per_class": 0,
+           "n_test_per_class": 1, "seed": 12, "mcmc_iterations": 300,
+           "mcmc_burn_in": 30, "bootstrap_samples": 20}
+
+
+def _lb_chains(tmp_path, **overrides):
+    """A generated test split of the _CHAINS plan, with its plan."""
+    plan = ExperimentPlan(out_dir=tmp_path / "o", **{**_CHAINS, **overrides})
+    generate_dataset(plan)
+    images, labels, _ = read_dataset(plan.out_dir / "test.bin")
+    return plan, images, labels
+
+
+@pytest.mark.parametrize("cpus", [None, 1])
+def test_mcmc_pool_equals_in_process_chains(tmp_path, monkeypatch, cpus):
+    plan, images, labels = _lb_chains(tmp_path)
+    task = plan.task
+    cfg = McmcConfig(plan.mcmc_iterations, plan.mcmc_burn_in)
+    expected = Records.concatenate([
+        mcmc_io_record(images[i], task, cfg,
+                       substream(plan.seed, "mcmc-chain", i),
+                       true_label=int(labels[i]))
+        for i in range(len(images))])
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+    pools = []
+    executor = concurrent.futures.ProcessPoolExecutor
+
+    def counted(workers, *args, **kwargs):
+        pools.append(workers)
+        return executor(workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+    records = runner.OBSERVERS["mcmc_io"](images, labels, task, plan)
+    assert pools == [min(len(images), len(os.sched_getaffinity(0)))]
+    assert len(images) > pools[0]  # some workers run several chains
+    for name, column in vars(expected).items():
+        assert np.array_equal(getattr(records, name), column), name
+
+
+def _blas_threads():
+    """The thread count of the OpenBLAS that numpy loaded, or None."""
+    with open("/proc/self/maps") as fh:
+        libs = {line.split(None, 5)[5].strip() for line in fh
+                if "openblas" in line}
+    for lib in map(ctypes.CDLL, libs):
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                return getattr(lib, name)()
+    return None
+
+
+def test_mcmc_workers_run_one_blas_thread(tmp_path, monkeypatch):
+    if _blas_threads() is None:
+        pytest.skip("numpy did not load an OpenBLAS with a thread getter")
+    plan, images, labels = _lb_chains(tmp_path)
+
+    def report_threads(*args, **kwargs):
+        raise RuntimeError(f"BLAS threads: {_blas_threads()}")
+
+    monkeypatch.setattr(runner, "mcmc_io_record", report_threads)
+    with pytest.raises(RuntimeError, match="^BLAS threads: 1$"):
+        runner.OBSERVERS["mcmc_io"](images, labels, plan.task, plan)
+
+
+def test_mcmc_records_do_not_depend_on_blas_threads(tmp_path):
+    plan, _, _ = _lb_chains(tmp_path)
+    config = tmp_path / "plan.json"
+    config.write_text(json.dumps({"out_dir": str(plan.out_dir), **_CHAINS}))
+    src = str(Path(runner.__file__).resolve().parents[1])
+    found = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "scanobs.cli", "evaluate",
+                        "--config", str(config)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        found.append((plan.out_dir / "records_mcmc_io.csv").read_bytes())
+    assert found[0] == found[1]
+
+
+def test_failing_chain_cancels_the_chains_not_started(tmp_path, monkeypatch):
+    plan, images, labels = _lb_chains(tmp_path, n_test_per_class=3)
+    first = substream(plan.seed, "mcmc-chain", 0).bit_generator.state
+    started = tmp_path / "started"
+    started.mkdir()
+    chain = runner.mcmc_io_record
+
+    def first_chain_fails(g, task, cfg, rng, true_label):
+        if rng.bit_generator.state == first:
+            raise ValueError("the first chain failed")
+        (started / f"{os.getpid()}-{time.perf_counter_ns()}").touch()
+        time.sleep(0.2)
+        return chain(g, task, cfg, rng, true_label=true_label)
+
+    monkeypatch.setattr(runner, "mcmc_io_record", first_chain_fails)
+    with pytest.raises(ValueError, match="the first chain failed"):
+        runner.OBSERVERS["mcmc_io"](images, labels, plan.task, plan)
+    assert len(list(started.iterdir())) < len(images) // 2
+
+
+def test_dead_mcmc_worker_fails_fast(tmp_path, monkeypatch):
+    plan, _, _ = _lb_chains(tmp_path)
+    chain = runner.mcmc_io_record
+    parent = os.getpid()
+
+    def dies_on_label_3(g, task, cfg, rng, true_label):
+        if true_label == 3 and os.getpid() != parent:
+            os._exit(1)
+        return chain(g, task, cfg, rng, true_label=true_label)
+
+    def hung(signum, frame):
+        raise TimeoutError("the pool hung after a worker died")
+
+    monkeypatch.setattr(runner, "mcmc_io_record", dies_on_label_3)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(120)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            run_observers(plan)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_run_observers_errors(tmp_path):
