@@ -148,8 +148,9 @@ def curve_to_csv(path, curve: LrocCurve):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tau", "fpf", "pcl"])
-        for tau, f, p in zip(curve.thresholds, curve.fpf, curve.pcl):
-            writer.writerow([repr(float(tau)), repr(float(f)), repr(float(p))])
+        # csv writes each float as its repr
+        writer.writerows(zip(curve.thresholds.tolist(), curve.fpf.tolist(),
+                             curve.pcl.tolist()))
 
 
 def report_to_csv(path, rows: list[dict]):

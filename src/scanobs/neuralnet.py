@@ -335,8 +335,13 @@ class TrainSchedule:
     seed: int = 0
 
     def __post_init__(self):
-        if self.total_minibatches <= 0 or self.batch_per_class <= 0:
-            raise ValueError("counts must be positive")
+        if min(self.total_minibatches, self.batch_per_class,
+               self.val_period) <= 0:
+            raise ValueError("total_minibatches, batch_per_class and "
+                             "val_period must be positive")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and positive, "
+                             f"got {self.learning_rate}")
 
 
 class TrainingDiverged(RuntimeError):

@@ -140,8 +140,7 @@ def build_hotelling(backgrounds, signals,
     relative residual _CG_RTOL.  With no background samples (BKE)
     K = noise_var * I and w_j = s_j / noise_var directly.
     """
-    signals = np.stack([np.asarray(s, dtype=np.float64).ravel()
-                        for s in signals])
+    signals = np.asarray(signals, dtype=np.float64).reshape(len(signals), -1)
     j_count, m = signals.shape
 
     if backgrounds is None or len(backgrounds) == 0:
@@ -151,16 +150,17 @@ def build_hotelling(backgrounds, signals,
         templates = signals / noise_var
         return HotellingObserverState(templates, mean_bg, signals)
 
-    samples = np.stack([np.asarray(b, dtype=np.float64).ravel()
-                        for b in backgrounds])
-    n = len(samples)
+    n = len(backgrounds)
     if n < 2:
         raise ValueError("need at least 2 background samples")
     if noise_var <= 0 and n <= m:
         raise ValueError("singular covariance: noise_var=0 with fewer "
                          "samples than pixels")
-    mean_bg = samples.mean(axis=0)
-    centered = samples - mean_bg
+    # a copy, even of float64, so that centring it in place leaves the
+    # caller's stack as it was
+    centered = np.array(backgrounds, dtype=np.float64).reshape(n, -1)
+    mean_bg = centered.mean(axis=0)
+    centered -= mean_bg
 
     def apply_k(v):
         return centered.T @ (centered @ v) / (n - 1) + noise_var * v
@@ -196,10 +196,10 @@ def records_to_csv(path, records: Records):
         writer.writerow(["image_id", "true_label", "t", "j_star",
                          "binary_statistic"]
                         + [f"lambda_{j + 1}" for j in range(j_count)])
-        rows = zip(records.true_label.tolist(), records.statistic.tolist(),
-                   records.chosen_location.tolist(),
-                   records.binary_statistic.tolist(),
-                   records.per_location.tolist())
-        for i, (label, t, j_star, b, lams) in enumerate(rows):
-            writer.writerow([i, label, repr(t), j_star, repr(b)]
-                            + [repr(v) for v in lams])
+        # csv writes each float as its repr
+        writer.writerows(zip(range(len(records)),
+                             records.true_label.tolist(),
+                             records.statistic.tolist(),
+                             records.chosen_location.tolist(),
+                             records.binary_statistic.tolist(),
+                             *records.per_location.T.tolist()))

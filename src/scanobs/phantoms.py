@@ -1,4 +1,4 @@
-"""Stochastic object models (lumpy, clustered-lumpy) and signal ensembles."""
+"""Stochastic object models (lumpy, clustered-lumpy) and signal specs."""
 
 from __future__ import annotations
 
@@ -125,41 +125,6 @@ def signal_grid_centers(field_of_view: tuple[int, int]) -> list[tuple[float, flo
     xs = [w / 4.0, w / 2.0, 3.0 * w / 4.0]
     ys = [h / 4.0, h / 2.0, 3.0 * h / 4.0]
     return [(xs[i % 3], ys[i // 3]) for i in range(9)]
-
-
-# Per-location width / rotation choices for the CLB task.  The assignment is a
-# deterministic round-robin over the 9 locations so that train/validation/test
-# always see identical signal images.
-_CLB_WIDTHS = (5.0, 8.0, 10.0)
-_CLB_ANGLES = (-math.pi / 4.0, 0.0, math.pi / 4.0)
-
-
-def make_signal_ensemble(kind: str, field_of_view: tuple[int, int]) -> list[SignalSpec]:
-    """Build the 9-location signal ensemble for a named task kind.
-
-    kind is one of "bke_laplacian" (amplitude 0.2, width 3), "lb_gaussian"
-    (amplitude 0.5, width 2) or "clb_poisson_gaussian" (amplitude 80, widths
-    round-robin over {5, 8, 10} and angles over {-pi/4, 0, pi/4}).
-    """
-    centers = signal_grid_centers(field_of_view)
-    specs = []
-    for i, c in enumerate(centers):
-        if kind == "bke_laplacian":
-            spec = SignalSpec(i + 1, c, amplitude=0.2, width1=3.0, width2=3.0)
-        elif kind == "lb_gaussian":
-            spec = SignalSpec(i + 1, c, amplitude=0.5, width1=2.0, width2=2.0)
-        elif kind == "clb_poisson_gaussian":
-            spec = SignalSpec(
-                i + 1, c,
-                amplitude=80.0,
-                width1=_CLB_WIDTHS[i % 3],
-                width2=_CLB_WIDTHS[(i // 3) % 3],
-                angle=_CLB_ANGLES[i % 3],
-            )
-        else:
-            raise ValueError(f"unknown task kind: {kind!r}")
-        specs.append(spec)
-    return specs
 
 
 def validate_signal_ensemble(specs: list[SignalSpec], field_of_view: tuple[int, int]):

@@ -33,6 +33,10 @@ _LEAST = {"n_train_backgrounds": 0, "n_val_per_class": 0,
           "val_period": 1, "mcmc_iterations": 1, "bootstrap_samples": 2,
           "cov_samples": 2}
 
+# The presets an observer can run on, where it cannot run on all of them
+_OBSERVER_PRESETS = {"analytic_io": ("bke_system1", "bke_system2"),
+                     "mcmc_io": ("lb",)}
+
 # Adam applies the rate to float32 parameters, so it must be a finite float32
 _LARGEST_RATE = float(np.finfo(np.float32).max)
 
@@ -67,6 +71,10 @@ class ExperimentPlan:
         for obs in self.observers:
             if obs not in OBSERVERS:
                 raise ConfigError(f"observers: unknown observer {obs!r}")
+            if self.preset not in _OBSERVER_PRESETS.get(obs, PRESETS):
+                raise ConfigError(f"observers: {obs} needs preset "
+                                  f"{' or '.join(_OBSERVER_PRESETS[obs])}, "
+                                  f"not {self.preset!r}")
         for key, least in _LEAST.items():
             if getattr(self, key) < least:
                 raise ConfigError(f"{key}: must be at least {least}, got "
@@ -305,6 +313,9 @@ def run_observers(plan: ExperimentPlan) -> list[dict]:
         raise FileNotFoundError(f"missing test set {test_path}; "
                                 "run generate first")
     images, labels = _read_split(test_path, task)
+    if len(images) == 0:
+        raise ConfigError(f"n_test_per_class: the observers need test "
+                          f"images, and {test_path} has none")
     rows = []
     for name in plan.observers:
         records = OBSERVERS[name](images, labels, task, plan)

@@ -88,21 +88,8 @@ def simulate_measurement(task: TaskConfig, label: int,
 
 def task_preset(name: str) -> TaskConfig:
     """Build one of the four named tasks with its canonical constants."""
-    if name == "bke_system1":
-        return _bke_task(prf_height=60.0, prf_width=5.0)
-    if name == "bke_system2":
-        return _bke_task(prf_height=144.0, prf_width=12.0)
-    if name == "lb":
-        grid = (64, 64)
-        return TaskConfig(
-            kind="lb_gaussian",
-            grid=grid,
-            prf=PrfSpec(height=40.0, width=1.5, grid=grid),
-            lumpy=LumpyParams(mean_count=8.0, amplitude=1.0, lump_width=7.0,
-                              field_of_view=grid),
-            noise=NoiseModel.gaussian(20.0),
-            signals=phantoms.make_signal_ensemble("lb_gaussian", grid),
-        )
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; expected one of {PRESETS}")
     if name == "clb":
         grid = (128, 128)
         return TaskConfig(
@@ -110,17 +97,35 @@ def task_preset(name: str) -> TaskConfig:
             grid=grid,
             clb=ClbParams(field_of_view=grid),
             noise=NoiseModel.poisson_gaussian(20.0),
-            signals=phantoms.make_signal_ensemble("clb_poisson_gaussian", grid),
+            signals=_signals(grid, 80.0, (5.0, 8.0, 10.0),
+                             (-np.pi / 4, 0.0, np.pi / 4)),
         )
-    raise ValueError(f"unknown preset {name!r}; expected one of {PRESETS}")
-
-
-def _bke_task(prf_height: float, prf_width: float) -> TaskConfig:
     grid = (64, 64)
+    if name == "lb":
+        return TaskConfig(
+            kind="lb_gaussian",
+            grid=grid,
+            prf=PrfSpec(height=40.0, width=1.5, grid=grid),
+            lumpy=LumpyParams(mean_count=8.0, amplitude=1.0, lump_width=7.0,
+                              field_of_view=grid),
+            noise=NoiseModel.gaussian(20.0),
+            signals=_signals(grid, 0.5, (2.0,)),
+        )
+    height, width = (60.0, 5.0) if name == "bke_system1" else (144.0, 12.0)
     return TaskConfig(
         kind="bke_laplacian",
         grid=grid,
-        prf=PrfSpec(height=prf_height, width=prf_width, grid=grid),
+        prf=PrfSpec(height=height, width=width, grid=grid),
         noise=NoiseModel.laplacian(20.0 / np.sqrt(2.0)),
-        signals=phantoms.make_signal_ensemble("bke_laplacian", grid),
+        signals=_signals(grid, 0.2, (3.0,)),
     )
+
+
+def _signals(grid, amplitude, widths, angles=(0.0,)) -> list[SignalSpec]:
+    """The nine signals at signal_grid_centers(grid), assigned round-robin
+    so that every split sees the same ensemble: location i (0-based) has
+    widths[i % n] and widths[i // 3 % n] as its two widths and
+    angles[i % m] as its angle, for n widths and m angles."""
+    return [SignalSpec(i + 1, c, amplitude, widths[i % len(widths)],
+                       widths[i // 3 % len(widths)], angles[i % len(angles)])
+            for i, c in enumerate(phantoms.signal_grid_centers(grid))]

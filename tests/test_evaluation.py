@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from helpers import lroc_trapezoid_area, reference_curve
 from scanobs.evaluation import (
     FomEstimate,
+    LrocCurve,
     alroc,
     auc,
     compare_systems,
@@ -277,3 +279,33 @@ def test_records_and_report_writers_emit_exact_text(tmp_path):
         b"hotelling,lb_gaussian,lb,0.625,0.30000000000000004,0.75,0.001,90"
         b"\r\n"
         b"mcmc_io,lb_gaussian,lb,1.0,0.0,1.0,0.0,10\r\n")
+
+
+@pytest.mark.parametrize("lam_dtype", [np.float64, np.float32])
+def test_csv_writers_write_each_float_as_its_repr(tmp_path, lam_dtype):
+    odd = [-0.0, 1e-300, 0.1 + 0.2, -1.25e-7]
+    records = Records(np.array(odd), np.array([1, 2, 1, 2]),
+                      np.array([0, 1, 2, 0]),
+                      np.array([odd, odd[::-1]], dtype=lam_dtype).T,
+                      np.array(odd[::-1]))
+    records_to_csv(tmp_path / "records.csv", records)
+    with open(tmp_path / "records.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    expected = [[repr(i), repr(int(y)), repr(float(t)), repr(int(j)),
+                 repr(float(b))] + [repr(float(v)) for v in lams]
+                for i, (y, t, j, b, lams) in enumerate(zip(
+                    records.true_label, records.statistic,
+                    records.chosen_location, records.binary_statistic,
+                    records.per_location))]
+    assert rows == expected
+
+    curve = LrocCurve(np.array([np.inf, 1e-300, -0.0, -np.inf]),
+                      np.array([0.0, 0.1 + 0.2, 0.5, 1.0]),
+                      np.array([-0.0, 1e-300, 2.0 / 3.0, 1.0]))
+    curve_to_csv(tmp_path / "curve.csv", curve)
+    with open(tmp_path / "curve.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["tau", "fpf", "pcl"]
+    assert rows[1:] == [[repr(float(v)) for v in row] for row in zip(
+        curve.thresholds, curve.fpf, curve.pcl)]
+    assert rows[1][0] == "inf" and rows[-1][0] == "-inf"

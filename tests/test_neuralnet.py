@@ -406,6 +406,16 @@ def test_adam_rejects_nonfinite_gradient():
         adam_step(state, grads, lr=1e-2)
 
 
+@pytest.mark.parametrize("overrides", [
+    {"total_minibatches": 0}, {"batch_per_class": 0}, {"val_period": 0},
+    {"val_period": -3}, {"learning_rate": 0.0}, {"learning_rate": -1e-4},
+    {"learning_rate": math.nan}, {"learning_rate": math.inf}])
+def test_schedule_rejects_out_of_range_settings(overrides):
+    key = next(iter(overrides))
+    with pytest.raises(ValueError, match=key):
+        TrainSchedule(**{"total_minibatches": 1, **overrides})
+
+
 def test_training_reduces_loss_and_logs(tmp_path):
     task = _toy_task()
     arch = Architecture(1, (2, 2), n_classes=2, filters=8, kernel=3)

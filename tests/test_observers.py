@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.sparse.linalg import LinearOperator, cg
 from scipy.special import logsumexp
 
 from helpers import records_from_csv
@@ -393,6 +394,42 @@ def test_hotelling_records_match_per_row_reference():
     rec = scanning_ho_records(imgs, labels, state)
     _assert_records_equal(rec, _reference_rows(
         rec.per_location, labels, rec.per_location.max(axis=1)))
+
+
+def _per_row_hotelling(backgrounds, signals, noise_var):
+    """build_hotelling as it was when it converted each stack row by row
+    and centred the samples into a new array."""
+    signals = np.stack([np.asarray(s, dtype=np.float64).ravel()
+                        for s in signals])
+    samples = np.stack([np.asarray(b, dtype=np.float64).ravel()
+                        for b in backgrounds])
+    mean_bg = samples.mean(axis=0)
+    centered = samples - mean_bg
+    n, m = samples.shape
+    op = LinearOperator(
+        (m, m), dtype=np.float64,
+        matvec=lambda v: centered.T @ (centered @ v) / (n - 1)
+        + noise_var * v)
+    templates = np.stack([cg(op, s, rtol=observers._CG_RTOL, atol=0.0,
+                             maxiter=10 * m)[0] for s in signals])
+    return templates, mean_bg, signals
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_hotelling_state_equals_per_row_conversion(dtype):
+    rng = np.random.default_rng(19)
+    backgrounds = rng.normal(5.0, 2.0, size=(40, 6, 7)).astype(dtype)
+    signals = rng.normal(size=(3, 6, 7)).astype(dtype)
+    kept = backgrounds.copy()
+    state = build_hotelling(backgrounds, signals, 0.5)
+    templates, mean_bg, flat_signals = _per_row_hotelling(backgrounds,
+                                                          signals, 0.5)
+    assert np.array_equal(state.templates, templates)
+    assert np.array_equal(state.mean_background, mean_bg)
+    assert np.array_equal(state.signals, flat_signals)
+    assert np.array_equal(backgrounds, kept)  # centred in a copy
+    listed = build_hotelling(list(backgrounds), list(signals), 0.5)
+    assert np.array_equal(listed.templates, templates)
 
 
 def test_mcmc_records_match_per_row_reference(tmp_path, monkeypatch):

@@ -9,12 +9,12 @@ from scanobs.phantoms import (
     ClbParams,
     LumpyParams,
     SignalSpec,
-    make_signal_ensemble,
     sample_clb,
     sample_lumpy,
     signal_grid_centers,
     validate_signal_ensemble,
 )
+from scanobs.tasks import task_preset
 
 
 def test_lumpy_mean_count():
@@ -123,26 +123,37 @@ def test_clb_angles_in_range():
 
 
 def test_bke_ensemble():
-    specs = make_signal_ensemble("bke_laplacian", (64, 64))
-    assert len(specs) == 9
-    assert sorted(s.location_index for s in specs) == list(range(1, 10))
+    for name in ("bke_system1", "bke_system2"):
+        specs = task_preset(name).signals
+        assert len(specs) == 9
+        assert sorted(s.location_index for s in specs) == list(range(1, 10))
+        for s in specs:
+            assert s.amplitude == 0.2
+            assert s.width1 == s.width2 == 3.0
+            assert s.angle == 0.0
+        centers = {s.center for s in specs}
+        assert centers == {(x, y) for x in (16, 32, 48) for y in (16, 32, 48)}
+
+
+def test_lb_ensemble():
+    specs = task_preset("lb").signals
+    assert [s.location_index for s in specs] == list(range(1, 10))
+    assert [s.center for s in specs] == signal_grid_centers((64, 64))
     for s in specs:
-        assert s.amplitude == 0.2
-        assert s.width1 == s.width2 == 3.0
+        assert s.amplitude == 0.5
+        assert s.width1 == s.width2 == 2.0
         assert s.angle == 0.0
-    centers = {s.center for s in specs}
-    assert centers == {(x, y) for x in (16, 32, 48) for y in (16, 32, 48)}
 
 
 def test_clb_ensemble_round_robin():
-    specs = make_signal_ensemble("clb_poisson_gaussian", (128, 128))
+    specs = task_preset("clb").signals
     assert len(specs) == 9
     assert all(s.amplitude == 80.0 for s in specs)
     assert {s.width1 for s in specs} == {5.0, 8.0, 10.0}
     assert {s.width2 for s in specs} == {5.0, 8.0, 10.0}
     assert {s.angle for s in specs} == {-math.pi / 4, 0.0, math.pi / 4}
     # the assignment is fixed: two calls agree exactly
-    assert specs == make_signal_ensemble("clb_poisson_gaussian", (128, 128))
+    assert specs == task_preset("clb").signals
 
 
 def test_grid_centers_scale_with_fov():
@@ -170,5 +181,5 @@ def test_ensemble_validation_errors():
         SignalSpec(1, (10.0, 10.0), 1.0, -2.0, 2.0)
     with pytest.raises(ValueError):
         LumpyParams(mean_count=0.0)
-    with pytest.raises(ValueError):
-        make_signal_ensemble("no_such_task", (64, 64))
+    with pytest.raises(ValueError, match="unknown preset 'no_such_task'"):
+        task_preset("no_such_task")

@@ -228,6 +228,36 @@ def test_cli_nonfinite_validation_loss_is_one_line_error(tmp_path, capsys):
     assert not (out / "checkpoint.bin").exists()
 
 
+@pytest.mark.parametrize("preset, observer", [
+    ("lb", "analytic_io"), ("clb", "analytic_io"), ("bke_system1", "mcmc_io"),
+    ("bke_system2", "mcmc_io"), ("clb", "mcmc_io")])
+def test_cli_observer_of_another_preset_is_one_line_error(tmp_path, capsys,
+                                                          preset, observer):
+    cfg = _write_config(tmp_path, preset=preset, observers=[observer],
+                        n_val_per_class=1, n_test_per_class=1)
+    for verb in ("generate", "train", "evaluate"):
+        assert main([verb, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: observers: {observer} needs preset ")
+        assert err.endswith(f", not {preset!r}\n") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("preset, observer", [("bke_system1", "hotelling"),
+                                              ("lb", "mcmc_io")])
+def test_cli_evaluate_empty_test_split_is_one_line_error(tmp_path, capsys,
+                                                         preset, observer):
+    cfg = _write_config(tmp_path, preset=preset, observers=[observer],
+                        n_val_per_class=0, n_test_per_class=0)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: n_test_per_class: the observers need test "
+                   f"images, and {tmp_path / 'out' / 'test.bin'} has none\n")
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
 def test_cli_config_directory_is_one_line_error(tmp_path, capsys):
     assert main(["generate", "--config", str(tmp_path)]) == 1
     err = capsys.readouterr().err
@@ -521,9 +551,13 @@ def test_run_observers_errors(tmp_path):
     with pytest.raises(FileNotFoundError):
         run_observers(plan)  # no test.bin yet
 
-    lb = ExperimentPlan("lb", tmp_path / "lb", observers=["analytic_io"],
+    with pytest.raises(ConfigError, match="^observers: analytic_io "):
+        ExperimentPlan("lb", tmp_path / "lb", observers=["analytic_io"],
+                       n_val_per_class=1, n_test_per_class=1)
+    lb = ExperimentPlan("lb", tmp_path / "lb", observers=["hotelling"],
                         n_val_per_class=1, n_test_per_class=1)
     generate_dataset(lb)
+    lb.observers = ["analytic_io"]  # a plan edited after construction
     with pytest.raises(ValueError):
         run_observers(lb)  # analytic IO needs the BKE task
 
