@@ -20,20 +20,31 @@ place, one block of images at a time, exact only for 0 <= slope <= 1; its
 derivative max(sign(out), slope) from the cached output, as out > 0 exactly
 where y > 0; and the 2x2 max-pool of four strided views, with argmax's
 first-occurrence gradient routing.
+
+Each call runs as micro-batches of one workspace block of images (4 images
+at 64x64), mapped over forked single-BLAS-thread workers (``workers``).  A
+training micro-batch returns its images' cross-entropies and its gradient
+with the logit gradient scaled by 1/B of the whole batch, and the gradients
+are summed in micro-batch order.  An inference micro-batch returns its
+pooled features, and the dense head runs here per inference chunk, so the
+posteriors have the bits of a whole-chunk pass.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import workers
 from .imaging import apply_noise
 from .observers import Records, records_from_statistics
 from .rng import stream, substream
@@ -132,6 +143,13 @@ _PIXELS = 16384
 def _images_per_block(x):
     b, h, w = x.shape[:3]
     return min(b, max(1, _PIXELS // (h * w)))
+
+
+def _micro_batches(n, shape):
+    """Slices of n images of shape (h, w), one workspace block each: the
+    micro-batches of a call, whose blocks are those of _padded_blocks."""
+    nb = max(1, _PIXELS // math.prod(shape))
+    return [slice(i, i + nb) for i in range(0, n, nb)]
 
 
 def _view(buf, *shape):
@@ -244,9 +262,12 @@ def _forward_batch(x, state: NetworkState, keep_cache: bool):
             acts.append(a)
     pooled = _pool_forward(a)
     flat = pooled.transpose(0, 3, 1, 2).reshape(len(x), -1)
-    wd, bd = state.params[-2], state.params[-1]
-    logits = flat @ wd.T + bd
-    return logits, (acts, pooled, flat) if keep_cache else None
+    return flat, (acts, pooled, flat) if keep_cache else None
+
+
+def _head(flat, state: NetworkState):
+    """Dense-layer logits of the flattened pooled features."""
+    return flat @ state.params[-2].T + state.params[-1]
 
 
 def _backward_batch(dlogits, cache, state: NetworkState):
@@ -277,6 +298,37 @@ def _prepare_input(images, state: NetworkState):
     return ((x - state.input_mean) / state.input_std).astype(dtype)
 
 
+# The state whose weights the workers read without their being sent: set
+# before a pool forks, so its workers inherit it.  In train() its weights
+# live in a shared mapping that Adam updates in place, so the workers of its
+# pool see each step's weights.
+_inherited = None
+
+
+@contextlib.contextmanager
+def _task_map(state: NetworkState, tasks: int):
+    """workers.task_map for tasks on state, with what each task carries of
+    state: None where the workers inherit it, which the outermost scope
+    arranges, else the state without its Adam moments."""
+    global _inherited
+    outermost = _inherited is None
+    if outermost:
+        _inherited = state
+    try:
+        with workers.task_map(tasks) as tasks_map:
+            yield tasks_map, (None if state is _inherited
+                              else replace(state, m=[], v=[]))
+    finally:
+        if outermost:
+            _inherited = None
+
+
+def _features(images, state):
+    """Pooled features of one inference micro-batch, run in a worker."""
+    state = _inherited if state is None else state
+    return _forward_batch(_prepare_input(images, state), state, False)[0]
+
+
 # Images per inference chunk, for posteriors and the validation loss alike
 _CHUNK = 256
 
@@ -284,14 +336,19 @@ _CHUNK = 256
 def forward_posteriors(images, state: NetworkState) -> np.ndarray:
     """Batched posteriors for a stack of images, shape (N, J+1)."""
     images = np.asarray(images)
-    if images.shape[1:] != state.arch.input_shape:
+    shape = state.arch.input_shape
+    if images.shape[1:] != shape:
         raise ValueError(f"image shape {images.shape[1:]} does not match "
-                         f"architecture input {state.arch.input_shape}")
+                         f"architecture input {shape}")
+    chunks = [images[i:i + _CHUNK] for i in range(0, len(images), _CHUNK)]
+    parts = [_micro_batches(len(chunk), shape) for chunk in chunks]
+    blocks = [chunk[s] for chunk, ss in zip(chunks, parts) for s in ss]
     out = []
-    for i in range(0, len(images), _CHUNK):
-        logits, _ = _forward_batch(_prepare_input(images[i:i + _CHUNK], state),
-                                   state, False)
-        out.append(softmax(logits))
+    with _task_map(state, len(blocks)) as (tasks, net):
+        features = tasks(_features, blocks, repeat(net))
+        for ss in parts:
+            flat = np.concatenate(list(islice(features, len(ss))))
+            out.append(softmax(_head(flat, state)))
     return np.concatenate(out)
 
 
@@ -301,26 +358,43 @@ def _cross_entropy(probs, labels):
     return -np.log(sel + 1e-300)
 
 
-def loss_and_gradient(images, labels, state: NetworkState):
-    """Mean cross-entropy over the batch and its gradient w.r.t. all params.
+def _micro_batch_gradient(images, labels, state, batch: int):
+    """Per-image cross-entropies of one training micro-batch and its
+    gradient, with the logit gradient per sample (softmax(z) - onehot(y))
+    / batch; run in a worker."""
+    state = _inherited if state is None else state
+    flat, cache = _forward_batch(_prepare_input(images, state), state, True)
+    logits = _head(flat, state)
+    probs = softmax(logits)
+    dlogits = probs.astype(logits.dtype)
+    dlogits[np.arange(len(labels)), labels] -= 1.0
+    dlogits /= batch
+    return (_cross_entropy(probs, labels),
+            _backward_batch(dlogits, cache, state))
 
-    The logit gradient per sample is (softmax(z) - onehot(y)) / batch_size.
-    """
-    labels = np.asarray(labels)
+
+def loss_and_gradient(images, labels, state: NetworkState):
+    """Mean cross-entropy over the batch and its gradient w.r.t. all params,
+    the micro-batch gradients summed in micro-batch order as they arrive."""
+    images, labels = np.asarray(images), np.asarray(labels)
     if len(labels) == 0:
         raise ValueError("empty batch")
     if labels.min() < 0 or labels.max() >= state.arch.n_classes:
         raise ValueError("label out of range")
-    x = _prepare_input(images, state)
-    logits, cache = _forward_batch(x, state, True)
-    probs = softmax(logits)
-    n = len(labels)
-    loss = float(_cross_entropy(probs, labels).mean())
-    dlogits = probs.astype(logits.dtype)
-    dlogits[np.arange(n), labels] -= 1.0
-    dlogits /= n
-    grads = _backward_batch(dlogits, cache, state)
-    return loss, grads
+    parts = _micro_batches(len(labels), state.arch.input_shape)
+    losses, grads = [], None
+    with _task_map(state, len(parts)) as (tasks, net):
+        for loss, part in tasks(_micro_batch_gradient,
+                                (images[s] for s in parts),
+                                (labels[s] for s in parts),
+                                repeat(net), repeat(len(labels))):
+            losses.append(loss)
+            if grads is None:
+                grads = part
+            else:
+                for total, g in zip(grads, part):
+                    total += g
+    return float(np.concatenate(losses).mean()), grads
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +524,13 @@ def train(arch: Architecture, task, backgrounds, schedule: TrainSchedule,
     best_state = validated = state.copy()
     best_val = np.inf
     history = []
-    # non-finite values raise TrainingDiverged; numpy's warnings add nothing
-    with open(log_path, "w") as log, np.errstate(all="ignore"):
+    step_parts = _micro_batches(schedule.batch_per_class * (task.J + 1),
+                                state.arch.input_shape)
+    state.params = workers.shared_copies(state.params)  # see _inherited
+    # non-finite values raise TrainingDiverged; numpy's warnings add nothing.
+    # The steps and validations share one pool of workers.
+    with open(log_path, "w") as log, np.errstate(all="ignore"), \
+            _task_map(state, len(step_parts)):
         log.write("step,train_loss,val_loss\n")
         for step in range(state.step, schedule.total_minibatches):
             rng = substream(schedule.seed, "train-step", step)

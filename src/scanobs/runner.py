@@ -4,7 +4,6 @@ execution, and network training."""
 from __future__ import annotations
 
 import csv
-import ctypes
 import hashlib
 import json
 import os
@@ -15,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, neuralnet, observers
+from . import evaluation, neuralnet, observers, workers
 from .dataset import DatasetWriter, read_dataset
 from .mcmc import McmcConfig, mcmc_io_record
 from .neuralnet import Architecture, TrainSchedule, TrainingDiverged
@@ -242,22 +241,6 @@ def _hotelling_records(images, labels, task, plan):
     return observers.scanning_ho_records(images, labels, state)
 
 
-def _one_blas_thread():
-    """Set the OpenBLAS that numpy loaded to one thread; does nothing where
-    no such library or setter is found.  Pool workers call it, so that two
-    workers do not crowd each other with spinning BLAS threads."""
-    with open("/proc/self/maps") as fh:
-        libs = {line.split(None, 5)[5].strip() for line in fh
-                if "openblas" in line}
-    for lib in map(ctypes.CDLL, libs):
-        for name in ("scipy_openblas_set_num_threads64_",
-                     "openblas_set_num_threads"):
-            if hasattr(lib, name):
-                setter = getattr(lib, name)
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-
-
 def _mcmc_chain(g, task, cfg, rng, label):
     """One chain's one-row records, run in a pool worker.  The pool sends
     this function by name, and it looks mcmc_io_record up here when called,
@@ -273,16 +256,9 @@ def _mcmc_records(images, labels, task, plan):
     cfg = McmcConfig(
         iterations=plan.mcmc_iterations,
         burn_in=None if plan.mcmc_burn_in < 0 else plan.mcmc_burn_in)
-    # imported here, so that a process that runs no chain does not load
-    # the pool machinery (about 2 MB)
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    chains = len(images)
-    rngs = (substream(plan.seed, "mcmc-chain", i) for i in range(chains))
-    with ProcessPoolExecutor(min(chains, len(os.sched_getaffinity(0))),
-                             get_context("fork"),
-                             initializer=_one_blas_thread) as pool:
+    rngs = (substream(plan.seed, "mcmc-chain", i)
+            for i in range(len(images)))
+    with workers.fork_pool(len(images)) as pool:
         return observers.Records.concatenate(list(pool.map(
             _mcmc_chain, images, repeat(task), repeat(cfg), rngs, labels)))
 

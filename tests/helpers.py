@@ -286,7 +286,10 @@ def _reference_backward_batch(dlogits, cache, state):
 
 def reference_channels_last(images, labels, state):
     """(posteriors, mean cross-entropy, gradients) as forward_posteriors and
-    loss_and_gradient compute them, with the reference passes."""
+    loss_and_gradient compute them, with the reference passes: the training
+    passes run per micro-batch of one workspace block of images, with the
+    logit gradient scaled by 1/B of the whole batch, and their gradients
+    are summed in micro-batch order."""
     probs = np.concatenate([
         neuralnet.softmax(_reference_forward_batch(
             neuralnet._prepare_input(images[i:i + neuralnet._CHUNK], state),
@@ -294,14 +297,21 @@ def reference_channels_last(images, labels, state):
         for i in range(0, len(images), neuralnet._CHUNK)])
     labels = np.asarray(labels)
     n = len(labels)
-    logits, cache = _reference_forward_batch(
-        neuralnet._prepare_input(images, state), state, True)
-    batch_probs = neuralnet.softmax(logits)
-    loss = float(neuralnet._cross_entropy(batch_probs, labels).mean())
-    dlogits = batch_probs.astype(logits.dtype)
-    dlogits[np.arange(n), labels] -= 1.0
-    dlogits /= n
-    return probs, loss, _reference_backward_batch(dlogits, cache, state)
+    nb = neuralnet._images_per_block(images)
+    losses, grads = [], None
+    for i in range(0, n, nb):
+        part = labels[i:i + nb]
+        logits, cache = _reference_forward_batch(
+            neuralnet._prepare_input(images[i:i + nb], state), state, True)
+        batch_probs = neuralnet.softmax(logits)
+        losses.append(neuralnet._cross_entropy(batch_probs, part))
+        dlogits = batch_probs.astype(logits.dtype)
+        dlogits[np.arange(len(part)), part] -= 1.0
+        dlogits /= n
+        block = _reference_backward_batch(dlogits, cache, state)
+        grads = block if grads is None else [
+            g + b for g, b in zip(grads, block)]
+    return probs, float(np.concatenate(losses).mean()), grads
 
 
 # ---------------------------------------------------------------------------

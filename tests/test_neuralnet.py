@@ -1,5 +1,13 @@
+import concurrent.futures
 import math
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
+from textwrap import dedent
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +24,7 @@ from helpers import (
     reference_validation_loss,
     write_malformed_checkpoint,
 )
+from scanobs import workers
 from scanobs.imaging import NoiseModel
 from scanobs.neuralnet import (
     Architecture,
@@ -639,3 +648,225 @@ def test_compose_batch_is_balanced_with_fresh_noise():
     again, _ = nn._compose_batch(task, bgs, 5, rng)
     assert not np.array_equal(images, again)
 
+
+# ---------------------------------------------------------------------------
+# micro-batches in forked single-BLAS-thread workers
+
+# 64x64 images are 4 to a workspace block, so a batch of 5 per class of the
+# two-class _pool_task is 3 micro-batches, of 4, 4 and 2 images
+_POOL_ARCH = Architecture(1, (64, 64), n_classes=2, filters=2, kernel=3)
+_POOL_SCHEDULE = TrainSchedule(total_minibatches=3, batch_per_class=5,
+                               learning_rate=1e-2, val_period=1, seed=41)
+
+
+def _pool_task():
+    return TaskConfig(kind="custom", grid=(64, 64),
+                      noise=NoiseModel.gaussian(1.0),
+                      signals=[SignalSpec(1, (32.0, 32.0), 1.5, 4.0, 4.0)])
+
+
+def _pool_split(n, seed):
+    images = np.random.default_rng(seed).normal(size=(n, 64, 64))
+    return images.astype(np.float32), np.arange(n) % 2
+
+
+def _usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _count_pools(monkeypatch):
+    """The worker count of each pool made from here on."""
+    pools = []
+    executor = concurrent.futures.ProcessPoolExecutor
+
+    def counted(workers, *args, **kwargs):
+        pools.append(workers)
+        return executor(workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+    return pools
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+def test_micro_batched_gradient_matches_whole_batch(parts):
+    # the gradients summed over micro-batches against one whole-batch pass
+    arch = Architecture(2, (32, 32), n_classes=3, filters=4, kernel=5)
+    state = init_state(arch, seed=48, dtype=np.float64)
+    rng = np.random.default_rng(49)
+    for p in state.params[1::2]:
+        p += rng.normal(scale=0.1, size=p.shape)   # non-zero biases
+    state.input_mean, state.input_std = 0.3, 1.7
+    batch = (parts - 1) * nn._PIXELS // (32 * 32) + 5
+    assert len(nn._micro_batches(batch, arch.input_shape)) == parts
+    images = rng.normal(size=(batch, 32, 32))
+    labels = rng.integers(0, arch.n_classes, size=batch)
+    losses, whole = nn._micro_batch_gradient(images, labels, state, batch)
+    loss, grads = loss_and_gradient(images, labels, state)
+    assert loss == pytest.approx(float(losses.mean()), rel=1e-12)
+    for g, g_ref in zip(grads, whole):
+        assert g.dtype == g_ref.dtype == np.float64
+        _assert_close(g, g_ref)
+
+
+def _stdout_at_blas_threads(code):
+    """The output of a Python snippet run at OPENBLAS_NUM_THREADS=1 and 2."""
+    src = str(Path(nn.__file__).resolve().parents[1])
+    found = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        found.append(subprocess.run(
+            [sys.executable, "-c", dedent(code)], env=env, check=True,
+            capture_output=True, text=True, timeout=300).stdout)
+    return found
+
+
+def test_gradient_bytes_do_not_depend_on_blas_threads():
+    # one 13-image block of a 32-filter 6x10 net: at two threads, its
+    # (160 x 780) @ (780 x 32) layer-1 weight-gradient GEMM rounds otherwise
+    one, two = _stdout_at_blas_threads("""
+        import hashlib
+        import numpy as np
+        from scanobs import neuralnet as nn
+        state = nn.init_state(nn.Architecture(2, (6, 10)), seed=50)
+        images = np.random.default_rng(51).normal(size=(13, 6, 10))
+        loss, grads = nn.loss_and_gradient(images.astype(np.float32),
+                                           np.arange(13) % 10, state)
+        print(float(loss).hex(),
+              *(hashlib.sha256(g.tobytes()).hexdigest() for g in grads))
+        """)
+    assert one == two
+
+
+def test_one_filter_posterior_bytes_do_not_depend_on_blas_threads():
+    # a one-filter conv is a one-column product, an OpenBLAS GEMV; 300
+    # images are two inference chunks of 4 and 1 micro-batches
+    one, two = _stdout_at_blas_threads("""
+        import hashlib
+        import numpy as np
+        from scanobs import neuralnet as nn
+        arch = nn.Architecture(2, (16, 16), n_classes=3, filters=1)
+        state = nn.init_state(arch, seed=52)
+        images = np.random.default_rng(53).normal(size=(300, 16, 16))
+        probs = nn.forward_posteriors(images.astype(np.float32), state)
+        print(hashlib.sha256(probs.tobytes()).hexdigest())
+        """)
+    assert one == two
+
+
+def test_training_does_not_depend_on_usable_cpus(tmp_path, monkeypatch):
+    task = _pool_task()
+    val_images, val_labels = _pool_split(10, 42)
+    pools = _count_pools(monkeypatch)
+    results = []
+    for cpus in (1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        results.append(train(_POOL_ARCH, task, None, _POOL_SCHEDULE,
+                             val_images, val_labels,
+                             tmp_path / f"log{cpus}.csv"))
+    # in-process at one CPU; at two, one pool for the steps and validations
+    assert pools == [2]
+    one, two = results
+    assert one.history == two.history and len(one.history) == 3
+    for a, b in zip(one.final_state.params + one.final_state.m
+                    + one.final_state.v + one.best_state.params,
+                    two.final_state.params + two.final_state.m
+                    + two.final_state.v + two.best_state.params):
+        assert np.array_equal(a, b)
+    assert (tmp_path / "log1.csv").read_bytes() == \
+        (tmp_path / "log2.csv").read_bytes()
+
+
+def test_cnn_workers_run_one_blas_thread(monkeypatch):
+    if not workers._openblas():
+        pytest.skip("numpy did not load an OpenBLAS with a thread getter")
+    threads = workers._openblas()[0][1]
+    before = threads()
+    # each image's loss reports the thread count of the process computing it
+    monkeypatch.setattr(nn, "_cross_entropy", lambda probs, labels: np.full(
+        len(labels), float(threads())))
+    _usable_cpus(monkeypatch, 2)
+    pools = _count_pools(monkeypatch)
+    state = init_state(_POOL_ARCH, seed=43)
+    images, labels = _pool_split(10, 44)
+    for n, made in ((10, [2]), (3, [])):  # three micro-batches, then one
+        pools.clear()
+        loss, _ = loss_and_gradient(images[:n], labels[:n], state)
+        assert loss == 1.0 and pools == made
+        assert threads() == before
+
+
+def test_dead_cnn_worker_fails_fast(monkeypatch):
+    parent = os.getpid()
+    forward = nn._forward_batch
+
+    def dies_in_a_worker(x, state, keep_cache):
+        if os.getpid() != parent:
+            os._exit(1)
+        return forward(x, state, keep_cache)
+
+    def hung(signum, frame):
+        raise TimeoutError("the pool hung after a worker died")
+
+    monkeypatch.setattr(nn, "_forward_batch", dies_in_a_worker)
+    _usable_cpus(monkeypatch, 2)
+    state = init_state(_POOL_ARCH, seed=45)
+    images, labels = _pool_split(10, 46)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(120)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            loss_and_gradient(images, labels, state)
+        with pytest.raises(BrokenProcessPool):
+            forward_posteriors(images, state)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_nonfinite_micro_batch_gradient_diverges_before_update(tmp_path,
+                                                               monkeypatch):
+    task = _pool_task()
+    val_images, val_labels = _pool_split(4, 47)
+    _usable_cpus(monkeypatch, 2)
+    two_steps = TrainSchedule(total_minibatches=2, batch_per_class=5,
+                              learning_rate=1e-2, val_period=1, seed=41)
+    start = train(_POOL_ARCH, task, None, two_steps, val_images, val_labels,
+                  tmp_path / "log.csv").final_state
+    before = start.copy()
+    backward = nn._backward_batch
+
+    def nan_in_last_micro_batch(dlogits, cache, state):
+        grads = backward(dlogits, cache, state)
+        if len(dlogits) == 2:  # the 2-image micro-batch of each step
+            grads[0][...] = np.nan
+        return grads
+
+    monkeypatch.setattr(nn, "_backward_batch", nan_in_last_micro_batch)
+    with pytest.raises(TrainingDiverged,
+                       match="non-finite gradient at step 2") as exc:
+        train(_POOL_ARCH, task, None, _POOL_SCHEDULE, val_images, val_labels,
+              tmp_path / "log.csv", start_state=start)
+    assert exc.value.state.step == 2
+    for a, b in zip(exc.value.state.params + exc.value.state.m
+                    + exc.value.state.v, before.params + before.m + before.v):
+        assert np.array_equal(a, b)
+
+
+def test_call_on_another_state_in_an_open_pool_sends_its_weights(
+        monkeypatch):
+    # the workers of an open pool inherited the scope's state; a call on
+    # any other state must carry that state's weights to them
+    _usable_cpus(monkeypatch, 2)
+    pools = _count_pools(monkeypatch)
+    images, _ = _pool_split(10, 54)
+    scope, other = init_state(_POOL_ARCH, seed=55), init_state(_POOL_ARCH,
+                                                                 seed=56)
+    expected = forward_posteriors(images, other)
+    pools.clear()
+    with nn._task_map(scope, 3):
+        found = forward_posteriors(images, other)
+        assert np.array_equal(forward_posteriors(images, scope),
+                              forward_posteriors(images, scope.copy()))
+    assert pools == [2] and np.array_equal(found, expected)
