@@ -4,7 +4,7 @@ File layout: a fixed 64-byte header followed by per-record data.
 
     header: magic "SCANOBS1" (8 bytes), version u32, image count u64,
             width u32, height u32, J u32, zero padding to 64 bytes
-    record: label u8, then width*height little-endian float32 pixels
+    record: label u8 in 0..J, then width*height little-endian float32 pixels
             (row-major)
 """
 
@@ -76,6 +76,10 @@ def read_dataset(path):
         raise ValueError(f"{path}: truncated file")
     body = body.reshape(count, rec)
     labels = body[:, 0].copy()
+    bad = np.flatnonzero(labels > n_loc)
+    if len(bad):
+        raise ValueError(f"{path}: record {bad[0]} has label "
+                         f"{labels[bad[0]]}, above J = {n_loc}")
     images = body[:, 1:].copy().view("<f4").reshape(count, height, width)
     meta = {"count": count, "width": width, "height": height,
             "n_locations": n_loc}

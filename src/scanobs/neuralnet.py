@@ -7,27 +7,26 @@ and backward passes are implemented explicitly in numpy; no autodiff
 framework is used.
 
 Activations are channels-last, (B, H, W, C).  One convolution primitive,
-``_conv``, serves the forward pass and the input gradient: per block of
-images it copies the k*C windows of each padded row once into a workspace
-whose rows kh..kh+H-1 are the band of kernel row kh, multiplied in place by
-that row's (k*C, F) weights (a band GEMM of the kn2row/kn2col family).  The
-weight gradient slides one band matrix down the rows.  The pooled map is
-flattened in (C, h, w) order, so the dense weights and the checkpoint
-format do not depend on the activation layout.
+``_conv``, serves the forward pass and the input gradient: it takes one
+micro-batch of images whole and copies the k*C windows of each padded row
+once into a workspace whose rows kh..kh+H-1 are the band of kernel row kh,
+multiplied in place by that row's (k*C, F) weights (a band GEMM of the
+kn2row/kn2col family).  The weight gradient slides one band matrix down the
+rows.  The pooled map is flattened in (C, h, w) order, so the dense weights
+and the checkpoint format do not depend on the activation layout.
 
 The rest is exact elementwise numpy: the leaky ReLU max(y, slope * y) in
-place, one block of images at a time, exact only for 0 <= slope <= 1; its
-derivative max(sign(out), slope) from the cached output, as out > 0 exactly
-where y > 0; and the 2x2 max-pool of four strided views, with argmax's
-first-occurrence gradient routing.
+place, exact only for 0 <= slope <= 1; its derivative max(sign(out), slope)
+from the cached output, as out > 0 exactly where y > 0; and the 2x2 max-pool
+of four strided views, with argmax's first-occurrence gradient routing.
 
-Each call runs as micro-batches of one workspace block of images (4 images
-at 64x64), mapped over forked single-BLAS-thread workers (``workers``).  A
-training micro-batch returns its images' cross-entropies and its gradient
-with the logit gradient scaled by 1/B of the whole batch, and the gradients
-are summed in micro-batch order.  An inference micro-batch returns its
-pooled features, and the dense head runs here per inference chunk, so the
-posteriors have the bits of a whole-chunk pass.
+Each call runs as micro-batches of 16384 pixels (4 images at 64x64), which
+every convolution takes whole, mapped over forked single-BLAS-thread workers
+(``workers``).  A training micro-batch returns its images' cross-entropies
+and its gradient with the logit gradient scaled by 1/B of the whole batch,
+and the gradients are summed in micro-batch order.  An inference micro-batch
+returns its pooled features, and the dense head runs here per inference
+chunk, so the posteriors have the bits of a whole-chunk pass.
 """
 
 from __future__ import annotations
@@ -133,62 +132,44 @@ def init_state(arch: Architecture, seed: int = 0,
 # ---------------------------------------------------------------------------
 # primitive layers
 
-# Pixels per workspace block: at 64x64 a block is 4 images, whose row
+# Pixels per micro-batch: at 64x64 a micro-batch is 4 images, whose row
 # windows in a 32-channel 5x5 layer take 68 x 4 x 64 x 160 floats (11 MB),
 # and the weight gradient's band matrix 4 x 64 x 64 x 160 (10 MB); small
-# images share one block.
+# images share one micro-batch.
 _PIXELS = 16384
 
 
-def _images_per_block(x):
-    b, h, w = x.shape[:3]
-    return min(b, max(1, _PIXELS // (h * w)))
-
-
 def _micro_batches(n, shape):
-    """Slices of n images of shape (h, w), one workspace block each: the
-    micro-batches of a call, whose blocks are those of _padded_blocks."""
+    """Slices of n images of shape (h, w), of at most _PIXELS pixels (or one
+    image) each: the micro-batches of a call, which the convolutions take
+    whole."""
     nb = max(1, _PIXELS // math.prod(shape))
     return [slice(i, i + nb) for i in range(0, n, nb)]
 
 
-def _view(buf, *shape):
-    """The leading elements of a flat workspace as a contiguous array."""
-    return buf[:math.prod(shape)].reshape(shape)
-
-
-def _padded_blocks(x, k):
-    """Yields (start, count, win) per block of images of channels-last x
-    (B, H, W, C): win (count, H+2p, W, k, C) is the view win[b, yp, x] =
-    xp[b, yp, x:x+k, :] of the zero-padded block xp, which is reused."""
+def _padded_windows(x, k):
+    """The view win[b, yp, x] = xp[b, yp, x:x+k, :], shape (B, H+2p, W, k,
+    C), of the zero-padded copy xp of channels-last x (B, H, W, C)."""
     b, h, w, c = x.shape
     p = k // 2
-    nb = _images_per_block(x)
-    xp = np.zeros((nb, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
-    for i in range(0, b, nb):
-        n = min(nb, b - i)
-        xp[:n, p:p + h, p:p + w] = x[i:i + n]
-        yield i, n, sliding_window_view(xp[:n], k, axis=2).swapaxes(-1, -2)
+    xp = np.zeros((b, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
+    xp[:, p:p + h, p:p + w] = x
+    return sliding_window_view(xp, k, axis=2).swapaxes(-1, -2)
 
 
 def _conv(x, w, out):
-    """Add the same-padded correlation of x (B, H, W, C) with w (F, C, k, k)
-    into out (B, H, W, F); returns out."""
+    """Add the same-padded correlation of x (B, H, W, C), one micro-batch
+    taken whole, with w (F, C, k, k) into out (B, H, W, F); returns out."""
     f, c, k, _ = w.shape
-    h, wd = x.shape[1:3]
+    n, h, wd = x.shape[:3]
     bands = w.transpose(2, 3, 1, 0).reshape(k, k * c, f)
-    nb = _images_per_block(x)
-    rows = np.empty((h + k - 1) * nb * wd * k * c, dtype=x.dtype)
-    prod = np.empty(h * nb * wd * f, dtype=out.dtype)
-    for i, n, win in _padded_blocks(x, k):
-        # one copy of the windows, images interleaved: rows[kh:kh+H] is the
-        # band of kernel row kh as one (H*n*W, k*C) matrix in (y, b, x) order
-        r = _view(rows, h + k - 1, n, wd, k, c)
-        np.copyto(r, win.swapaxes(0, 1))
-        yxf = _view(prod, h * n * wd, f)
-        for kh in range(k):
-            np.matmul(r[kh:kh + h].reshape(-1, k * c), bands[kh], out=yxf)
-            out[i:i + n] += yxf.reshape(h, n, wd, f).swapaxes(0, 1)
+    # one copy of the windows, images interleaved: rows[kh:kh+H] is the
+    # band of kernel row kh as one (H*B*W, k*C) matrix in (y, b, x) order
+    rows = _padded_windows(x, k).swapaxes(0, 1).copy()
+    yxf = np.empty((h * n * wd, f), dtype=out.dtype)
+    for kh in range(k):
+        np.matmul(rows[kh:kh + h].reshape(-1, k * c), bands[kh], out=yxf)
+        out += yxf.reshape(h, n, wd, f).swapaxes(0, 1)
     return out
 
 
@@ -196,19 +177,18 @@ def _conv_weight_grad(x, dy, k):
     """Gradient of sum(dy * _conv(x, w)) w.r.t. w, shape (F, C, k, k).
     Kernel row kh+1's band is kh's moved up one row in each image (a 1-D
     overlapping assignment: a memmove, no temporary) and a new bottom row."""
-    h, w, c = x.shape[1:]
+    n, h, w, c = x.shape
     f = dy.shape[-1]
+    win = _padded_windows(x, k)
+    band = win[:, :h].copy()
+    # += into zeros, not =: a GEMM's -0.0 sums to +0.0, as in the reference
     dbands = np.zeros((k, k * c, f), dtype=dy.dtype)
-    cols = np.empty((_images_per_block(x), h, w, k, c), dtype=x.dtype)
-    for i, n, win in _padded_blocks(x, k):
-        band = cols[:n]
-        band[...] = win[:, :h]
-        for kh in range(k):
-            if kh:
-                for img in band.reshape(n, -1):
-                    img[:-w * k * c] = img[w * k * c:]
-                band[:, -1] = win[:, h - 1 + kh]
-            dbands[kh] += band.reshape(-1, k * c).T @ dy[i:i + n].reshape(-1, f)
+    for kh in range(k):
+        if kh:
+            for img in band.reshape(n, -1):
+                img[:-w * k * c] = img[w * k * c:]
+            band[:, -1] = win[:, h - 1 + kh]
+        dbands[kh] += band.reshape(-1, k * c).T @ dy.reshape(-1, f)
     return np.ascontiguousarray(
         dbands.reshape(k, k, c, f).transpose(3, 2, 0, 1))
 
@@ -253,10 +233,7 @@ def _forward_batch(x, state: NetworkState, keep_cache: bool):
         y = np.empty(a.shape[:3] + b.shape, dtype=a.dtype)
         y[...] = b
         _conv(a, w, y)
-        nb = _images_per_block(y)
-        for j in range(0, len(y), nb):  # no whole-batch slope * y temporary
-            yj = y[j:j + nb]
-            np.maximum(yj, arch.leaky_slope * yj, out=yj)
+        np.maximum(y, arch.leaky_slope * y, out=y)
         a = y
         if keep_cache:
             acts.append(a)

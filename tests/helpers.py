@@ -177,13 +177,19 @@ def reference_loss_and_gradient(images, labels, state):
 # gather of every pixel's k*C window into a (count*H*W, k*C) band matrix and
 # one band GEMM; the rows of a block sum in kernel-row order
 
+def _images_per_block(x):
+    """Images of x (B, H, W, ...) per block: those of one micro-batch."""
+    b, h, w = x.shape[:3]
+    return min(b, max(1, neuralnet._PIXELS // (h * w)))
+
+
 def _band_blocks(x, k):
     """Yields (start, count, kh, cols) per block of images and kernel row
     kh; row r of cols (count*H*W, k*C) is the zero-padded window
     x[b, y+kh-p, x-p:x+p+1, :] of output pixel r.  cols is reused."""
     b, h, w, c = x.shape
     p = k // 2
-    nb = neuralnet._images_per_block(x)
+    nb = _images_per_block(x)
     xp = np.zeros((nb, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
     cols = np.empty((nb, h, w, k, c), dtype=x.dtype)
     for i in range(0, b, nb):
@@ -200,7 +206,7 @@ def reference_band_conv(x, w, out):
     into out (B, H, W, F); returns out."""
     f, c, k, _ = w.shape
     bands = w.transpose(2, 3, 1, 0).reshape(k, k * c, f)
-    prod = np.empty((neuralnet._images_per_block(x),) + out.shape[1:],
+    prod = np.empty((_images_per_block(x),) + out.shape[1:],
                     dtype=out.dtype)
     for i, n, kh, cols in _band_blocks(x, k):
         np.matmul(cols, bands[kh], out=prod[:n].reshape(len(cols), f))
@@ -287,7 +293,7 @@ def _reference_backward_batch(dlogits, cache, state):
 def reference_channels_last(images, labels, state):
     """(posteriors, mean cross-entropy, gradients) as forward_posteriors and
     loss_and_gradient compute them, with the reference passes: the training
-    passes run per micro-batch of one workspace block of images, with the
+    passes run per micro-batch of one block of images, with the
     logit gradient scaled by 1/B of the whole batch, and their gradients
     are summed in micro-batch order."""
     probs = np.concatenate([
@@ -297,7 +303,7 @@ def reference_channels_last(images, labels, state):
         for i in range(0, len(images), neuralnet._CHUNK)])
     labels = np.asarray(labels)
     n = len(labels)
-    nb = neuralnet._images_per_block(images)
+    nb = _images_per_block(images)
     losses, grads = [], None
     for i in range(0, n, nb):
         part = labels[i:i + nb]

@@ -58,6 +58,18 @@ def test_read_rejects_truncated_header(tmp_path):
         read_dataset(path)
 
 
+def test_read_rejects_label_above_j(tmp_path):
+    path = tmp_path / "labels.bin"
+    write_dataset(path, np.zeros((4, 2, 3), dtype=np.float32), [0, 1, 2, 2])
+    assert read_dataset(path)[2]["n_locations"] == 2
+    raw = bytearray(path.read_bytes())
+    raw[HEADER_SIZE + 2 * (1 + 4 * 6)] = 3  # record 2's label, above J = 2
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as exc:
+        read_dataset(path)
+    assert str(exc.value) == f"{path}: record 2 has label 3, above J = 2"
+
+
 def test_image_csv_export(tmp_path):
     img = np.arange(12, dtype=np.float32).reshape(3, 4) / 7.0
     path = tmp_path / "img.csv"

@@ -127,8 +127,7 @@ def _assert_close(actual, reference):
 @pytest.mark.parametrize("k", [3, 5])
 @pytest.mark.parametrize("c", [1, 3])
 def test_conv_matches_einsum_reference(k, c):
-    # H != W, and a batch of one full workspace block plus a partial
-    # second block of 3 images
+    # H != W, and a batch of one micro-batch of images and 3 more
     h, w, f = 6, 10, 4
     batch = nn._PIXELS // (h * w) + 3
     rng = np.random.default_rng(100 + 10 * k + c)
@@ -136,7 +135,6 @@ def test_conv_matches_einsum_reference(k, c):
     wt = rng.normal(size=(f, c, k, k))
     b = rng.normal(size=f)
     dy = rng.normal(size=(batch, f, h, w))
-    assert nn._images_per_block(_channels_last(x)) < batch
     y = nn._conv(_channels_last(x), wt, np.broadcast_to(b, (batch, h, w, f))
                  .copy())
     _assert_close(_channels_first(y), reference_conv_forward(x, wt, b))
@@ -149,7 +147,7 @@ def test_conv_matches_einsum_reference(k, c):
     _assert_close(_channels_first(dx), dx_ref)
 
 
-# (whole workspace blocks, further images) per batch
+# (whole micro-batches, further images) per batch
 _BATCHES = {"one image": (0, 1), "one block": (1, 0), "a block and 3": (1, 3),
             "a block and 1": (1, 1)}
 
@@ -159,11 +157,13 @@ _BATCHES = {"one image": (0, 1), "one block": (1, 0), "a block and 3": (1, 3),
 @pytest.mark.parametrize("c", [1, 3, 32])
 @pytest.mark.parametrize("batch", list(_BATCHES))
 def test_conv_equals_band_copy_reference(dtype, k, c, batch):
-    # the row-window convolutions keep each output's products and sums in
-    # the order of the band copies: the same bits, for whole and partial
-    # blocks, in the forward pass and both gradients.  (With F = 4 the
-    # input gradient into C = 1 is a GEMV of K = 4k; past K of about 30 a
-    # GEMV's bits follow the BLAS thread count, at the band copies too.)
+    # the row-window convolutions, one call per micro-batch, keep each
+    # output's products and sums in the order of the band copies: the same
+    # bits, for whole and partial micro-batches, in the forward pass and
+    # both gradients, the weight gradients summed in micro-batch order.
+    # (With F = 4 the input gradient into C = 1 is a GEMV of K = 4k; past K
+    # of about 30 a GEMV's bits follow the BLAS thread count, at the band
+    # copies too.)
     h, w, f = 6, 10, 4
     blocks, extra = _BATCHES[batch]
     n = blocks * (nn._PIXELS // (h * w)) + extra
@@ -172,15 +172,19 @@ def test_conv_equals_band_copy_reference(dtype, k, c, batch):
     wt = rng.normal(size=(f, c, k, k)).astype(dtype)
     b = rng.normal(size=f).astype(dtype)
     dy = rng.normal(size=(n, h, w, f)).astype(dtype)
-    y = nn._conv(x, wt, np.broadcast_to(b, (n, h, w, f)).copy())
+    wflip = wt.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+    y = np.broadcast_to(b, (n, h, w, f)).copy()
+    dx = np.zeros_like(x)
+    dw = np.zeros_like(wt)
+    for s in nn._micro_batches(n, (h, w)):
+        nn._conv(x[s], wt, y[s])
+        nn._conv(dy[s], wflip, dx[s])
+        dw += nn._conv_weight_grad(x[s], dy[s], k)
     y_ref = reference_band_conv(x, wt, np.broadcast_to(b, (n, h, w, f))
                                 .copy())
     assert y.dtype == dtype and np.array_equal(y, y_ref)
-    wflip = wt.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-    dx = nn._conv(dy, wflip, np.zeros_like(x))
     assert np.array_equal(dx, reference_band_conv(dy, wflip,
                                                   np.zeros_like(x)))
-    dw = nn._conv_weight_grad(x, dy, k)
     dw_ref = reference_band_conv_weight_grad(x, dy, k)
     assert dw.dtype == dtype and np.array_equal(dw, dw_ref)
 
@@ -198,10 +202,10 @@ def _traced_peak(fn, *args):
 
 
 def test_conv_workspace_is_one_block():
-    # the paper's inner layer: the workspaces are sized for one block of
-    # images, whatever the batch, and hold nothing beyond the padded block
-    # and, for the forward pass, its row windows and products, or, for the
-    # weight gradient, one band matrix and the weight bands
+    # the paper's inner layer at one micro-batch: the workspaces hold
+    # nothing beyond the padded input and, for the forward pass, its row
+    # windows and products, or, for the weight gradient, one band matrix
+    # and the weight bands
     h = w = 64
     c, f, k = 32, 32, 5
     nb = nn._PIXELS // (h * w)
@@ -214,16 +218,44 @@ def test_conv_workspace_is_one_block():
     prod = nb * h * w * f * item
     dbands = k * k * c * f * item
     small = 4 * wt.nbytes  # the weight bands, the GEMM result, dW itself
-    peaks = {}
-    for blocks in (1, 3):
-        x = rng.normal(size=(blocks * nb, h, w, c)).astype(np.float32)
-        out = np.zeros((blocks * nb, h, w, f), dtype=np.float32)
-        peaks[blocks] = (_traced_peak(nn._conv, x, wt, out),
-                         _traced_peak(nn._conv_weight_grad, x, out, k))
-    conv, grad = zip(*peaks.values())
-    assert conv[1] <= 1.05 * conv[0] and grad[1] <= 1.05 * grad[0]
-    assert max(conv) <= xp + rows + prod + small
-    assert max(grad) <= xp + band + dbands + small
+    x = rng.normal(size=(nb, h, w, c)).astype(np.float32)
+    out = np.zeros((nb, h, w, f), dtype=np.float32)
+    assert _traced_peak(nn._conv, x, wt, out) <= xp + rows + prod + small
+    assert _traced_peak(nn._conv_weight_grad, x, out, k) <= \
+        xp + band + dbands + small
+
+
+def test_each_convolution_takes_at_most_one_micro_batch(monkeypatch):
+    # so the one-micro-batch workspace bound holds whatever the batch, also
+    # where a 256-image inference chunk is no whole number of micro-batches
+    _usable_cpus(monkeypatch, 1)  # in process, where the calls can be seen
+    calls = {"_conv": [], "_conv_weight_grad": []}
+
+    def counted(fn, counts):
+        def call(x, *args):
+            counts.append(len(x))
+            return fn(x, *args)
+        return call
+
+    for name, counts in calls.items():
+        monkeypatch.setattr(nn, name, counted(getattr(nn, name), counts))
+    h, w = 8, 12
+    nb = nn._PIXELS // (h * w)
+    assert nn._CHUNK % nb
+    batch = 2 * nb + 5
+    state = init_state(Architecture(2, (h, w), n_classes=4, filters=3,
+                                    kernel=3), seed=57)
+    images = np.random.default_rng(58).normal(size=(batch, h, w))
+    loss_and_gradient(images, np.arange(batch) % 4, state)
+    # per image: two layers forward, one input gradient, two weight gradients
+    assert max(calls["_conv"] + calls["_conv_weight_grad"]) <= nb
+    assert sum(calls["_conv"]) == 3 * batch
+    assert sum(calls["_conv_weight_grad"]) == 2 * batch
+    for counts in calls.values():
+        counts.clear()
+    forward_posteriors(images, state)
+    assert max(calls["_conv"]) <= nb and sum(calls["_conv"]) == 2 * batch
+    assert calls["_conv_weight_grad"] == []
 
 
 @pytest.mark.parametrize("arch", [

@@ -16,7 +16,7 @@ import pytest
 from helpers import records_from_csv, write_malformed_checkpoint
 from scanobs import neuralnet, runner
 from scanobs.cli import main
-from scanobs.dataset import DatasetWriter, read_dataset
+from scanobs.dataset import HEADER_SIZE, DatasetWriter, read_dataset
 from scanobs.mcmc import McmcConfig, mcmc_io_record
 from scanobs.neuralnet import TrainingDiverged, load_checkpoint
 from scanobs.observers import Records
@@ -285,6 +285,25 @@ def test_cli_split_of_another_task_is_one_line_error(tmp_path, capsys, verb):
     assert err == (f"error: {tmp_path / 'out' / split}.bin: (width, height, "
                    f"J) is (128, 128, 9), but the plan's task has "
                    f"(64, 64, 9)\n")
+    assert not list((tmp_path / "out").glob("*.csv"))
+    assert not list((tmp_path / "out").glob("checkpoint*"))
+
+
+@pytest.mark.parametrize("verb, split", [("evaluate", "test"),
+                                         ("train", "val")])
+def test_cli_label_above_j_is_one_line_error(tmp_path, capsys, verb, split):
+    cfg = _write_config(tmp_path, observers=["analytic_io"], conv_layers=1,
+                        n_val_per_class=1, n_test_per_class=1,
+                        batch_per_class=1, total_minibatches=1)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    path = tmp_path / "out" / f"{split}.bin"
+    raw = bytearray(path.read_bytes())
+    raw[HEADER_SIZE + 3 * (1 + 4 * 64 * 64)] = 200  # record 3's label; J = 9
+    path.write_bytes(raw)
+    assert main([verb, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: record 3 has label 200, above J = 9\n"
     assert not list((tmp_path / "out").glob("*.csv"))
     assert not list((tmp_path / "out").glob("checkpoint*"))
 
