@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import neuralnet, runner
 
@@ -15,13 +16,11 @@ def _add_common(parser):
 
 
 def _load_plan(args) -> runner.ExperimentPlan:
-    plan = runner.load_config(args.config)
-    if args.seed is not None:
-        plan.seed = args.seed
-    if args.out is not None:
-        from pathlib import Path
-        plan.out_dir = Path(args.out)
-    return plan
+    """The plan of --config with the --seed and --out overrides, validated
+    again with them."""
+    overrides = {"seed": args.seed, "out_dir": args.out}
+    return replace(runner.load_config(args.config),
+                   **{k: v for k, v in overrides.items() if v is not None})
 
 
 def main(argv=None) -> int:

@@ -275,34 +275,37 @@ def _prepare_input(images, state: NetworkState):
     return ((x - state.input_mean) / state.input_std).astype(dtype)
 
 
-# The state whose weights the workers read without their being sent: set
-# before a pool forks, so its workers inherit it.  In train() its weights
-# live in a shared mapping that Adam updates in place, so the workers of its
-# pool see each step's weights.
-_inherited = None
+# The open scope that forked a pool, as (state, its map): set before the
+# pool's first task forks the workers, so they have that state without its
+# being sent.  In train() its weights live in a shared mapping that Adam
+# updates in place, so the workers see each step's weights.
+_scope = None
 
 
 @contextlib.contextmanager
 def _task_map(state: NetworkState, tasks: int):
     """workers.task_map for tasks on state, with what each task carries of
-    state: None where the workers inherit it, which the outermost scope
-    arranges, else the state without its Adam moments."""
-    global _inherited
-    outermost = _inherited is None
-    if outermost:
-        _inherited = state
-    try:
-        with workers.task_map(tasks) as tasks_map:
-            yield tasks_map, (None if state is _inherited
-                              else replace(state, m=[], v=[]))
-    finally:
-        if outermost:
-            _inherited = None
+    state: None where the workers have it from the fork, else the state
+    (sent without its Adam moments).  Nested calls reuse an open pool."""
+    global _scope
+    if _scope is not None:
+        yield _scope[1], (None if state is _scope[0]
+                          else replace(state, m=[], v=[]))
+        return
+    with workers.task_map(tasks) as tasks_map:
+        if tasks_map is map:
+            yield map, state
+            return
+        _scope = state, tasks_map
+        try:
+            yield tasks_map, None
+        finally:
+            _scope = None
 
 
 def _features(images, state):
     """Pooled features of one inference micro-batch, run in a worker."""
-    state = _inherited if state is None else state
+    state = _scope[0] if state is None else state
     return _forward_batch(_prepare_input(images, state), state, False)[0]
 
 
@@ -339,7 +342,7 @@ def _micro_batch_gradient(images, labels, state, batch: int):
     """Per-image cross-entropies of one training micro-batch and its
     gradient, with the logit gradient per sample (softmax(z) - onehot(y))
     / batch; run in a worker."""
-    state = _inherited if state is None else state
+    state = _scope[0] if state is None else state
     flat, cache = _forward_batch(_prepare_input(images, state), state, True)
     logits = _head(flat, state)
     probs = softmax(logits)
@@ -503,7 +506,7 @@ def train(arch: Architecture, task, backgrounds, schedule: TrainSchedule,
     history = []
     step_parts = _micro_batches(schedule.batch_per_class * (task.J + 1),
                                 state.arch.input_shape)
-    state.params = workers.shared_copies(state.params)  # see _inherited
+    state.params = workers.shared_copies(state.params)  # see _scope
     # non-finite values raise TrainingDiverged; numpy's warnings add nothing.
     # The steps and validations share one pool of workers.
     with open(log_path, "w") as log, np.errstate(all="ignore"), \

@@ -28,9 +28,9 @@ _JSON_TYPES = {"str": str, "Path": str, "list[str]": list, "int": int,
 
 # Smallest accepted value of each bounded count
 _LEAST = {"n_train_backgrounds": 0, "n_val_per_class": 0,
-          "n_test_per_class": 0, "batch_per_class": 1, "total_minibatches": 1,
-          "val_period": 1, "mcmc_iterations": 1, "bootstrap_samples": 2,
-          "cov_samples": 2}
+          "n_test_per_class": 0, "seed": 0, "batch_per_class": 1,
+          "total_minibatches": 1, "val_period": 1, "mcmc_iterations": 1,
+          "bootstrap_samples": 2, "cov_samples": 2}
 
 # The presets an observer can run on, where it cannot run on all of them
 _OBSERVER_PRESETS = {"analytic_io": ("bke_system1", "bke_system2"),
@@ -242,24 +242,24 @@ def _hotelling_records(images, labels, task, plan):
 
 
 def _mcmc_chain(g, task, cfg, rng, label):
-    """One chain's one-row records, run in a pool worker.  The pool sends
-    this function by name, and it looks mcmc_io_record up here when called,
-    so a worker runs whatever the parent had bound to that name."""
+    """One chain's one-row records, run by a task_map.  A pool sends this
+    function by name, and it looks mcmc_io_record up here when called, so a
+    worker runs whatever the parent had bound to that name."""
     return mcmc_io_record(g, task, cfg, rng, true_label=int(label))
 
 
 def _mcmc_records(images, labels, task, plan):
-    """One chain per image, each from its own substream, run one per usable
-    CPU in forked single-BLAS-thread workers; the rows are concatenated in
-    image order, so the records do not depend on the worker count.  If a
-    chain raises, map cancels the chains not yet started."""
+    """One chain per image, each from its own substream, mapped by
+    workers.task_map (in process on one usable CPU); the rows are
+    concatenated in image order, so the records do not depend on the worker
+    count.  If a chain raises, the chains not yet started do not run."""
     cfg = McmcConfig(
         iterations=plan.mcmc_iterations,
         burn_in=None if plan.mcmc_burn_in < 0 else plan.mcmc_burn_in)
     rngs = (substream(plan.seed, "mcmc-chain", i)
             for i in range(len(images)))
-    with workers.fork_pool(len(images)) as pool:
-        return observers.Records.concatenate(list(pool.map(
+    with workers.task_map(len(images)) as tasks:
+        return observers.Records.concatenate(list(tasks(
             _mcmc_chain, images, repeat(task), repeat(cfg), rngs, labels)))
 
 
@@ -268,6 +268,11 @@ def _cnn_records(images, labels, task, plan):
     if not ckpt.exists():
         raise FileNotFoundError(f"cnn_io requires a checkpoint at {ckpt}")
     state = neuralnet.load_checkpoint(ckpt)
+    found = (state.arch.n_classes, state.arch.input_shape)
+    expected = (task.J + 1, task.grid[::-1])
+    if found != expected:
+        raise ValueError(f"{ckpt}: (classes, input shape) is {found}, but "
+                         f"the plan's task has {expected}")
     return neuralnet.cnn_io_records(images, labels, state, task.priors)
 
 
@@ -351,19 +356,32 @@ def run_training(plan: ExperimentPlan):
     return result
 
 
+# The columns ranking_report reads from a report CSV, the numbers last
+_REPORT_COLUMNS = ("observer", "system", "alroc", "alroc_se", "auc", "auc_se")
+
+
 def ranking_report(report_paths) -> dict:
     """Merge per-system report CSVs and, for each observer, flag ALROC/AUC
-    ranking disagreement."""
+    ranking disagreement.  A file that lacks one of the columns read, or
+    holds a figure of merit that is not a number, is rejected, naming it."""
     entries = []
     for path in report_paths:
         with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
+            reader = csv.DictReader(fh)
+            for column in _REPORT_COLUMNS:
+                if column not in (reader.fieldnames or ()):
+                    raise ValueError(f"{path}: no {column!r} column")
+            for row in reader:
+                foms = []
+                for column in _REPORT_COLUMNS[2:]:
+                    try:
+                        foms.append(float(row[column]))
+                    except (TypeError, ValueError):  # None on a short row
+                        raise ValueError(
+                            f"{path}: line {reader.line_num}: {column} is "
+                            f"{row[column]!r}, not a number") from None
                 entries.append((
-                    row["observer"],
-                    row["system"],
-                    evaluation.FomEstimate(float(row["alroc"]),
-                                           float(row["alroc_se"])),
-                    evaluation.FomEstimate(float(row["auc"]),
-                                           float(row["auc_se"])),
-                ))
+                    row["observer"], row["system"],
+                    evaluation.FomEstimate(*foms[:2]),
+                    evaluation.FomEstimate(*foms[2:])))
     return evaluation.compare_systems(entries)

@@ -1,10 +1,11 @@
 """Forked pools of single-BLAS-thread worker processes (Linux only).
 
-The MCMC chains and the network's micro-batches run here.  Every task runs
-at one OpenBLAS thread, and results come back in task order, so what a
-caller computes from them depends neither on the worker count nor on the
-BLAS thread count.  Workers are forked, so they start with the caller's
-modules, data and module attributes.
+The MCMC chains and the network's micro-batches reach their workers through
+``task_map``, and only through it.  Every task runs at one OpenBLAS thread,
+and results come back in task order, so what a caller computes from them
+depends neither on the worker count nor on the BLAS thread count.  Workers
+are forked, so they start with the caller's modules, data and module
+attributes as they are at the pool's first task.
 """
 
 from __future__ import annotations
@@ -66,46 +67,30 @@ def shared_copies(arrays):
 
 
 @contextlib.contextmanager
-def fork_pool(tasks):
-    """A pool of min(tasks, usable CPUs) workers, forked while this process
-    runs at one BLAS thread: each worker inherits that setting, so two
-    workers do not crowd each other with spinning BLAS threads.  (Setting
-    it again in a forked worker made the worker's first 4-image pass of the
-    paper net about 80 ms slower, with OpenBLAS 0.3.31.)"""
-    # imported here, so that a process that forks no worker does not load
-    # the pool machinery (1.4 MB of peak RSS)
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    with one_blas_thread(), ProcessPoolExecutor(
-            min(tasks, len(os.sched_getaffinity(0))),
-            get_context("fork")) as pool:
-        yield pool
-
-
-_shared = None  # the pool of the open task_map scope that made one
-
-
-@contextlib.contextmanager
 def task_map(tasks):
     """Yields a map for a call of ``tasks`` tasks, each run at one BLAS
     thread; the caller's own BLAS work in the scope runs at one thread too.
 
     With one task, or one usable CPU, the map is the builtin, run in this
-    process.  Otherwise it is the map of a fork_pool, which nested task_map
-    scopes reuse until this one exits, so a training run forks once for its
-    steps and validations alike.  Consume the map inside the scope.
+    process.  Otherwise it is the map of a pool of min(tasks, usable CPUs)
+    workers, forked at the pool's first task.  Consume the map inside the
+    scope.
     """
-    global _shared
     with one_blas_thread():
-        if tasks < 2 or len(os.sched_getaffinity(0)) < 2:
+        cpus = len(os.sched_getaffinity(0))
+        if tasks < 2 or cpus < 2:
             yield map
-        elif _shared is not None:
-            yield _shared.map
-        else:
-            with fork_pool(tasks) as pool:
-                _shared = pool
-                try:
-                    yield pool.map
-                finally:
-                    _shared = None
+            return
+        # imported here, so that a process that forks no worker does not
+        # load the pool machinery (1.4 MB of peak RSS)
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        # each worker inherits the one BLAS thread of this process, so two
+        # workers do not crowd each other with spinning BLAS threads.
+        # (Setting it again in a forked worker made the worker's first
+        # 4-image pass of the paper net about 80 ms slower, with OpenBLAS
+        # 0.3.31.)
+        with ProcessPoolExecutor(min(tasks, cpus),
+                                 get_context("fork")) as pool:
+            yield pool.map

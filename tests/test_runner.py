@@ -133,7 +133,7 @@ def test_cli_bad_mcmc_settings_are_one_line_errors(tmp_path, capsys,
     {"conv_layers": 0}, {"conv_layers": [2, 0]}, {"n_train_backgrounds": -1},
     {"n_val_per_class": -1}, {"n_test_per_class": -1}, {"cov_samples": 0},
     {"cov_samples": 1}, {"learning_rate": 0}, {"learning_rate": -1.0},
-    {"learning_rate": math.nan}, {"learning_rate": 1e39}])
+    {"learning_rate": math.nan}, {"learning_rate": 1e39}, {"seed": -1}])
 def test_plan_rejects_out_of_range_settings(tmp_path, overrides):
     key = next(iter(overrides))
     with pytest.raises(ConfigError, match=f"^{key}: "):
@@ -160,6 +160,18 @@ def test_cli_out_of_range_plans_are_one_line_errors(tmp_path, capsys,
         assert main([verb, "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("plan_seed, args", [(0, ["--seed", "-1"]),
+                                             (-2, [])])
+def test_cli_negative_seed_is_one_line_error(tmp_path, capsys, plan_seed,
+                                             args):
+    cfg = _write_config(tmp_path, seed=plan_seed)
+    for verb in ("generate", "train", "evaluate"):
+        assert main([verb, "--config", str(cfg), *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -469,8 +481,11 @@ def test_mcmc_pool_equals_in_process_chains(tmp_path, monkeypatch, cpus):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
     records = runner.OBSERVERS["mcmc_io"](images, labels, task, plan)
-    assert pools == [min(len(images), len(os.sched_getaffinity(0)))]
-    assert len(images) > pools[0]  # some workers run several chains
+    if cpus == 1:  # one usable CPU runs the chains in process
+        assert pools == []
+    else:
+        assert pools == [min(len(images), len(os.sched_getaffinity(0)))]
+        assert len(images) > pools[0]  # some workers run several chains
     for name, column in vars(expected).items():
         assert np.array_equal(getattr(records, name), column), name
 
@@ -749,6 +764,25 @@ def test_cli_evaluate_even_kernel_checkpoint_is_one_line_error(tmp_path,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("input_shape, n_classes", [((64, 64), 5),
+                                                    ((64, 64), 12),
+                                                    ((32, 64), 10)])
+def test_cli_evaluate_checkpoint_of_another_task_is_one_line_error(
+        tmp_path, capsys, input_shape, n_classes):
+    cfg = _write_config(tmp_path, observers=["cnn_io"], n_val_per_class=1,
+                        n_test_per_class=1)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    ckpt = tmp_path / "out" / "checkpoint.bin"
+    arch = neuralnet.Architecture(1, input_shape, n_classes, filters=2)
+    neuralnet.save_checkpoint(ckpt, neuralnet.init_state(arch, seed=57))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ckpt}: (classes, input shape) is {(n_classes, input_shape)}"
+        f", but the plan's task has (10, (64, 64))\n")
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
 @pytest.mark.parametrize("slope", [-0.1, 1.5, math.nan])
 def test_cli_evaluate_checkpoint_slope_outside_unit_interval(tmp_path, capsys,
                                                            slope):
@@ -793,3 +827,26 @@ def test_cli_report(tmp_path, capsys):
     assert main(["report", str(tmp_path / "r1.csv"),
                  str(tmp_path / "r1.csv")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_report_on_malformed_csv_is_one_line_error(tmp_path, capsys):
+    from scanobs.evaluation import report_to_csv
+
+    good = tmp_path / "report.csv"
+    report_to_csv(good, [{
+        "observer": "a", "task": "t", "system": "s1", "alroc": 0.7,
+        "alroc_se": 0.01, "auc": 0.8, "auc_se": 0.01, "n_records": 5}])
+    text = good.read_text()
+    records = tmp_path / "records_a.csv"  # passed by mistake
+    records.write_text("image_id,true_label,t,j_star,binary_statistic\n"
+                       "0,0,0.5,1,0.25\n")
+    no_alroc = tmp_path / "no_alroc.csv"
+    no_alroc.write_text(text.replace(",alroc,", ",alroc_mean,", 1))
+    not_a_number = tmp_path / "not_a_number.csv"
+    not_a_number.write_text(text.replace("0.01", "n/a", 1))
+    for path, message in (
+            (records, "no 'observer' column"),
+            (no_alroc, "no 'alroc' column"),
+            (not_a_number, "line 2: alroc_se is 'n/a', not a number")):
+        assert main(["report", str(good), str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
