@@ -22,11 +22,12 @@ of four strided views, with argmax's first-occurrence gradient routing.
 
 Each call runs as micro-batches of 16384 pixels (4 images at 64x64), which
 every convolution takes whole, mapped over forked single-BLAS-thread workers
-(``workers``).  A training micro-batch returns its images' cross-entropies
-and its gradient with the logit gradient scaled by 1/B of the whole batch,
-and the gradients are summed in micro-batch order.  An inference micro-batch
-returns its pooled features, and the dense head runs here per inference
-chunk, so the posteriors have the bits of a whole-chunk pass.
+(``workers``).  An inference micro-batch returns its images' posteriors.  A
+training micro-batch returns their cross-entropies and its gradient, with
+the logit gradient scaled by 1/B of the whole batch, and the gradients are
+summed in micro-batch order.  Inference is the training pass without the
+backward, on the same micro-batches, so a set's validation loss is its
+training loss.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import os
 import struct
 import tempfile
 from dataclasses import dataclass, replace
-from itertools import islice, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -303,33 +304,25 @@ def _task_map(state: NetworkState, tasks: int):
             _scope = None
 
 
-def _features(images, state):
-    """Pooled features of one inference micro-batch, run in a worker."""
+def _posteriors(images, state):
+    """Posteriors of one inference micro-batch, run in a worker."""
     state = _scope[0] if state is None else state
-    return _forward_batch(_prepare_input(images, state), state, False)[0]
-
-
-# Images per inference chunk, for posteriors and the validation loss alike
-_CHUNK = 256
+    flat = _forward_batch(_prepare_input(images, state), state, False)[0]
+    return softmax(_head(flat, state))
 
 
 def forward_posteriors(images, state: NetworkState) -> np.ndarray:
-    """Batched posteriors for a stack of images, shape (N, J+1)."""
+    """Posteriors for a stack of images, shape (N, J+1), computed on
+    loss_and_gradient's micro-batches and concatenated in order."""
     images = np.asarray(images)
     shape = state.arch.input_shape
     if images.shape[1:] != shape:
         raise ValueError(f"image shape {images.shape[1:]} does not match "
                          f"architecture input {shape}")
-    chunks = [images[i:i + _CHUNK] for i in range(0, len(images), _CHUNK)]
-    parts = [_micro_batches(len(chunk), shape) for chunk in chunks]
-    blocks = [chunk[s] for chunk, ss in zip(chunks, parts) for s in ss]
-    out = []
-    with _task_map(state, len(blocks)) as (tasks, net):
-        features = tasks(_features, blocks, repeat(net))
-        for ss in parts:
-            flat = np.concatenate(list(islice(features, len(ss))))
-            out.append(softmax(_head(flat, state)))
-    return np.concatenate(out)
+    parts = _micro_batches(len(images), shape)
+    with _task_map(state, len(parts)) as (tasks, net):
+        return np.concatenate(list(tasks(
+            _posteriors, (images[s] for s in parts), repeat(net))))
 
 
 def _cross_entropy(probs, labels):
@@ -380,6 +373,10 @@ def loss_and_gradient(images, labels, state: NetworkState):
 # ---------------------------------------------------------------------------
 # optimization
 
+# Adam applies the rate to float32 parameters, so it must be a finite float32
+_LARGEST_RATE = float(np.finfo(np.float32).max)
+
+
 @dataclass(frozen=True)
 class TrainSchedule:
     total_minibatches: int
@@ -393,9 +390,9 @@ class TrainSchedule:
                self.val_period) <= 0:
             raise ValueError("total_minibatches, batch_per_class and "
                              "val_period must be positive")
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be finite and positive, "
-                             f"got {self.learning_rate}")
+        if not 0.0 < self.learning_rate <= _LARGEST_RATE:
+            raise ValueError(f"learning_rate must be above 0 and at most "
+                             f"{_LARGEST_RATE:.8g}, got {self.learning_rate}")
 
 
 class TrainingDiverged(RuntimeError):
@@ -465,12 +462,9 @@ def _compose_batch(task, backgrounds, batch_per_class, rng):
 
 
 def validation_loss(images, labels, state: NetworkState) -> float:
-    """Mean cross-entropy of a fixed labeled set, summed chunk by chunk."""
-    losses = _cross_entropy(forward_posteriors(images, state), labels)
-    total = 0.0
-    for i in range(0, len(losses), _CHUNK):
-        total += float(losses[i:i + _CHUNK].sum())
-    return total / len(losses)
+    """loss_and_gradient's loss (mean cross-entropy) on a set, bit for bit."""
+    return float(_cross_entropy(forward_posteriors(images, state),
+                                labels).mean())
 
 
 _NORMALIZATION_PROBE = 200  # images in the input-normalization probe

@@ -36,9 +36,6 @@ _LEAST = {"n_train_backgrounds": 0, "n_val_per_class": 0,
 _OBSERVER_PRESETS = {"analytic_io": ("bke_system1", "bke_system2"),
                      "mcmc_io": ("lb",)}
 
-# Adam applies the rate to float32 parameters, so it must be a finite float32
-_LARGEST_RATE = float(np.finfo(np.float32).max)
-
 
 class ConfigError(ValueError):
     pass
@@ -78,9 +75,10 @@ class ExperimentPlan:
             if getattr(self, key) < least:
                 raise ConfigError(f"{key}: must be at least {least}, got "
                                   f"{getattr(self, key)}")
-        if not 0.0 < self.learning_rate <= _LARGEST_RATE:
+        if not 0.0 < self.learning_rate <= neuralnet._LARGEST_RATE:
             raise ConfigError(f"learning_rate: must be above 0 and at most "
-                              f"{_LARGEST_RATE:.8g}, got {self.learning_rate}")
+                              f"{neuralnet._LARGEST_RATE:.8g}, got "
+                              f"{self.learning_rate}")
         if not self.depths or not all(isinstance(d, int) and d >= 1
                                       for d in self.depths):
             raise ConfigError(f"conv_layers: need one or more depths of at "
@@ -211,6 +209,8 @@ def generate_dataset(plan: ExperimentPlan, force: bool = False) -> dict:
 
 def _read_split(path, task):
     """Images and labels of a dataset file made for the task's grid and J."""
+    if not path.exists():
+        raise FileNotFoundError(f"missing {path}; run generate first")
     images, labels, meta = read_dataset(path)
     found = (meta["width"], meta["height"], meta["n_locations"])
     if found != (*task.grid, task.J):
@@ -263,7 +263,8 @@ def _mcmc_records(images, labels, task, plan):
             _mcmc_chain, images, repeat(task), repeat(cfg), rngs, labels)))
 
 
-def _cnn_records(images, labels, task, plan):
+def _cnn_state(task, plan):
+    """The plan's checkpoint, checked against the task."""
     ckpt = plan.out_dir / "checkpoint.bin"
     if not ckpt.exists():
         raise FileNotFoundError(f"cnn_io requires a checkpoint at {ckpt}")
@@ -273,7 +274,12 @@ def _cnn_records(images, labels, task, plan):
     if found != expected:
         raise ValueError(f"{ckpt}: (classes, input shape) is {found}, but "
                          f"the plan's task has {expected}")
-    return neuralnet.cnn_io_records(images, labels, state, task.priors)
+    return state
+
+
+def _cnn_records(images, labels, task, plan):
+    return neuralnet.cnn_io_records(images, labels, _cnn_state(task, plan),
+                                    task.priors)
 
 
 # Each observer maps (images, labels, task, plan) to its test-split records
@@ -290,13 +296,12 @@ def run_observers(plan: ExperimentPlan) -> list[dict]:
         raise ConfigError("observers: empty observer list")
     task = plan.task
     test_path = plan.out_dir / "test.bin"
-    if not test_path.exists():
-        raise FileNotFoundError(f"missing test set {test_path}; "
-                                "run generate first")
     images, labels = _read_split(test_path, task)
     if len(images) == 0:
         raise ConfigError(f"n_test_per_class: the observers need test "
                           f"images, and {test_path} has none")
+    if "cnn_io" in plan.observers:
+        _cnn_state(task, plan)  # fail before any observer runs
     rows = []
     for name in plan.observers:
         records = OBSERVERS[name](images, labels, task, plan)
@@ -323,11 +328,7 @@ def run_training(plan: ExperimentPlan):
     out = plan.out_dir
     backgrounds = None
     if plan.n_train_backgrounds > 0:
-        bg_path = out / "train_backgrounds.bin"
-        if not bg_path.exists():
-            raise FileNotFoundError(f"missing training store {bg_path}; "
-                                    "run generate first")
-        backgrounds, _ = _read_split(bg_path, task)
+        backgrounds, _ = _read_split(out / "train_backgrounds.bin", task)
     elif task.kind != "bke_laplacian":
         raise ConfigError(f"n_train_backgrounds: training on the {task.kind} "
                           "task needs stored backgrounds, and the plan has "

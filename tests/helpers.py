@@ -1,12 +1,11 @@
 """Test-only dataset writers, readers of evaluation and observer outputs, the
-comparison-matrix LROC/ROC sweep, the chunk-by-chunk validation loss, a
-malformed checkpoint writer, the im2col einsum network that the
-channels-last convolution is checked against, the band-copy convolutions,
-the channels-last network with those convolutions, ``np.where`` activations
-and an argmax pool, and the ``rng.uniform`` samplers and the per-lump,
-whole-image and per-iteration lumpy-background references; the curves, the
-network passes, the sampling, the rendering and the MCMC chain must equal
-these bit for bit."""
+comparison-matrix LROC/ROC sweep, a malformed checkpoint writer, the im2col
+einsum network that the channels-last convolution is checked against, the
+band-copy convolutions, the channels-last network with those convolutions,
+``np.where`` activations and an argmax pool, and the ``rng.uniform``
+samplers and the per-lump, whole-image and per-iteration lumpy-background
+references; the curves, the network passes, the sampling, the rendering and
+the MCMC chain must equal these bit for bit."""
 
 import csv
 import math
@@ -67,18 +66,6 @@ def records_from_csv(path) -> Records:
                    np.array([int(row[1]) for row in rows]),
                    lams.reshape(len(rows), n_lam),
                    np.array([float(row[4]) for row in rows]))
-
-
-def reference_validation_loss(images, labels, state, chunk=256) -> float:
-    """Mean validation cross-entropy as a loop over 256-image chunks, each
-    summed on its own and added in order."""
-    labels = np.asarray(labels)
-    total = 0.0
-    for i in range(0, len(images), chunk):
-        probs = neuralnet.forward_posteriors(images[i:i + chunk], state)
-        sel = probs[np.arange(len(probs)), labels[i:i + chunk]]
-        total += float(-np.log(sel.astype(np.float64) + 1e-300).sum())
-    return total / len(labels)
 
 
 def write_malformed_checkpoint(path, input_shape=(4, 4), n_classes=2,
@@ -292,24 +279,19 @@ def _reference_backward_batch(dlogits, cache, state):
 
 def reference_channels_last(images, labels, state):
     """(posteriors, mean cross-entropy, gradients) as forward_posteriors and
-    loss_and_gradient compute them, with the reference passes: the training
-    passes run per micro-batch of one block of images, with the
-    logit gradient scaled by 1/B of the whole batch, and their gradients
-    are summed in micro-batch order."""
-    probs = np.concatenate([
-        neuralnet.softmax(_reference_forward_batch(
-            neuralnet._prepare_input(images[i:i + neuralnet._CHUNK], state),
-            state, False)[0])
-        for i in range(0, len(images), neuralnet._CHUNK)])
+    loss_and_gradient compute them, with the reference passes: both run per
+    micro-batch of one block of images, the logit gradient is scaled by 1/B
+    of the whole batch, and the gradients are summed in micro-batch order."""
     labels = np.asarray(labels)
     n = len(labels)
     nb = _images_per_block(images)
-    losses, grads = [], None
+    probs, losses, grads = [], [], None
     for i in range(0, n, nb):
         part = labels[i:i + nb]
         logits, cache = _reference_forward_batch(
             neuralnet._prepare_input(images[i:i + nb], state), state, True)
         batch_probs = neuralnet.softmax(logits)
+        probs.append(batch_probs)
         losses.append(neuralnet._cross_entropy(batch_probs, part))
         dlogits = batch_probs.astype(logits.dtype)
         dlogits[np.arange(len(part)), part] -= 1.0
@@ -317,7 +299,8 @@ def reference_channels_last(images, labels, state):
         block = _reference_backward_batch(dlogits, cache, state)
         grads = block if grads is None else [
             g + b for g, b in zip(grads, block)]
-    return probs, float(np.concatenate(losses).mean()), grads
+    return (np.concatenate(probs), float(np.concatenate(losses).mean()),
+            grads)
 
 
 # ---------------------------------------------------------------------------

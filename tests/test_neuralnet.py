@@ -21,7 +21,6 @@ from helpers import (
     reference_conv_backward,
     reference_conv_forward,
     reference_loss_and_gradient,
-    reference_validation_loss,
     write_malformed_checkpoint,
 )
 from scanobs import workers
@@ -226,8 +225,8 @@ def test_conv_workspace_is_one_block():
 
 
 def test_each_convolution_takes_at_most_one_micro_batch(monkeypatch):
-    # so the one-micro-batch workspace bound holds whatever the batch, also
-    # where a 256-image inference chunk is no whole number of micro-batches
+    # so the one-micro-batch workspace bound holds whatever the batch, and
+    # inference takes the training partition
     _usable_cpus(monkeypatch, 1)  # in process, where the calls can be seen
     calls = {"_conv": [], "_conv_weight_grad": []}
 
@@ -241,7 +240,6 @@ def test_each_convolution_takes_at_most_one_micro_batch(monkeypatch):
         monkeypatch.setattr(nn, name, counted(getattr(nn, name), counts))
     h, w = 8, 12
     nb = nn._PIXELS // (h * w)
-    assert nn._CHUNK % nb
     batch = 2 * nb + 5
     state = init_state(Architecture(2, (h, w), n_classes=4, filters=3,
                                     kernel=3), seed=57)
@@ -254,7 +252,8 @@ def test_each_convolution_takes_at_most_one_micro_batch(monkeypatch):
     for counts in calls.values():
         counts.clear()
     forward_posteriors(images, state)
-    assert max(calls["_conv"]) <= nb and sum(calls["_conv"]) == 2 * batch
+    # two layers of each micro-batch, 170, 170 and 5 images
+    assert calls["_conv"] == [nb, nb, nb, nb, 5, 5]
     assert calls["_conv_weight_grad"] == []
 
 
@@ -450,7 +449,8 @@ def test_adam_rejects_nonfinite_gradient():
 @pytest.mark.parametrize("overrides", [
     {"total_minibatches": 0}, {"batch_per_class": 0}, {"val_period": 0},
     {"val_period": -3}, {"learning_rate": 0.0}, {"learning_rate": -1e-4},
-    {"learning_rate": math.nan}, {"learning_rate": math.inf}])
+    {"learning_rate": math.nan}, {"learning_rate": math.inf},
+    {"learning_rate": 1e39}])
 def test_schedule_rejects_out_of_range_settings(overrides):
     key = next(iter(overrides))
     with pytest.raises(ValueError, match=key):
@@ -662,12 +662,34 @@ def test_validation_loss_matches_direct():
     direct = -np.log(probs[np.arange(20), labels]).mean()
     assert validation_loss(images, labels, state) == pytest.approx(
         direct, rel=1e-6)
-    # two inference chunks, summed block by block in order; at this spread
-    # of losses a one-pass sum rounds differently
-    images = rng.normal(scale=10.0, size=(300, 4, 4)).astype(np.float32)
-    labels = rng.integers(0, 2, size=300)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("arch, n", [
+    (Architecture(5, (64, 64)), 10),
+    (Architecture(2, (8, 12), n_classes=4, filters=3, kernel=3), 300)])
+def test_validation_loss_is_the_training_loss(monkeypatch, cpus, arch, n):
+    # the two passes share their micro-batches, so their losses are one;
+    # at this spread of losses a sum in another order rounds differently
+    _usable_cpus(monkeypatch, cpus)
+    state = init_state(arch, seed=24)
+    images = np.random.default_rng(25).normal(
+        scale=30.0, size=(n,) + arch.input_shape).astype(np.float32)
+    labels = np.arange(n) % arch.n_classes
     assert validation_loss(images, labels, state) == \
-        reference_validation_loss(images, labels, state)
+        loss_and_gradient(images, labels, state)[0]
+
+
+def test_inference_memory_does_not_grow_with_the_batch(monkeypatch):
+    # in process, so the parent's peak is the whole pass's
+    _usable_cpus(monkeypatch, 1)
+    state = init_state(Architecture(2, (64, 64), n_classes=3, filters=4),
+                       seed=26)
+    images = np.random.default_rng(27).normal(
+        size=(600, 64, 64)).astype(np.float32)
+    few = _traced_peak(forward_posteriors, images[:8], state)
+    many = _traced_peak(forward_posteriors, images, state)
+    assert many <= 1.1 * few
 
 
 def test_compose_batch_is_balanced_with_fresh_noise():
@@ -773,7 +795,7 @@ def test_gradient_bytes_do_not_depend_on_blas_threads():
 
 def test_one_filter_posterior_bytes_do_not_depend_on_blas_threads():
     # a one-filter conv is a one-column product, an OpenBLAS GEMV; 300
-    # images are two inference chunks of 4 and 1 micro-batches
+    # images are 4 micro-batches of 64 images and one of 44
     one, two = _stdout_at_blas_threads("""
         import hashlib
         import numpy as np

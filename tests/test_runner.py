@@ -190,6 +190,14 @@ def test_cli_train_without_validation_images_is_one_line_error(tmp_path,
     assert not list((tmp_path / "out").glob("training_log*"))
 
 
+def test_cli_train_before_generate_is_one_line_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, conv_layers=1, total_minibatches=1)
+    assert main(["train", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: missing {tmp_path / 'out' / 'val.bin'}; run generate "
+        f"first\n")
+
+
 # learning_rate 1e30 moves every weight by about 1e30 at step 0, so the
 # loss of step 1 overflows; the only validation is after the last step
 _DIVERGING = dict(n_val_per_class=1, n_test_per_class=1, conv_layers=1,
@@ -781,6 +789,26 @@ def test_cli_evaluate_checkpoint_of_another_task_is_one_line_error(
         f"error: {ckpt}: (classes, input shape) is {(n_classes, input_shape)}"
         f", but the plan's task has (10, (64, 64))\n")
     assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize("n_classes", [None, 5])
+def test_cli_checkpoint_is_checked_before_any_observer_runs(tmp_path, capsys,
+                                                            n_classes):
+    cfg = _write_config(tmp_path, observers=["hotelling", "cnn_io"],
+                        n_val_per_class=1, n_test_per_class=1)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    if n_classes is not None:
+        arch = neuralnet.Architecture(1, (64, 64), n_classes, filters=2)
+        neuralnet.save_checkpoint(out / "checkpoint.bin",
+                                  neuralnet.init_state(arch, seed=58))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out / "checkpoint.bin") in err
+    for written in ("records_*", "lroc_*", "roc_*", "report.csv"):
+        assert not list(out.glob(written)), written
 
 
 @pytest.mark.parametrize("slope", [-0.1, 1.5, math.nan])

@@ -65,3 +65,30 @@ def test_traced_training_times_each_network_pass(tmp_path, monkeypatch):
                  "neuralnet.forward_posteriors"):
         assert sum(s.name == name for s in tracer.spans) == 2, name
         assert tracer.seconds(name) > 0, name
+
+
+def test_traced_evaluation_times_inference(tmp_path, monkeypatch):
+    # cnn_io's micro-batches run in workers, and its one network pass is
+    # still timed in the parent
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    from spans import Tracer
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    plan = runner.ExperimentPlan("bke_system1", tmp_path,
+                                 observers=["cnn_io"], n_val_per_class=0,
+                                 n_test_per_class=1, bootstrap_samples=2)
+    runner.generate_dataset(plan)
+    arch = neuralnet.Architecture(1, (64, 64), n_classes=10, filters=2,
+                                  kernel=3)
+    neuralnet.save_checkpoint(tmp_path / "checkpoint.bin",
+                              neuralnet.init_state(arch, seed=1))
+    tracer = Tracer()
+    try:
+        layers.install(tracer)
+        runner.run_observers(plan)
+    finally:
+        tracer.unwrap_all()
+    name = "neuralnet.forward_posteriors"
+    assert sum(s.name == name for s in tracer.spans) == 1
+    assert tracer.seconds(name) > 0
