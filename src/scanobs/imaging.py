@@ -113,27 +113,9 @@ def render_lumpy_image(real: LumpyRealization, params: LumpyParams,
         np.float32)
 
 
-def _clb_blob(dx, dy, angle, params: ClbParams):
-    """Evaluate one oriented blob on offset arrays dx, dy (pixels)."""
-    c, s = np.cos(angle), np.sin(angle)
-    vx = c * dx - s * dy
-    vy = s * dx + c * dy
-    n = np.hypot(vx, vy)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ux = vx / n
-        uy = vy / n
-        # ellipse "radius" along the direction of the rotated offset
-        ell = (params.half_axis_x * params.half_axis_y
-               / np.sqrt((params.half_axis_y * ux) ** 2
-                         + (params.half_axis_x * uy) ** 2))
-        val = params.blob_amplitude * np.exp(
-            -params.shape_alpha * n ** params.shape_beta / ell)
-    return np.where(n == 0.0, params.blob_amplitude, val)
-
-
 # Blobs are summed in chunks of _CLB_CHUNK; each chunk is evaluated over
 # tiles of whole image rows, about _CLB_TILE_PIXELS pixels each, so that a
-# temporary holds 64 x 512 float64 (256 KB) rather than the whole image.
+# workspace holds 64 x 512 float64 (256 KB) rather than the whole image.
 _CLB_CHUNK = 64
 _CLB_TILE_PIXELS = 512
 
@@ -142,24 +124,58 @@ def render_clb_image(real: ClbRealization, params: ClbParams) -> np.ndarray:
     """Noiseless clustered-lumpy background rendered on the pixel grid.
 
     No PRF is applied; blobs are evaluated directly at pixel centers and
-    summed in double precision, chunk by chunk in blob order.
+    summed in double precision, chunk by chunk in blob order.  A blob at
+    rotated offset (vx, vy) is A exp(-alpha n^beta / ell), with n its length
+    and ell the ellipse radius along it, LxLy / sqrt((Ly ux)^2 + (Lx uy)^2)
+    for the unit offset (ux, uy).  With r2 = vx^2 + vy^2 and
+    q = (Ly vx)^2 + (Lx vy)^2 the exponent is
+    -alpha sqrt(q) r2^((beta - 1)/2) / (Lx Ly), and r2 == 0 is the blob
+    center, A.
     """
     w, h = params.field_of_view
-    X, Y = pixel_grid(w, h)
+    if real.blob_count == 0:
+        return np.zeros((h, w), dtype=np.float32)
+    lx, ly = params.half_axis_x, params.half_axis_y
+    scale = -params.shape_alpha / (lx * ly)
+    power = (params.shape_beta - 1.0) / 2.0
+    positions = np.concatenate([cl.center + cl.offsets
+                                for cl in real.clusters])
+    angles = np.concatenate([cl.angles for cl in real.clusters])
+    x = np.arange(w, dtype=np.float64) + 0.5
+    y = np.arange(h, dtype=np.float64)[:, None] + 0.5
     out = np.zeros((h, w), dtype=np.float64)
-    positions, angles = [], []
-    for cl in real.clusters:
-        for off, ang in zip(cl.offsets, cl.angles):
-            positions.append(cl.center + off)
-            angles.append(ang)
     rows = max(1, _CLB_TILE_PIXELS // w)
-    for i in range(0, len(positions), _CLB_CHUNK):
-        pos = np.asarray(positions[i:i + _CLB_CHUNK])   # (B, 2)
-        ang = np.asarray(angles[i:i + _CLB_CHUNK])[:, None, None]
+    workspace = np.empty((4, _CLB_CHUNK, rows, w))
+    for i in range(0, len(angles), _CLB_CHUNK):
+        pos = positions[i:i + _CLB_CHUNK]
+        ang = angles[i:i + _CLB_CHUNK, None, None]
+        c, s = np.cos(ang), np.sin(ang)
+        dx = x - pos[:, 0, None, None]                   # (B, 1, w)
+        dy = y - pos[:, 1, None, None]                   # (B, h, 1)
+        cdx, sdx, sdy, cdy = c * dx, s * dx, s * dy, c * dy
         for r in range(0, h, rows):
-            dx = X[None, r:r + rows] - pos[:, 0, None, None]
-            dy = Y[None, r:r + rows] - pos[:, 1, None, None]
-            out[r:r + rows] += _clb_blob(dx, dy, ang, params).sum(axis=0)
+            vx, vy, r2, e = workspace[:, :len(ang), :min(rows, h - r)]
+            vx[...] = cdx
+            vx -= sdy[:, r:r + rows]
+            vy[...] = sdx
+            vy += cdy[:, r:r + rows]
+            np.square(vx, out=r2)
+            np.square(vy, out=e)
+            r2 += e
+            vx *= ly
+            vy *= lx
+            np.square(vx, out=vx)
+            np.square(vy, out=vy)
+            vx += vy                                      # q
+            np.sqrt(vx, out=e)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.power(r2, power, out=vy)
+                e *= vy
+            e *= scale
+            e[r2 == 0.0] = 0.0                            # blob center
+            np.exp(e, out=e)
+            e *= params.blob_amplitude
+            out[r:r + rows] += e.sum(axis=0)
     return out.astype(np.float32)
 
 

@@ -8,6 +8,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def _check_params(params, positive):
+    """Reject a field of view that is not two positive ints, and a NaN or
+    non-positive value in any of the fields named in ``positive``."""
+    fov = params.field_of_view
+    if not (isinstance(fov, tuple) and len(fov) == 2 and all(
+            isinstance(n, (int, np.integer)) and n > 0 for n in fov)):
+        raise ValueError(f"field_of_view must be two positive ints, "
+                         f"got {fov!r}")
+    for name in positive:
+        if not getattr(params, name) > 0:
+            raise ValueError(f"{name} must be positive, "
+                             f"got {getattr(params, name)!r}")
+
+
 @dataclass(frozen=True)
 class LumpyParams:
     """Poisson-count ensemble of 2D Gaussian lumps at uniform locations."""
@@ -18,10 +32,7 @@ class LumpyParams:
     field_of_view: tuple[int, int] = (64, 64)  # (width, height), pixels
 
     def __post_init__(self):
-        if self.mean_count <= 0:
-            raise ValueError("mean_count must be positive")
-        if self.lump_width <= 0:
-            raise ValueError("lump_width must be positive")
+        _check_params(self, ("mean_count", "lump_width"))
 
 
 @dataclass(frozen=True)
@@ -48,11 +59,9 @@ class ClbParams:
     field_of_view: tuple[int, int] = (128, 128)
 
     def __post_init__(self):
-        for name in ("mean_cluster_count", "mean_blobs_per_cluster",
-                     "half_axis_x", "half_axis_y", "shape_alpha",
-                     "shape_beta", "cluster_spread"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        _check_params(self, ("mean_cluster_count", "mean_blobs_per_cluster",
+                             "half_axis_x", "half_axis_y", "shape_alpha",
+                             "shape_beta", "cluster_spread"))
 
 
 @dataclass(frozen=True)

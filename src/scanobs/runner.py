@@ -300,11 +300,14 @@ def run_observers(plan: ExperimentPlan) -> list[dict]:
     if len(images) == 0:
         raise ConfigError(f"n_test_per_class: the observers need test "
                           f"images, and {test_path} has none")
-    if "cnn_io" in plan.observers:
-        _cnn_state(task, plan)  # fail before any observer runs
+    observe = dict(OBSERVERS)
+    if "cnn_io" in plan.observers:  # loaded and checked once, up front
+        state = _cnn_state(task, plan)
+        observe["cnn_io"] = lambda images, labels, task, plan: (
+            neuralnet.cnn_io_records(images, labels, state, task.priors))
     rows = []
     for name in plan.observers:
-        records = OBSERVERS[name](images, labels, task, plan)
+        records = observe[name](images, labels, task, plan)
         observers.records_to_csv(plan.out_dir / f"records_{name}.csv", records)
         evaluation.curve_to_csv(plan.out_dir / f"lroc_{name}.csv",
                                 evaluation.empirical_lroc(records))

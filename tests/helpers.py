@@ -3,9 +3,10 @@ comparison-matrix LROC/ROC sweep, a malformed checkpoint writer, the im2col
 einsum network that the channels-last convolution is checked against, the
 band-copy convolutions, the channels-last network with those convolutions,
 ``np.where`` activations and an argmax pool, and the ``rng.uniform``
-samplers and the per-lump, whole-image and per-iteration lumpy-background
-references; the curves, the network passes, the sampling, the rendering and
-the MCMC chain must equal these bit for bit."""
+samplers and the per-lump, whole-image (with its own ``hypot`` blob
+evaluator) and per-iteration lumpy-background references; the curves, the
+network passes, the sampling, the rendering and the MCMC chain must equal
+these bit for bit."""
 
 import csv
 import math
@@ -16,7 +17,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scanobs import neuralnet
 from scanobs.dataset import DatasetWriter
 from scanobs.evaluation import LrocCurve, _split_records
-from scanobs.imaging import _clb_blob, pixel_grid
+from scanobs.imaging import pixel_grid
 from scanobs.mcmc import BIRTH_PROB, MOVE_PROB, MOVE_STD, _reflect
 from scanobs.observers import Records, records_from_log_lrs
 from scanobs.phantoms import ClbCluster, ClbRealization, LumpyRealization
@@ -348,6 +349,25 @@ def reference_render_lumpy_image(real, params, prf):
     return out.astype(np.float32)
 
 
+def reference_clb_blob(dx, dy, angle, params):
+    """One oriented blob on offset arrays dx, dy (pixels), as
+    A exp(-alpha n^beta / ell) with n = hypot of the rotated offset and ell
+    the ellipse radius along it."""
+    c, s = np.cos(angle), np.sin(angle)
+    vx = c * dx - s * dy
+    vy = s * dx + c * dy
+    n = np.hypot(vx, vy)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ux = vx / n
+        uy = vy / n
+        ell = (params.half_axis_x * params.half_axis_y
+               / np.sqrt((params.half_axis_y * ux) ** 2
+                         + (params.half_axis_x * uy) ** 2))
+        val = params.blob_amplitude * np.exp(
+            -params.shape_alpha * n ** params.shape_beta / ell)
+    return np.where(n == 0.0, params.blob_amplitude, val)
+
+
 def reference_render_clb_image(real, params):
     w, h = params.field_of_view
     X, Y = pixel_grid(w, h)
@@ -363,7 +383,8 @@ def reference_render_clb_image(real, params):
         ang = np.asarray(angles[i:i + chunk])
         dx = X[None] - pos[:, 0, None, None]
         dy = Y[None] - pos[:, 1, None, None]
-        out += _clb_blob(dx, dy, ang[:, None, None], params).sum(axis=0)
+        out += reference_clb_blob(dx, dy, ang[:, None, None],
+                                  params).sum(axis=0)
     return out.astype(np.float32)
 
 

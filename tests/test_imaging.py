@@ -21,6 +21,7 @@ from scanobs.phantoms import (
     LumpyParams,
     LumpyRealization,
     SignalSpec,
+    sample_clb,
     sample_lumpy,
 )
 from scanobs.tasks import simulate_measurement, task_preset
@@ -266,3 +267,43 @@ def test_clb_render_blob_at_pixel_center_equals_reference():
     ref = reference_render_clb_image(real, params)
     np.testing.assert_array_equal(img, ref)
     assert np.isfinite(img).all()
+
+
+def _assert_within_one_ulp_of_hypot_reference(real, params):
+    """The rendering within one float32 ulp of the ``hypot`` reference, the
+    bound of the benchmark's clustered-lumpy oracle; prints how many pixels
+    differ at all (``pytest -rP`` shows it)."""
+    img = render_clb_image(real, params)
+    ref = reference_render_clb_image(real, params)
+    assert np.isfinite(img).all()
+    np.testing.assert_array_max_ulp(img, ref, maxulp=1)
+    print(f"{np.count_nonzero(img != ref)} of {img.size} pixels differ from "
+          f"the hypot reference")
+
+
+@pytest.mark.parametrize("beta, half_axes", [
+    (0.3, (5.0, 2.0)), (1.0, (5.0, 2.0)), (1.7, (5.0, 2.0)),
+    (0.5, (2.0, 5.0)),    # Lx < Ly
+    (1.7, (2.0, 5.0)),
+])
+def test_clb_render_shapes_within_one_ulp_of_hypot_reference(beta,
+                                                             half_axes):
+    params = ClbParams(shape_beta=beta, half_axis_x=half_axes[0],
+                       half_axis_y=half_axes[1], field_of_view=(96, 80))
+    rng = np.random.default_rng(int(10 * beta))
+    real = ClbRealization([
+        ClbCluster(np.array([30.0, 40.0]), rng.normal(0.0, 12.0, (70, 2)),
+                   rng.uniform(0.0, 2.0 * math.pi, 70)),
+        ClbCluster(np.array([60.0, 20.0]), np.zeros((0, 2)), np.zeros(0)),
+        ClbCluster(np.array([20.5, 30.5]),            # on a pixel center
+                   np.array([[0.0, 0.0], [41.0, 9.0]]), np.array([0.4, 2.0])),
+    ])
+    _assert_within_one_ulp_of_hypot_reference(real, params)
+
+
+def test_clb_render_sampled_within_one_ulp_of_hypot_reference():
+    params = task_preset("clb").clb
+    rng = np.random.default_rng(2024)
+    for _ in range(5):
+        _assert_within_one_ulp_of_hypot_reference(sample_clb(params, rng),
+                                                  params)

@@ -183,3 +183,23 @@ def test_ensemble_validation_errors():
         LumpyParams(mean_count=0.0)
     with pytest.raises(ValueError, match="unknown preset 'no_such_task'"):
         task_preset("no_such_task")
+
+
+@pytest.mark.parametrize("cls", [LumpyParams, ClbParams])
+@pytest.mark.parametrize("fov", [(0, 64), (64, -3), (128.5, 128), (64,),
+                                 (64, 64, 1), [64, 64], "64"])
+def test_params_reject_bad_field_of_view(cls, fov):
+    with pytest.raises(ValueError, match="field_of_view"):
+        cls(field_of_view=fov)
+
+
+@pytest.mark.parametrize("cls, name", [
+    (LumpyParams, "mean_count"), (LumpyParams, "lump_width"),
+    *((ClbParams, name) for name in (
+        "mean_cluster_count", "mean_blobs_per_cluster", "half_axis_x",
+        "half_axis_y", "shape_alpha", "shape_beta", "cluster_spread")),
+])
+@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
+def test_params_reject_nan_and_non_positive(cls, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be positive"):
+        cls(**{name: value})

@@ -811,6 +811,23 @@ def test_cli_checkpoint_is_checked_before_any_observer_runs(tmp_path, capsys,
         assert not list(out.glob(written)), written
 
 
+def test_cli_evaluate_loads_the_checkpoint_once(tmp_path, capsys,
+                                               monkeypatch):
+    cfg = _write_config(tmp_path, observers=["cnn_io"], n_val_per_class=1,
+                        n_test_per_class=1, bootstrap_samples=20)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    ckpt = tmp_path / "out" / "checkpoint.bin"
+    arch = neuralnet.Architecture(1, (64, 64), 10, filters=2)
+    neuralnet.save_checkpoint(ckpt, neuralnet.init_state(arch, seed=59))
+    loads = []
+    load = neuralnet.load_checkpoint
+    monkeypatch.setattr(neuralnet, "load_checkpoint",
+                        lambda path: loads.append(path) or load(path))
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    assert "cnn_io" in capsys.readouterr().out
+    assert loads == [ckpt]
+
+
 @pytest.mark.parametrize("slope", [-0.1, 1.5, math.nan])
 def test_cli_evaluate_checkpoint_slope_outside_unit_interval(tmp_path, capsys,
                                                            slope):
