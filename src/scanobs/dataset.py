@@ -10,10 +10,13 @@ File layout: a fixed 64-byte header followed by per-record data.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
+
+from .observers import HO_BLOCK_ROWS
 
 MAGIC = b"SCANOBS1"
 VERSION = 1
@@ -60,27 +63,37 @@ class DatasetWriter:
 
 
 def read_dataset(path):
-    """Read a dataset file; returns (images (N,H,W) float32, labels (N,) uint8, meta)."""
-    raw = Path(path).read_bytes()
-    if len(raw) < HEADER_SIZE:
-        raise ValueError(f"{path}: truncated header")
-    magic, version, count, width, height, n_loc = _HEADER.unpack(
-        raw[:_HEADER.size])
-    if magic != MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    rec = 1 + 4 * width * height
-    body = np.frombuffer(raw, dtype=np.uint8, offset=HEADER_SIZE)
-    if len(body) != count * rec:
-        raise ValueError(f"{path}: truncated file")
-    body = body.reshape(count, rec)
-    labels = body[:, 0].copy()
+    """Read a dataset file; returns (images (N,H,W) float32, labels (N,) uint8, meta).
+
+    The records are read HO_BLOCK_ROWS at a time through one buffer into
+    the returned arrays, so the images are held once."""
+    with open(path, "rb") as fh:
+        head = fh.read(HEADER_SIZE)
+        if len(head) < HEADER_SIZE:
+            raise ValueError(f"{path}: truncated header")
+        magic, version, count, width, height, n_loc = _HEADER.unpack_from(head)
+        if magic != MAGIC:
+            raise ValueError(f"{path}: bad magic {magic!r}")
+        if version != VERSION:
+            raise ValueError(f"{path}: unsupported version {version}")
+        record = np.dtype([("label", "u1"),
+                           ("image", "<f4", (height, width))])
+        size = os.fstat(fh.fileno()).st_size
+        if size != HEADER_SIZE + count * record.itemsize:
+            raise ValueError(f"{path}: truncated file")
+        labels = np.empty(count, dtype=np.uint8)
+        images = np.empty((count, height, width), dtype=np.float32)
+        chunk = np.empty(min(count, HO_BLOCK_ROWS), dtype=record)
+        for lo in range(0, count, HO_BLOCK_ROWS):
+            part = chunk[:min(count - lo, HO_BLOCK_ROWS)]
+            if fh.readinto(part) != part.nbytes:
+                raise ValueError(f"{path}: truncated file")
+            labels[lo:lo + len(part)] = part["label"]
+            images[lo:lo + len(part)] = part["image"]
     bad = np.flatnonzero(labels > n_loc)
     if len(bad):
         raise ValueError(f"{path}: record {bad[0]} has label "
                          f"{labels[bad[0]]}, above J = {n_loc}")
-    images = body[:, 1:].copy().view("<f4").reshape(count, height, width)
     meta = {"count": count, "width": width, "height": height,
             "n_locations": n_loc}
-    return images.astype(np.float32, copy=False), labels, meta
+    return images, labels, meta

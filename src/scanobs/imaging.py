@@ -18,6 +18,7 @@ from .phantoms import (
     LumpyParams,
     LumpyRealization,
     SignalSpec,
+    check_fields,
 )
 
 
@@ -30,8 +31,7 @@ class PrfSpec:
     grid: tuple[int, int]       # image (width, height), pixels
 
     def __post_init__(self):
-        if self.height <= 0 or self.width <= 0:
-            raise ValueError("PRF height and width must be positive")
+        check_fields(self, ("height", "width"), "grid")
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,7 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("laplacian", "gaussian", "poisson_gaussian"):
             raise ValueError(f"unknown noise kind: {self.kind!r}")
-        if self.scale <= 0:
-            raise ValueError("noise scale must be positive")
+        check_fields(self, ("scale",))
 
     @classmethod
     def laplacian(cls, c: float) -> "NoiseModel":

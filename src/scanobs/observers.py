@@ -15,6 +15,9 @@ from scipy.special import logsumexp
 
 _BLOCK_ROWS = 16  # images per block in laplacian_io_log_lrs_batch
 _CG_RTOL = 1e-6   # relative residual of each Hotelling template solve
+# images per block in scanning_ho_records; dataset.read_dataset reads the
+# records in chunks of as many
+HO_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -178,12 +181,23 @@ def build_hotelling(backgrounds, signals,
 def scanning_ho_records(images, labels,
                         state: HotellingObserverState) -> Records:
     """Scanning HO: lambda_j = w_j^T (g - mean_b - s_j / 2); the binary
-    statistic is max_j lambda_j."""
+    statistic is max_j lambda_j.
+
+    The stack is walked through one float64 workspace in blocks of
+    HO_BLOCK_ROWS images, the last taking the remainder, so no product has
+    fewer than min(N, HO_BLOCK_ROWS) rows: OpenBLAS rounds products of a few
+    rows on another path, and these keep the whole-stack product's bits.
+    """
     n = len(images)
-    flat = images.reshape(n, -1).astype(np.float64)  # a copy, even of float64
-    flat -= state.mean_background
-    lams = flat @ state.templates.T \
-        - 0.5 * (state.templates * state.signals).sum(axis=1)
+    flat = images.reshape(n, -1)
+    lams = np.empty((n, len(state.templates)))
+    edges = [i * HO_BLOCK_ROWS for i in range(max(n // HO_BLOCK_ROWS, 1))]
+    edges.append(n)
+    work = np.empty((n - edges[-2], flat.shape[1]))
+    for lo, hi in zip(edges, edges[1:]):
+        np.subtract(flat[lo:hi], state.mean_background, out=work[:hi - lo])
+        np.matmul(work[:hi - lo], state.templates.T, out=lams[lo:hi])
+    lams -= 0.5 * (state.templates * state.signals).sum(axis=1)
     return records_from_statistics(lams, labels, lams.max(axis=1))
 
 

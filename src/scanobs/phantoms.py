@@ -8,18 +8,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _check_params(params, positive):
-    """Reject a field of view that is not two positive ints, and a NaN or
-    non-positive value in any of the fields named in ``positive``."""
-    fov = params.field_of_view
-    if not (isinstance(fov, tuple) and len(fov) == 2 and all(
-            isinstance(n, (int, np.integer)) and n > 0 for n in fov)):
-        raise ValueError(f"field_of_view must be two positive ints, "
-                         f"got {fov!r}")
+def check_fields(obj, positive, grid=None):
+    """Reject a NaN or non-positive value in any of the fields named in
+    ``positive``, and, if ``grid`` names a field, a value of it that is not
+    two positive ints."""
+    if grid is not None:
+        size = getattr(obj, grid)
+        if not (isinstance(size, tuple) and len(size) == 2 and all(
+                isinstance(n, (int, np.integer)) and n > 0 for n in size)):
+            raise ValueError(f"{grid} must be two positive ints, "
+                             f"got {size!r}")
     for name in positive:
-        if not getattr(params, name) > 0:
+        if not getattr(obj, name) > 0:
             raise ValueError(f"{name} must be positive, "
-                             f"got {getattr(params, name)!r}")
+                             f"got {getattr(obj, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -32,7 +34,7 @@ class LumpyParams:
     field_of_view: tuple[int, int] = (64, 64)  # (width, height), pixels
 
     def __post_init__(self):
-        _check_params(self, ("mean_count", "lump_width"))
+        check_fields(self, ("mean_count", "lump_width"), "field_of_view")
 
 
 @dataclass(frozen=True)
@@ -59,9 +61,9 @@ class ClbParams:
     field_of_view: tuple[int, int] = (128, 128)
 
     def __post_init__(self):
-        _check_params(self, ("mean_cluster_count", "mean_blobs_per_cluster",
-                             "half_axis_x", "half_axis_y", "shape_alpha",
-                             "shape_beta", "cluster_spread"))
+        check_fields(self, ("mean_cluster_count", "mean_blobs_per_cluster",
+                            "half_axis_x", "half_axis_y", "shape_alpha",
+                            "shape_beta", "cluster_spread"), "field_of_view")
 
 
 @dataclass(frozen=True)
@@ -92,8 +94,7 @@ class SignalSpec:
     angle: float = 0.0
 
     def __post_init__(self):
-        if self.width1 <= 0 or self.width2 <= 0:
-            raise ValueError("signal widths must be positive")
+        check_fields(self, ("width1", "width2"))
 
 
 def sample_lumpy(params: LumpyParams, rng: np.random.Generator) -> LumpyRealization:

@@ -234,8 +234,10 @@ def _hotelling_records(images, labels, task, plan):
         backgrounds = None
     else:
         rng = stream(plan.seed, "hotelling-covariance")
-        backgrounds = np.stack([task.sample_background(rng)
-                                for _ in range(plan.cov_samples)])
+        backgrounds = np.empty((plan.cov_samples, *task.grid[::-1]),
+                               dtype=np.float32)
+        for sample in backgrounds:  # drawn in place, one stack held
+            sample[...] = task.sample_background(rng)
     state = observers.build_hotelling(backgrounds, task.signal_images,
                                       task.noise.std ** 2)
     return observers.scanning_ho_records(images, labels, state)

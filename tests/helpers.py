@@ -1,15 +1,23 @@
 """Test-only dataset writers, readers of evaluation and observer outputs, the
-comparison-matrix LROC/ROC sweep, a malformed checkpoint writer, the im2col
-einsum network that the channels-last convolution is checked against, the
-band-copy convolutions, the channels-last network with those convolutions,
-``np.where`` activations and an argmax pool, and the ``rng.uniform``
-samplers and the per-lump, whole-image (with its own ``hypot`` blob
-evaluator) and per-iteration lumpy-background references; the curves, the
-network passes, the sampling, the rendering and the MCMC chain must equal
-these bit for bit."""
+comparison-matrix LROC/ROC sweep, a malformed checkpoint writer, the
+whole-stack scanning Hotelling observer, the im2col einsum network that the
+channels-last convolution is checked against, the band-copy convolutions,
+the channels-last network with those convolutions, ``np.where`` activations
+and an argmax pool, and the ``rng.uniform`` samplers and the per-lump,
+whole-image (with its own ``hypot`` blob evaluator) and per-iteration
+lumpy-background references; the curves, the Hotelling records, the network
+passes, the sampling, the rendering and the MCMC chain must equal these bit
+for bit.  Also the traced allocation peak of a call, and a Python snippet's
+output at one and two OpenBLAS threads."""
 
 import csv
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+from textwrap import dedent
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -19,7 +27,11 @@ from scanobs.dataset import DatasetWriter
 from scanobs.evaluation import LrocCurve, _split_records
 from scanobs.imaging import pixel_grid
 from scanobs.mcmc import BIRTH_PROB, MOVE_PROB, MOVE_STD, _reflect
-from scanobs.observers import Records, records_from_log_lrs
+from scanobs.observers import (
+    Records,
+    records_from_log_lrs,
+    records_from_statistics,
+)
 from scanobs.phantoms import ClbCluster, ClbRealization, LumpyRealization
 
 
@@ -35,6 +47,43 @@ def write_dataset(path, images: np.ndarray, labels):
 def image_to_csv(path, image: np.ndarray):
     """Export a single image as CSV, one row per image row."""
     np.savetxt(path, np.asarray(image), delimiter=",", fmt="%.8g")
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that fn(*args) allocates above what is live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def stdout_at_blas_threads(code):
+    """The output of a Python snippet run at OPENBLAS_NUM_THREADS=1 and 2."""
+    src = str(Path(neuralnet.__file__).resolve().parents[1])
+    found = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        found.append(subprocess.run(
+            [sys.executable, "-c", dedent(code)], env=env, check=True,
+            capture_output=True, text=True, timeout=300).stdout)
+    return found
+
+
+def reference_scanning_ho_records(images, labels, state):
+    """The scanning HO with the whole stack in one float64 copy and one
+    product."""
+    n = len(images)
+    flat = images.reshape(n, -1).astype(np.float64)  # a copy, even of float64
+    flat -= state.mean_background
+    lams = flat @ state.templates.T \
+        - 0.5 * (state.templates * state.signals).sum(axis=1)
+    return records_from_statistics(lams, labels, lams.max(axis=1))
 
 
 def lroc_trapezoid_area(curve: LrocCurve) -> float:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import image_to_csv, write_dataset
+from helpers import image_to_csv, traced_peak, write_dataset
 from scanobs.dataset import HEADER_SIZE, DatasetWriter, read_dataset
+from scanobs.observers import HO_BLOCK_ROWS
 
 
 def test_round_trip(tmp_path):
@@ -16,6 +17,33 @@ def test_round_trip(tmp_path):
     np.testing.assert_array_equal(got_labels, labels)
     assert meta["count"] == 7
     assert meta["width"] == 6 and meta["height"] == 4
+
+
+@pytest.mark.parametrize("n", [HO_BLOCK_ROWS - 1, HO_BLOCK_ROWS,
+                               HO_BLOCK_ROWS + 1, 2 * HO_BLOCK_ROWS + 3])
+def test_round_trip_across_chunks(tmp_path, n):
+    rng = np.random.default_rng(n)
+    images = rng.normal(size=(n, 3, 5)).astype(np.float32)
+    labels = rng.integers(0, 10, size=n)
+    path = tmp_path / "data.bin"
+    write_dataset(path, images, labels)
+    loaded, got_labels, meta = read_dataset(path)
+    assert loaded.dtype == np.float32 and got_labels.dtype == np.uint8
+    assert np.array_equal(loaded, images)
+    assert np.array_equal(got_labels, labels)
+    assert meta["count"] == n
+
+
+def test_read_holds_the_images_once(tmp_path):
+    # the returned arrays plus one chunk of records, not the file's bytes
+    # and a second copy of the images
+    n = 2000
+    path = tmp_path / "big.bin"
+    write_dataset(path, np.zeros((n, 64, 64), dtype=np.float32),
+                  np.arange(n) % 10)
+    arrays = n * 64 * 64 * 4 + n
+    chunk = HO_BLOCK_ROWS * (1 + 64 * 64 * 4)
+    assert traced_peak(read_dataset, path) <= arrays + chunk + 64 * 1024
 
 
 def test_streaming_writer_counts(tmp_path):
@@ -46,8 +74,24 @@ def test_read_rejects_bad_magic(tmp_path):
 def test_read_rejects_truncation(tmp_path):
     path = tmp_path / "trunc.bin"
     write_dataset(path, np.zeros((3, 2, 2), dtype=np.float32), [0, 1, 2])
-    path.write_bytes(path.read_bytes()[:-5])
-    with pytest.raises(ValueError):
+    raw = path.read_bytes()
+    # short, one byte too long, and the header with one byte of a record
+    for edit in (raw[:-5], raw + b"\0", raw[:HEADER_SIZE + 1]):
+        path.write_bytes(edit)
+        with pytest.raises(ValueError) as exc:
+            read_dataset(path)
+        assert str(exc.value) == f"{path}: truncated file"
+
+
+def test_read_checks_the_length_before_allocating(tmp_path):
+    # a header that claims 2**40 records of 64x64 fails on the file's size
+    # instead of asking for 72 TB
+    path = tmp_path / "huge.bin"
+    write_dataset(path, np.zeros((3, 64, 64), dtype=np.float32), [0, 1, 2])
+    raw = bytearray(path.read_bytes())
+    raw[12:20] = (2 ** 40).to_bytes(8, "little")  # the u64 image count
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match="truncated file$"):
         read_dataset(path)
 
 
@@ -68,6 +112,21 @@ def test_read_rejects_label_above_j(tmp_path):
     with pytest.raises(ValueError) as exc:
         read_dataset(path)
     assert str(exc.value) == f"{path}: record 2 has label 3, above J = 2"
+
+
+def test_read_names_the_first_bad_label_past_the_first_chunk(tmp_path):
+    n = HO_BLOCK_ROWS + 50
+    path = tmp_path / "labels.bin"
+    write_dataset(path, np.zeros((n, 2, 2), dtype=np.float32),
+                  np.arange(n) % 3)
+    raw = bytearray(path.read_bytes())
+    for i in (HO_BLOCK_ROWS + 7, HO_BLOCK_ROWS + 9):
+        raw[HEADER_SIZE + i * (1 + 4 * 4)] = 5
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as exc:
+        read_dataset(path)
+    assert str(exc.value) == (f"{path}: record {HO_BLOCK_ROWS + 7} has "
+                              f"label 5, above J = 2")
 
 
 def test_image_csv_export(tmp_path):

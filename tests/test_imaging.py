@@ -158,6 +158,26 @@ def test_noise_model_validation():
         NoiseModel.gaussian(0.0)
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: PrfSpec(math.nan, math.nan, (64, 64)), "height"),
+    (lambda: PrfSpec(40.0, math.nan, (64, 64)), "width"),
+    (lambda: PrfSpec(0.0, 1.5, (64, 64)), "height"),
+    (lambda: PrfSpec(40.0, -1.5, (64, 64)), "width"),
+    (lambda: NoiseModel("gaussian", math.nan), "scale"),
+    (lambda: NoiseModel.laplacian(-1.0), "scale"),
+])
+def test_prf_and_noise_reject_nan_and_non_positive(make, name):
+    with pytest.raises(ValueError, match=f"^{name} must be positive"):
+        make()
+
+
+@pytest.mark.parametrize("grid", [(0, 64), (64, -3), (64.5, 64), (64,),
+                                  [64, 64]])
+def test_prf_rejects_a_grid_that_is_not_two_positive_ints(grid):
+    with pytest.raises(ValueError, match="^grid must be two positive ints"):
+        PrfSpec(1.0, 1.0, grid)
+
+
 def test_simulate_bke_absent_is_pure_noise():
     task = task_preset("bke_system1")
     rng = np.random.default_rng(6)

@@ -2,12 +2,7 @@ import concurrent.futures
 import math
 import os
 import signal
-import subprocess
-import sys
-import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
-from pathlib import Path
-from textwrap import dedent
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +16,8 @@ from helpers import (
     reference_conv_backward,
     reference_conv_forward,
     reference_loss_and_gradient,
+    stdout_at_blas_threads,
+    traced_peak,
     write_malformed_checkpoint,
 )
 from scanobs import workers
@@ -188,18 +185,6 @@ def test_conv_equals_band_copy_reference(dtype, k, c, batch):
     assert dw.dtype == dtype and np.array_equal(dw, dw_ref)
 
 
-def _traced_peak(fn, *args):
-    """Peak bytes that fn(*args) allocates above what is live before it."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 def test_conv_workspace_is_one_block():
     # the paper's inner layer at one micro-batch: the workspaces hold
     # nothing beyond the padded input and, for the forward pass, its row
@@ -219,8 +204,8 @@ def test_conv_workspace_is_one_block():
     small = 4 * wt.nbytes  # the weight bands, the GEMM result, dW itself
     x = rng.normal(size=(nb, h, w, c)).astype(np.float32)
     out = np.zeros((nb, h, w, f), dtype=np.float32)
-    assert _traced_peak(nn._conv, x, wt, out) <= xp + rows + prod + small
-    assert _traced_peak(nn._conv_weight_grad, x, out, k) <= \
+    assert traced_peak(nn._conv, x, wt, out) <= xp + rows + prod + small
+    assert traced_peak(nn._conv_weight_grad, x, out, k) <= \
         xp + band + dbands + small
 
 
@@ -687,8 +672,8 @@ def test_inference_memory_does_not_grow_with_the_batch(monkeypatch):
                        seed=26)
     images = np.random.default_rng(27).normal(
         size=(600, 64, 64)).astype(np.float32)
-    few = _traced_peak(forward_posteriors, images[:8], state)
-    many = _traced_peak(forward_posteriors, images, state)
+    few = traced_peak(forward_posteriors, images[:8], state)
+    many = traced_peak(forward_posteriors, images, state)
     assert many <= 1.1 * few
 
 
@@ -762,24 +747,10 @@ def test_micro_batched_gradient_matches_whole_batch(parts):
         _assert_close(g, g_ref)
 
 
-def _stdout_at_blas_threads(code):
-    """The output of a Python snippet run at OPENBLAS_NUM_THREADS=1 and 2."""
-    src = str(Path(nn.__file__).resolve().parents[1])
-    found = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       [src, os.environ.get("PYTHONPATH", "")]))
-        found.append(subprocess.run(
-            [sys.executable, "-c", dedent(code)], env=env, check=True,
-            capture_output=True, text=True, timeout=300).stdout)
-    return found
-
-
 def test_gradient_bytes_do_not_depend_on_blas_threads():
     # one 13-image block of a 32-filter 6x10 net: at two threads, its
     # (160 x 780) @ (780 x 32) layer-1 weight-gradient GEMM rounds otherwise
-    one, two = _stdout_at_blas_threads("""
+    one, two = stdout_at_blas_threads("""
         import hashlib
         import numpy as np
         from scanobs import neuralnet as nn
@@ -796,7 +767,7 @@ def test_gradient_bytes_do_not_depend_on_blas_threads():
 def test_one_filter_posterior_bytes_do_not_depend_on_blas_threads():
     # a one-filter conv is a one-column product, an OpenBLAS GEMV; 300
     # images are 4 micro-batches of 64 images and one of 44
-    one, two = _stdout_at_blas_threads("""
+    one, two = stdout_at_blas_threads("""
         import hashlib
         import numpy as np
         from scanobs import neuralnet as nn

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -6,7 +8,12 @@ from scipy import stats
 from scipy.sparse.linalg import LinearOperator, cg
 from scipy.special import logsumexp
 
-from helpers import records_from_csv
+from helpers import (
+    records_from_csv,
+    reference_scanning_ho_records,
+    stdout_at_blas_threads,
+    traced_peak,
+)
 from scanobs import observers, runner
 from scanobs.neuralnet import (
     Architecture,
@@ -279,8 +286,9 @@ def test_scanning_ho_batch_matches_single():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_scanning_ho_centres_a_copy_with_whole_stack_bits(dtype):
-    # centring in place on the float64 copy gives the bits of subtracting
-    # the mean from the whole stack, and leaves the caller's images alone
+    # centring each block in the float64 workspace gives the bits of
+    # subtracting the mean from the whole stack, and leaves the caller's
+    # images alone
     task = task_preset("lb")
     rng = np.random.default_rng(13)
     backgrounds = np.stack([task.sample_background(rng) for _ in range(30)])
@@ -290,14 +298,74 @@ def test_scanning_ho_centres_a_copy_with_whole_stack_bits(dtype):
     before = imgs.copy()
     rec = scanning_ho_records(imgs, np.arange(7) % 10, state)
     assert np.array_equal(imgs, before)
-    centred = imgs.reshape(7, -1).astype(np.float64) - state.mean_background
-    lams = centred @ state.templates.T \
-        - 0.5 * (state.templates * state.signals).sum(axis=1)
-    ref = observers.records_from_statistics(lams, np.arange(7) % 10,
-                                            lams.max(axis=1))
-    for field in ("true_label", "statistic", "chosen_location",
-                  "binary_statistic", "per_location"):
-        assert np.array_equal(getattr(rec, field), getattr(ref, field))
+    _assert_records_equal(rec, reference_scanning_ho_records(
+        imgs, np.arange(7) % 10, state))
+
+
+@functools.cache
+def _ho_stack(preset):
+    """A scanning-HO state (lb: from 80 covariance samples) and 1001 test
+    images of the preset."""
+    task = task_preset(preset)
+    rng = np.random.default_rng(17)
+    backgrounds = None
+    if preset == "lb":
+        backgrounds = np.stack([task.sample_background(rng)
+                                for _ in range(80)])
+    state = build_hotelling(backgrounds, task.signal_images,
+                            task.noise.std ** 2)
+    labels = np.arange(1001) % 10
+    imgs = np.stack([simulate_measurement(task, y, rng)[0] for y in labels])
+    return state, imgs, labels
+
+
+@pytest.mark.parametrize("preset", ["bke_system1", "lb"])
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 511, 522, 1001])
+def test_scanning_ho_blocks_equal_whole_stack(preset, n):
+    # below 256 rows, one product; above, blocks of 256 with the remainder
+    # joined to the last (257 and 511 rows are one block, 522 two)
+    assert observers.HO_BLOCK_ROWS == 256
+    state, imgs, labels = _ho_stack(preset)
+    _assert_records_equal(
+        scanning_ho_records(imgs[:n], labels[:n], state),
+        reference_scanning_ho_records(imgs[:n], labels[:n], state))
+
+
+def test_scanning_ho_records_do_not_depend_on_blas_threads():
+    one, two = stdout_at_blas_threads("""
+        import hashlib
+        import numpy as np
+        from scanobs import observers
+        from scanobs.tasks import simulate_measurement, task_preset
+        task = task_preset("bke_system2")
+        state = observers.build_hotelling(None, task.signal_images,
+                                          task.noise.std ** 2)
+        rng = np.random.default_rng(18)
+        labels = np.arange(1500) % 10
+        imgs = np.stack([simulate_measurement(task, y, rng)[0]
+                         for y in labels])
+        rec = observers.scanning_ho_records(imgs, labels, state)
+        print(hashlib.sha256(rec.per_location.tobytes()).hexdigest())
+        """)
+    assert one == two
+
+
+def test_scanning_ho_holds_one_block_workspace():
+    # 2000 images are 7 blocks, the last of 464 rows; a block never has
+    # more than 2 * 256 - 1 rows
+    task = task_preset("bke_system1")
+    state = build_hotelling(None, task.signal_images, task.noise.std ** 2)
+    n, m = 2000, state.templates.shape[1]
+    imgs = np.random.default_rng(19).normal(
+        size=(n, 64, 64)).astype(np.float32)
+    labels = np.arange(n) % 10
+    rec = scanning_ho_records(imgs, labels, state)
+    records = sum(getattr(rec, f.name).nbytes
+                  for f in dataclasses.fields(rec))
+    workspace = (2 * observers.HO_BLOCK_ROWS - 1) * m * 8
+    # and the (J, M) product of templates and signals for the offsets
+    assert traced_peak(scanning_ho_records, imgs, labels, state) <= \
+        workspace + records + state.templates.nbytes
 
 
 def test_constant_shift_leaves_chosen_location():

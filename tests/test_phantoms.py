@@ -203,3 +203,12 @@ def test_params_reject_bad_field_of_view(cls, fov):
 def test_params_reject_nan_and_non_positive(cls, name, value):
     with pytest.raises(ValueError, match=f"^{name} must be positive"):
         cls(**{name: value})
+
+
+@pytest.mark.parametrize("width1, width2, name", [
+    (math.nan, 1.0, "width1"), (1.0, math.nan, "width2"),
+    (0.0, 1.0, "width1"), (1.0, -2.0, "width2")])
+def test_signal_spec_rejects_nan_and_non_positive_widths(width1, width2,
+                                                        name):
+    with pytest.raises(ValueError, match=f"^{name} must be positive"):
+        SignalSpec(1, (3.0, 3.0), 1.0, width1, width2)

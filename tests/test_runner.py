@@ -453,6 +453,34 @@ def test_run_observers_hotelling_and_mcmc_on_lb(tmp_path):
         assert np.isfinite(row["alroc"])
 
 
+def test_hotelling_covariance_stack_equals_list_and_stack(tmp_path,
+                                                          monkeypatch):
+    # the samples are drawn into one preallocated stack, in the order and
+    # with the bytes of stacking a list of them
+    plan = ExperimentPlan("lb", tmp_path / "o", observers=["hotelling"],
+                          seed=9, cov_samples=40)
+    task = plan.task
+    built = []
+    build = runner.observers.build_hotelling
+
+    def keep(backgrounds, signals, noise_var):
+        built.append((backgrounds, build(backgrounds, signals, noise_var)))
+        return built[-1][1]
+
+    monkeypatch.setattr(runner.observers, "build_hotelling", keep)
+    labels = np.arange(10)
+    images = np.zeros((10, *task.grid[::-1]), dtype=np.float32)
+    runner.OBSERVERS["hotelling"](images, labels, task, plan)
+    rng = runner.stream(plan.seed, "hotelling-covariance")
+    listed = np.stack([task.sample_background(rng) for _ in range(40)])
+    backgrounds, state = built[0]
+    assert backgrounds.dtype == listed.dtype == np.float32
+    assert np.array_equal(backgrounds, listed)
+    want = build(listed, task.signal_images, task.noise.std ** 2)
+    assert np.array_equal(state.templates, want.templates)
+    assert np.array_equal(state.mean_background, want.mean_background)
+
+
 # An lb plan for short MCMC chains, one test image per class
 _CHAINS = {"preset": "lb", "observers": ["mcmc_io"], "n_val_per_class": 0,
            "n_test_per_class": 1, "seed": 12, "mcmc_iterations": 300,
