@@ -10,11 +10,14 @@ import csv
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dsyrk
 from scipy.special import logsumexp
 
+from . import workers
+
 _BLOCK_ROWS = 16  # images per block in laplacian_io_log_lrs_batch
-_CG_RTOL = 1e-6   # relative residual of each Hotelling template solve
+_GRAM_COLUMNS = 256  # pixel columns per block in build_hotelling
 # images per block in scanning_ho_records; dataset.read_dataset reads the
 # records in chunks of as many
 HO_BLOCK_ROWS = 256
@@ -136,19 +139,23 @@ class HotellingObserverState:
 
 def build_hotelling(backgrounds, signals,
                     noise_var: float) -> HotellingObserverState:
-    """Build scanning-HO templates by conjugate gradients.
+    """Build scanning-HO templates w_j = K^-1 s_j, with
+    K = C^T C / (n - 1) + noise_var * I over the n centred background
+    samples C (BKE: no samples, so w_j = s_j / noise_var).
 
-    The covariance K = K_b + noise_var * I is applied matrix-free through the
-    centered background samples; each template solves K w_j = s_j to the
-    relative residual _CG_RTOL.  With no background samples (BKE)
-    K = noise_var * I and w_j = s_j / noise_var directly.
+    By the matrix-inversion (Woodbury) identity,
+    K^-1 s = (s - C^T A^-1 C s) / noise_var with the n x n system
+    A = C C^T + (n - 1) noise_var I, solved by one Cholesky factorisation.
+    C is centred in float64 a block of _GRAM_COLUMNS pixels at a time, so
+    no float64 copy of the stack is held, and the algebra runs at one BLAS
+    thread, so the templates do not depend on the BLAS thread count.
     """
     signals = np.asarray(signals, dtype=np.float64).reshape(len(signals), -1)
     j_count, m = signals.shape
+    if not noise_var > 0:
+        raise ValueError(f"noise variance must be positive, got {noise_var!r}")
 
     if backgrounds is None or len(backgrounds) == 0:
-        if noise_var <= 0:
-            raise ValueError("noise variance must be positive in the BKE case")
         mean_bg = np.zeros(m)
         templates = signals / noise_var
         return HotellingObserverState(templates, mean_bg, signals)
@@ -156,25 +163,34 @@ def build_hotelling(backgrounds, signals,
     n = len(backgrounds)
     if n < 2:
         raise ValueError("need at least 2 background samples")
-    if noise_var <= 0 and n <= m:
-        raise ValueError("singular covariance: noise_var=0 with fewer "
-                         "samples than pixels")
-    # a copy, even of float64, so that centring it in place leaves the
-    # caller's stack as it was
-    centered = np.array(backgrounds, dtype=np.float64).reshape(n, -1)
-    mean_bg = centered.mean(axis=0)
-    centered -= mean_bg
+    x = np.asarray(backgrounds).reshape(n, -1)
+    if x.shape[1] != m:
+        raise ValueError(f"background samples have {x.shape[1]} pixels, "
+                         f"signals {m}")
+    mean_bg = x.mean(axis=0, dtype=np.float64)
+    work = np.empty((n, min(m, _GRAM_COLUMNS)))
 
-    def apply_k(v):
-        return centered.T @ (centered @ v) / (n - 1) + noise_var * v
+    def centred_blocks():
+        for lo in range(0, m, _GRAM_COLUMNS):
+            cols = slice(lo, min(lo + _GRAM_COLUMNS, m))
+            block = work[:, :cols.stop - lo]
+            np.subtract(x[:, cols], mean_bg[cols], out=block)
+            yield cols, block
 
-    op = LinearOperator((m, m), matvec=apply_k, dtype=np.float64)
-    templates = np.empty_like(signals)
-    for j in range(j_count):
-        w, info = cg(op, signals[j], rtol=_CG_RTOL, atol=0.0, maxiter=10 * m)
-        if info != 0:
-            raise RuntimeError(f"CG failed to converge for template {j + 1}")
-        templates[j] = w
+    with workers.one_blas_thread(workers.EVERY_BLAS):
+        # the upper triangle of A, which is all that dsyrk and the
+        # factorisation touch; in Fortran order, so both work in place
+        gram = np.zeros((n, n), order="F")
+        c_s = np.zeros((n, j_count))  # C S^T
+        for cols, block in centred_blocks():
+            dsyrk(1.0, block.T, beta=1.0, c=gram, trans=1, overwrite_c=True)
+            c_s += block @ signals[:, cols].T
+        gram.flat[::n + 1] += (n - 1) * noise_var
+        coef = cho_solve(cho_factor(gram, overwrite_a=True), c_s)
+        templates = signals.copy()
+        for cols, block in centred_blocks():
+            templates[:, cols] -= coef.T @ block
+    templates /= noise_var
     return HotellingObserverState(templates, mean_bg, signals)
 
 

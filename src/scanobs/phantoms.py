@@ -8,10 +8,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def check_fields(obj, positive, grid=None):
+def check_fields(obj, positive, grid=None, finite=()):
     """Reject a NaN or non-positive value in any of the fields named in
-    ``positive``, and, if ``grid`` names a field, a value of it that is not
-    two positive ints."""
+    ``positive``, a NaN or infinite value in any named in ``finite``, and,
+    if ``grid`` names a field, a value of it that is not two positive
+    ints."""
     if grid is not None:
         size = getattr(obj, grid)
         if not (isinstance(size, tuple) and len(size) == 2 and all(
@@ -21,6 +22,10 @@ def check_fields(obj, positive, grid=None):
     for name in positive:
         if not getattr(obj, name) > 0:
             raise ValueError(f"{name} must be positive, "
+                             f"got {getattr(obj, name)!r}")
+    for name in finite:
+        if not math.isfinite(getattr(obj, name)):
+            raise ValueError(f"{name} must be finite, "
                              f"got {getattr(obj, name)!r}")
 
 
@@ -34,7 +39,8 @@ class LumpyParams:
     field_of_view: tuple[int, int] = (64, 64)  # (width, height), pixels
 
     def __post_init__(self):
-        check_fields(self, ("mean_count", "lump_width"), "field_of_view")
+        check_fields(self, ("mean_count", "lump_width"), "field_of_view",
+                     finite=("amplitude",))
 
 
 @dataclass(frozen=True)
@@ -63,7 +69,8 @@ class ClbParams:
     def __post_init__(self):
         check_fields(self, ("mean_cluster_count", "mean_blobs_per_cluster",
                             "half_axis_x", "half_axis_y", "shape_alpha",
-                            "shape_beta", "cluster_spread"), "field_of_view")
+                            "shape_beta", "cluster_spread"), "field_of_view",
+                     finite=("blob_amplitude",))
 
 
 @dataclass(frozen=True)
@@ -94,7 +101,7 @@ class SignalSpec:
     angle: float = 0.0
 
     def __post_init__(self):
-        check_fields(self, ("width1", "width2"))
+        check_fields(self, ("width1", "width2"), finite=("amplitude",))
 
 
 def sample_lumpy(params: LumpyParams, rng: np.random.Generator) -> LumpyRealization:

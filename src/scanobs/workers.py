@@ -1,11 +1,11 @@
 """Forked pools of single-BLAS-thread worker processes (Linux only).
 
 The MCMC chains and the network's micro-batches reach their workers through
-``task_map``, and only through it.  Every task runs at one OpenBLAS thread,
-and results come back in task order, so what a caller computes from them
-depends neither on the worker count nor on the BLAS thread count.  Workers
-are forked, so they start with the caller's modules, data and module
-attributes as they are at the pool's first task.
+``task_map``, and only through it.  Every task runs at one thread of
+numpy's OpenBLAS, and results come back in task order, so what a caller
+computes from them depends neither on the worker count nor on the BLAS
+thread count.  Workers are forked, so they start with the caller's
+modules, data and module attributes as they are at the pool's first task.
 """
 
 from __future__ import annotations
@@ -19,16 +19,23 @@ import os
 import numpy as np
 
 
+# (prefix, suffix) of the thread-count functions of numpy's OpenBLAS: an
+# ILP64 scipy-openblas in numpy's wheels, or a system OpenBLAS
+NUMPY_BLAS = (("scipy_openblas_", "64_"), ("openblas_", ""))
+# and also of scipy's own, an LP64 scipy-openblas in scipy's wheels
+EVERY_BLAS = NUMPY_BLAS + (("scipy_openblas_", ""),)
+
+
 @functools.cache
-def _openblas():
-    """(set, get) thread-count functions of each OpenBLAS that numpy
-    loaded; empty where no such library or setter is found."""
+def _openblas(names=NUMPY_BLAS):
+    """(set, get) thread-count functions of each loaded OpenBLAS that
+    exports a pair of names; empty where no such library is found."""
     with open("/proc/self/maps") as fh:
         libs = {line.split(None, 5)[5].strip() for line in fh
                 if "openblas" in line}
     found = []
     for lib in map(ctypes.CDLL, libs):
-        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+        for prefix, suffix in names:
             setter = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
             getter = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
             if setter is not None and getter is not None:
@@ -40,16 +47,18 @@ def _openblas():
 
 
 @contextlib.contextmanager
-def one_blas_thread():
-    """Run the enclosed code at one OpenBLAS thread, and restore the
-    previous thread count afterwards."""
-    before = [getter() for _, getter in _openblas()]
-    for setter, _ in _openblas():
+def one_blas_thread(names=NUMPY_BLAS):
+    """Run the enclosed code at one thread of each OpenBLAS that exports a
+    pair of names (by default numpy's), and restore the previous thread
+    counts afterwards."""
+    libs = _openblas(names)
+    before = [getter() for _, getter in libs]
+    for setter, _ in libs:
         setter(1)
     try:
         yield
     finally:
-        for (setter, _), n in zip(_openblas(), before):
+        for (setter, _), n in zip(libs, before):
             setter(n)
 
 
@@ -70,6 +79,9 @@ def shared_copies(arrays):
 def task_map(tasks):
     """Yields a map for a call of ``tasks`` tasks, each run at one BLAS
     thread; the caller's own BLAS work in the scope runs at one thread too.
+    Only numpy's OpenBLAS is set, since no task uses scipy's: a thread
+    count set after a fork restarts that library's threads, which then
+    busy-wait before they sleep.
 
     With one task, or one usable CPU, the map is the builtin, run in this
     process.  Otherwise it is the map of a pool of min(tasks, usable CPUs)

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.sparse.linalg import LinearOperator, cg
 from scipy.special import logsumexp
 
 from helpers import (
@@ -209,6 +208,8 @@ def test_hotelling_bke_template_is_scaled_signal():
 
 
 def test_hotelling_two_pixel_toy_matches_direct_inverse():
+    # more samples than pixels: the n x n system is 400 x 400 of rank 2
+    # plus the noise
     rng = np.random.default_rng(8)
     samples = rng.normal(size=(400, 2)) @ np.array([[1.0, 0.4], [0.0, 0.8]])
     sig = np.array([[1.0, -0.5]])
@@ -216,7 +217,7 @@ def test_hotelling_two_pixel_toy_matches_direct_inverse():
     state = build_hotelling(samples, sig, noise_var)
     k = np.cov(samples.T, ddof=1) + noise_var * np.eye(2)
     direct = np.linalg.solve(k, sig[0])
-    np.testing.assert_allclose(state.templates[0], direct, rtol=1e-5)
+    np.testing.assert_allclose(state.templates[0], direct, rtol=1e-10)
 
 
 def test_hotelling_lb_residual_check():
@@ -231,7 +232,7 @@ def test_hotelling_lb_residual_check():
         recovered = centered.T @ (centered @ w) / (len(samples) - 1) \
             + 400.0 * w
         ref = state.signals[j]
-        assert np.linalg.norm(recovered - ref) / np.linalg.norm(ref) < 1e-5
+        assert np.linalg.norm(recovered - ref) / np.linalg.norm(ref) < 1e-9
 
 
 def test_hotelling_rejects_degenerate_inputs():
@@ -242,6 +243,43 @@ def test_hotelling_rejects_degenerate_inputs():
         build_hotelling(None, sig, 0.0)
     with pytest.raises(ValueError):
         build_hotelling(np.zeros((3, 2, 2)), sig, 0.0)
+    with pytest.raises(ValueError, match="pixels"):
+        build_hotelling(np.zeros((3, 2, 3)), sig, 1.0)
+    # K would be invertible with more samples than pixels, but the noise
+    # is required in every case
+    samples = np.random.default_rng(20).normal(size=(6, 2, 2))
+    for noise_var in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="noise variance"):
+            build_hotelling(samples, sig, noise_var)
+
+
+def test_hotelling_templates_do_not_depend_on_blas_threads():
+    one, two = stdout_at_blas_threads("""
+        import hashlib
+        import numpy as np
+        from scanobs import observers
+        from scanobs.tasks import task_preset
+        task = task_preset("lb")
+        rng = np.random.default_rng(21)
+        backgrounds = np.stack([task.sample_background(rng)
+                                for _ in range(500)])
+        state = observers.build_hotelling(backgrounds, task.signal_images,
+                                          task.noise.std ** 2)
+        print(hashlib.sha256(state.templates.tobytes()).hexdigest())
+        """)
+    assert one == two
+
+
+def test_hotelling_holds_no_copy_of_the_stack():
+    # the samples are centred a block of pixel columns at a time; a float64
+    # copy of the stack alone would be twice its float32 bytes
+    task = task_preset("lb")
+    rng = np.random.default_rng(22)
+    backgrounds = np.stack([task.sample_background(rng)
+                            for _ in range(500)])
+    assert backgrounds.dtype == np.float32
+    assert traced_peak(build_hotelling, backgrounds, task.signal_images,
+                       task.noise.std ** 2) < backgrounds.nbytes
 
 
 def test_scanning_ho_centered_input_gives_zero():
@@ -464,25 +502,6 @@ def test_hotelling_records_match_per_row_reference():
         rec.per_location, labels, rec.per_location.max(axis=1)))
 
 
-def _per_row_hotelling(backgrounds, signals, noise_var):
-    """build_hotelling as it was when it converted each stack row by row
-    and centred the samples into a new array."""
-    signals = np.stack([np.asarray(s, dtype=np.float64).ravel()
-                        for s in signals])
-    samples = np.stack([np.asarray(b, dtype=np.float64).ravel()
-                        for b in backgrounds])
-    mean_bg = samples.mean(axis=0)
-    centered = samples - mean_bg
-    n, m = samples.shape
-    op = LinearOperator(
-        (m, m), dtype=np.float64,
-        matvec=lambda v: centered.T @ (centered @ v) / (n - 1)
-        + noise_var * v)
-    templates = np.stack([cg(op, s, rtol=observers._CG_RTOL, atol=0.0,
-                             maxiter=10 * m)[0] for s in signals])
-    return templates, mean_bg, signals
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_hotelling_state_equals_per_row_conversion(dtype):
     rng = np.random.default_rng(19)
@@ -490,14 +509,20 @@ def test_hotelling_state_equals_per_row_conversion(dtype):
     signals = rng.normal(size=(3, 6, 7)).astype(dtype)
     kept = backgrounds.copy()
     state = build_hotelling(backgrounds, signals, 0.5)
-    templates, mean_bg, flat_signals = _per_row_hotelling(backgrounds,
-                                                          signals, 0.5)
-    assert np.array_equal(state.templates, templates)
+    samples = np.stack([np.asarray(b, dtype=np.float64).ravel()
+                        for b in backgrounds])
+    flat_signals = np.stack([np.asarray(s, dtype=np.float64).ravel()
+                             for s in signals])
+    mean_bg = samples.mean(axis=0)
+    k = np.cov(samples.T, ddof=1) + 0.5 * np.eye(samples.shape[1])
+    np.testing.assert_allclose(state.templates,
+                               np.linalg.solve(k, flat_signals.T).T,
+                               rtol=1e-10)
     assert np.array_equal(state.mean_background, mean_bg)
     assert np.array_equal(state.signals, flat_signals)
-    assert np.array_equal(backgrounds, kept)  # centred in a copy
+    assert np.array_equal(backgrounds, kept)  # centred in a workspace
     listed = build_hotelling(list(backgrounds), list(signals), 0.5)
-    assert np.array_equal(listed.templates, templates)
+    assert np.array_equal(listed.templates, state.templates)
 
 
 def test_mcmc_records_match_per_row_reference(tmp_path, monkeypatch):

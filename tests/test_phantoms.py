@@ -212,3 +212,14 @@ def test_signal_spec_rejects_nan_and_non_positive_widths(width1, width2,
                                                         name):
     with pytest.raises(ValueError, match=f"^{name} must be positive"):
         SignalSpec(1, (3.0, 3.0), 1.0, width1, width2)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda a: LumpyParams(amplitude=a), "amplitude"),
+    (lambda a: ClbParams(blob_amplitude=a), "blob_amplitude"),
+    (lambda a: SignalSpec(1, (3.0, 3.0), a, 1.0, 1.0), "amplitude")])
+def test_amplitudes_reject_nan_and_inf_and_allow_zero(make, name):
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            make(value)
+    assert getattr(make(0.0), name) == 0.0
