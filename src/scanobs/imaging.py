@@ -74,42 +74,49 @@ def pixel_grid(width: int, height: int):
 
 
 def lump_kernel(params: LumpyParams, prf: PrfSpec):
-    """Closed-form lump images through the PRF, as a function of the lump
-    centers.
+    """Closed-form lump images through the PRF, as separable factors of the
+    lump centers.
 
     Convolving the Gaussian lump (amplitude a, width w_b) with the Gaussian
-    PRF gives a Gaussian of combined variance w_h^2 + w_b^2 and peak
-    a * h * w_b^2 / (w_h^2 + w_b^2).  The returned function maps a sequence
-    of N (x, y) centers to the float64 (N, height, width) stack of their
-    images.
+    PRF gives a Gaussian of combined variance v = w_h^2 + w_b^2 and peak
+    coef = a * h * w_b^2 / v, which is coef exp(-dy^2 / 2v) exp(-dx^2 / 2v).
+    The returned function maps an (N, 2) array of (x, y) centers to the
+    float64 factors fy (N, height), which carries coef, and fx (N, width):
+    lump i is the outer product fy[i, :, None] * fx[i, None, :].
     """
     w, h = prf.grid
     var = prf.width ** 2 + params.lump_width ** 2
     coef = params.amplitude * prf.height * params.lump_width ** 2 / var
-    x = np.arange(w, dtype=np.float64) + 0.5
-    y = np.arange(h, dtype=np.float64)[:, None] + 0.5
+    # pixel-center coordinates along x then y, so that both axes are one pass
+    axes = np.concatenate([np.arange(w, dtype=np.float64),
+                           np.arange(h, dtype=np.float64)]) + 0.5
 
-    def lumps(centers) -> np.ndarray:
-        d2 = np.empty((len(centers), h, w))
-        for out, (cx, cy) in zip(d2, centers):
-            np.add((x - cx) ** 2, (y - cy) ** 2, out=out)
-        # coef * np.exp(-d2 / (2.0 * var)) with the same roundings, in place
-        d2 /= -2.0 * var
-        np.exp(d2, out=d2)
-        d2 *= coef
-        return d2
+    def factors(centers) -> tuple[np.ndarray, np.ndarray]:
+        centers = np.asarray(centers, dtype=np.float64)
+        if centers.ndim != 2 or centers.shape[1] != 2:
+            raise ValueError(f"lump centers must have shape (N, 2), got "
+                             f"{centers.shape}")
+        d = axes - centers.repeat((w, h), axis=1)
+        # np.exp(-d**2 / (2.0 * var)) in place
+        d *= d
+        d /= -2.0 * var
+        np.exp(d, out=d)
+        fx, fy = d[:, :w], d[:, w:]
+        fy *= coef
+        return fy, fx
 
-    return lumps
+    return factors
 
 
 def render_lumpy_image(real: LumpyRealization, params: LumpyParams,
                        prf: PrfSpec) -> np.ndarray:
     """Noiseless lumpy background image; empty realization renders as zeros.
 
-    The lump images are summed in float64 in the order of the centers.
+    The lumps' outer products are summed in float64 in the order of the
+    centers.
     """
-    return lump_kernel(params, prf)(real.centers).sum(axis=0).astype(
-        np.float32)
+    fy, fx = lump_kernel(params, prf)(real.centers)
+    return (fy[:, :, None] * fx[:, None, :]).sum(axis=0).astype(np.float32)
 
 
 # Blobs are summed in chunks of _CLB_CHUNK; each chunk is evaluated over

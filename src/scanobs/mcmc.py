@@ -10,6 +10,12 @@ step of 3 px standard deviation, reflected at the field-of-view boundary),
 birth a uniform new lump (0.25), or delete a uniformly chosen lump (0.25).
 Birth/death acceptance includes the Poisson prior ratio, which for uniform
 positions reduces to Nbar/(N+1) for birth and N/Nbar for death.
+
+Each lump is kept as the separable factors of imaging.lump_kernel, its image
+being the outer product fy fx^T, with its squared norm |fy|^2 |fx|^2.  A
+proposal's log acceptance ratio then needs only products of these vectors
+with the (height, width) residual r = g - b and with each other, and only an
+accepted proposal updates r and the running S @ r by whole lump images.
 """
 
 from __future__ import annotations
@@ -36,7 +42,8 @@ class McmcConfig:
     iterations: int = 200_000
     burn_in: int | None = None            # default: 5% of iterations
     # Optional discrete support (used by enumeration-oracle tests): lump
-    # centers restricted to these candidates, and lump count capped.
+    # centers restricted to these candidates, which must lie in the task's
+    # field (checked by mcmc_io_record), and lump count capped.
     candidate_centers: np.ndarray | None = None
     max_count: int | None = None
 
@@ -45,6 +52,15 @@ class McmcConfig:
             raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
         if self.iterations <= self.effective_burn_in:
             raise ValueError("iterations must exceed burn-in")
+        if self.max_count is not None and self.max_count < 0:
+            raise ValueError(f"max_count must be >= 0, got {self.max_count}")
+        if self.candidate_centers is not None:
+            c = np.asarray(self.candidate_centers, dtype=np.float64)
+            if c.ndim != 2 or c.shape[1] != 2 or len(c) == 0:
+                raise ValueError(f"candidate_centers must be a non-empty "
+                                 f"(K, 2) array, got shape {c.shape}")
+            if not np.isfinite(c).all():
+                raise ValueError("candidate_centers must be finite")
 
     @property
     def effective_burn_in(self) -> int:
@@ -82,30 +98,44 @@ def mcmc_io_record(g, task: TaskConfig, cfg: McmcConfig,
     fw, fh = float(w), float(h)
     lumps = lump_kernel(task.lumpy, task.prf)
 
+    def lump(center):
+        """The factors fy, fx and squared norm |L|^2 of one center's lump."""
+        fy, fx = lumps([center])
+        fy, fx = fy[0], fx[0]
+        return fy, fx, fy.dot(fy) * fx.dot(fx)
+
     sigs = task.signal_images.reshape(task.J, -1).astype(np.float64)
     ssq = (sigs * sigs).sum(axis=1)
+    sig_rows = sigs.reshape(task.J * h, w)
+
+    def signal_dots(fy, fx):
+        """S @ L for the lump fy[:, None] * fx[None, :]."""
+        return sig_rows.dot(fx).reshape(task.J, h).dot(fy)
 
     discrete = cfg.candidate_centers is not None
     if discrete:
         candidates = np.asarray(cfg.candidate_centers, dtype=np.float64)
-        candidate_lumps = lumps(candidates).reshape(len(candidates), -1)
+        if not ((candidates >= 0.0) & (candidates <= (fw, fh))).all():
+            raise ValueError(f"candidate_centers must lie in the field "
+                             f"[0, {w}] x [0, {h}]")
+        candidate_lumps = [lump(c) for c in candidates]
 
     # initial state: a prior draw (empty when the support is discrete).
     # Centers are pairs of Python floats, which round as float64 does; each
-    # lump's image is kept beside its center.
+    # lump's factors and squared norm are kept beside its center.
     centers: list = []
     if not discrete:
         n0 = int(rng.poisson(task.lumpy.mean_count))
         if cfg.max_count is not None:
             n0 = min(n0, cfg.max_count)
         centers = ((fw, fh) * rng.random((n0, 2))).tolist()
-    images = list(lumps(centers).reshape(len(centers), w * h))
+    factors = [lump(c) for c in centers]
 
-    r = g.astype(np.float64).ravel()    # residual g - b, updated incrementally
-    sr = sigs @ r                       # running S @ (g - b)
-    for lump in images:
-        r -= lump
-        sr -= sigs @ lump
+    r = g.astype(np.float64)    # residual g - b, updated incrementally
+    sr = sigs @ r.ravel()       # running S @ (g - b)
+    for fy, fx, _ in factors:
+        r -= fy[:, None] * fx
+        sr -= signal_dots(fy, fx)
 
     burn_in = cfg.effective_burn_in
     # Row 0 is -inf; each retained iteration stores its state's conditional
@@ -135,13 +165,13 @@ def mcmc_io_record(g, task: TaskConfig, cfg: McmcConfig,
             idx = int(rng.integers(n))
             if discrete:
                 k = int(rng.integers(len(candidates)))
-                new, lump = candidates[k], candidate_lumps[k]
+                new, add = candidates[k], candidate_lumps[k]
             else:
                 sx, sy = rng.normal(0.0, MOVE_STD, size=2).tolist()
                 cx, cy = centers[idx]
                 new = (_reflect(cx + sx, 0.0, fw), _reflect(cy + sy, 0.0, fh))
-                lump = lumps([new]).ravel()
-            delta = lump - images[idx]
+                add = lump(new)
+            drop = factors[idx]
             log_prior = 0.0
         elif u < MOVE_PROB + BIRTH_PROB:
             if cfg.max_count is not None and n >= cfg.max_count:
@@ -149,39 +179,52 @@ def mcmc_io_record(g, task: TaskConfig, cfg: McmcConfig,
             idx = n
             if discrete:
                 k = int(rng.integers(len(candidates)))
-                new, lump = candidates[k], candidate_lumps[k]
+                new, add = candidates[k], candidate_lumps[k]
             else:
                 ux, uy = rng.random(2).tolist()
                 new = (fw * ux, fh * uy)
-                lump = lumps([new]).ravel()
-            delta = lump
+                add = lump(new)
+            drop = None
             log_prior = log_nbar - log_count(n + 1)
         else:
             if n == 0:
                 continue
             idx = int(rng.integers(n))
-            new = None
-            delta = -images[idx]
+            new = add = None
+            drop = factors[idx]
             log_prior = log_count(n) - log_nbar
 
-        # ndarray.dot is the same BLAS dot as @, with less call overhead
-        log_alpha = (2.0 * r.dot(delta) - delta.dot(delta)) / (2.0 * sigma2) \
-            + log_prior
+        # The background changes by L_add - L_drop.  With L = fy fx^T,
+        # r . L is fy . (r @ fx) and L_a . L_b is (fy_a . fy_b)(fx_a . fx_b).
+        r_delta = delta2 = 0.0
+        if add is not None:
+            r_delta += add[0].dot(r.dot(add[1]))
+            delta2 += add[2]
+        if drop is not None:
+            r_delta -= drop[0].dot(r.dot(drop[1]))
+            delta2 += drop[2]
+            if add is not None:
+                delta2 -= 2.0 * add[0].dot(drop[0]) * add[1].dot(drop[1])
+        log_alpha = (2.0 * r_delta - delta2) / (2.0 * sigma2) + log_prior
         if np.log(rng.random()) < log_alpha:
             if it > since:
                 keep(it - since)
             since = max(it, burn_in)
             if new is None:
                 centers.pop(idx)
-                images.pop(idx)
+                factors.pop(idx)
             elif idx == n:
                 centers.append(new)
-                images.append(lump)
+                factors.append(add)
             else:
                 centers[idx] = new
-                images[idx] = lump
-            r -= delta
-            sr -= sigs @ delta
+                factors[idx] = add
+            if add is not None:
+                r -= add[0][:, None] * add[1]
+                sr -= signal_dots(add[0], add[1])
+            if drop is not None:
+                r += drop[0][:, None] * drop[1]
+                sr += signal_dots(drop[0], drop[1])
 
     keep(cfg.iterations - since)
     log_lrs = np.logaddexp.reduce(rows, axis=0) \

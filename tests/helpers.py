@@ -6,8 +6,9 @@ the channels-last network with those convolutions, ``np.where`` activations
 and an argmax pool, and the ``rng.uniform`` samplers and the per-lump,
 whole-image (with its own ``hypot`` blob evaluator) and per-iteration
 lumpy-background references; the curves, the Hotelling records, the network
-passes, the sampling, the rendering and the MCMC chain must equal these bit
-for bit.  Also the traced allocation peak of a call, and a Python snippet's
+passes, the sampling and the rendering must equal these bit for bit, and the
+MCMC chain must take the reference chain's path with its statistics within
+1e-10.  Also the traced allocation peak of a call, and a Python snippet's
 output at one and two OpenBLAS threads."""
 
 import csv

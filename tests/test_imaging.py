@@ -3,12 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from helpers import reference_render_clb_image, reference_render_lumpy_image
+from helpers import (
+    reference_lump_image,
+    reference_render_clb_image,
+    reference_render_lumpy_image,
+)
 from quadrature import gaussian_lump, gaussian_signal, prf_pixel_value
 from scanobs.imaging import (
     NoiseModel,
     PrfSpec,
     apply_noise,
+    lump_kernel,
     pixel_grid,
     render_clb_image,
     render_lumpy_image,
@@ -217,6 +222,29 @@ def test_simulate_lb_mean_is_background_plus_signal():
     se = math.sqrt(2.0) * math.sqrt(bg_std ** 2 + 400.0) / math.sqrt(n)
     assert (np.abs(diff) < 3 * se).mean() > 0.985
     assert np.abs(diff).max() < 6 * se
+
+
+def test_lump_factors_match_reference_lump_image():
+    # inside the field, on a pixel center, and outside it
+    centers = [(20.3, 41.7), (31.5, 31.5), (-5.0, 69.0)]
+    for prf in (LB_PRF, PrfSpec(height=40.0, width=1.5, grid=(64, 48))):
+        w, h = prf.grid
+        factors = lump_kernel(LB_PARAMS, prf)
+        fy, fx = factors(np.array(centers))
+        assert fy.dtype == fx.dtype == np.float64
+        assert fy.shape == (3, h) and fx.shape == (3, w)
+        for center, y, x in zip(centers, fy, fx):
+            # the reference rounds dx^2 + dy^2 before its exp, a relative
+            # error of up to eps (dx^2 + dy^2) / (2 var): 1.0e-14 at the
+            # pixel farthest from (-5, 69)
+            np.testing.assert_allclose(
+                y[:, None] * x, reference_lump_image(center, LB_PARAMS, prf),
+                rtol=2e-14, atol=0)
+        fy, fx = factors(np.empty((0, 2)))
+        assert fy.shape == (0, h) and fx.shape == (0, w)
+    for bad in (np.zeros((2, 3)), np.zeros(3)):
+        with pytest.raises(ValueError, match=r"\(N, 2\)"):
+            lump_kernel(LB_PARAMS, LB_PRF)(bad)
 
 
 def test_pixel_grid_convention():
