@@ -47,6 +47,9 @@ class DatasetWriter:
         if image.shape != (self.height, self.width):
             raise ValueError(f"image shape {image.shape} does not match "
                              f"({self.height}, {self.width})")
+        if not 0 <= label <= self.n_locations:
+            raise ValueError(f"{self.path}: label {label} outside 0..J, "
+                             f"J = {self.n_locations}")
         self._fh.write(struct.pack("<B", label))
         self._fh.write(np.ascontiguousarray(image, dtype="<f4").tobytes())
         self.count += 1

@@ -8,10 +8,13 @@ m = iy * width + ix.
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .phantoms import (
     ClbParams,
     ClbRealization,
@@ -122,6 +125,8 @@ def render_lumpy_image(real: LumpyRealization, params: LumpyParams,
 # Blobs are summed in chunks of _CLB_CHUNK; each chunk is evaluated over
 # tiles of whole image rows, about _CLB_TILE_PIXELS pixels each, so that a
 # workspace holds 64 x 512 float64 (256 KB) rather than the whole image.
+# The two halves of the rows, cut at a tile edge, run on two threads, each
+# with its own workspace.
 _CLB_CHUNK = 64
 _CLB_TILE_PIXELS = 512
 
@@ -148,40 +153,45 @@ def render_clb_image(real: ClbRealization, params: ClbParams) -> np.ndarray:
                                 for cl in real.clusters])
     angles = np.concatenate([cl.angles for cl in real.clusters])
     x = np.arange(w, dtype=np.float64) + 0.5
-    y = np.arange(h, dtype=np.float64)[:, None] + 0.5
     out = np.zeros((h, w), dtype=np.float64)
     rows = max(1, _CLB_TILE_PIXELS // w)
-    workspace = np.empty((4, _CLB_CHUNK, rows, w))
-    for i in range(0, len(angles), _CLB_CHUNK):
-        pos = positions[i:i + _CLB_CHUNK]
-        ang = angles[i:i + _CLB_CHUNK, None, None]
-        c, s = np.cos(ang), np.sin(ang)
-        dx = x - pos[:, 0, None, None]                   # (B, 1, w)
-        dy = y - pos[:, 1, None, None]                   # (B, h, 1)
-        cdx, sdx, sdy, cdy = c * dx, s * dx, s * dy, c * dy
-        for r in range(0, h, rows):
-            vx, vy, r2, e = workspace[:, :len(ang), :min(rows, h - r)]
-            vx[...] = cdx
-            vx -= sdy[:, r:r + rows]
-            vy[...] = sdx
-            vy += cdy[:, r:r + rows]
-            np.square(vx, out=r2)
-            np.square(vy, out=e)
-            r2 += e
-            vx *= ly
-            vy *= lx
-            np.square(vx, out=vx)
-            np.square(vy, out=vy)
-            vx += vy                                      # q
-            np.sqrt(vx, out=e)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.power(r2, power, out=vy)
-                e *= vy
-            e *= scale
-            e[r2 == 0.0] = 0.0                            # blob center
-            np.exp(e, out=e)
-            e *= params.blob_amplitude
-            out[r:r + rows] += e.sum(axis=0)
+
+    def tiles(first, last):  # image rows first..last, all blobs
+        y = np.arange(first, last, dtype=np.float64)[:, None] + 0.5
+        workspace = np.empty((4, _CLB_CHUNK, rows, w))
+        for i in range(0, len(angles), _CLB_CHUNK):
+            pos = positions[i:i + _CLB_CHUNK]
+            ang = angles[i:i + _CLB_CHUNK, None, None]
+            c, s = np.cos(ang), np.sin(ang)
+            dx = x - pos[:, 0, None, None]               # (B, 1, w)
+            dy = y - pos[:, 1, None, None]               # (B, last - first, 1)
+            cdx, sdx, sdy, cdy = c * dx, s * dx, s * dy, c * dy
+            for r in range(0, last - first, rows):
+                vx, vy, r2, e = workspace[:, :len(ang),
+                                          :min(rows, last - first - r)]
+                vx[...] = cdx
+                vx -= sdy[:, r:r + rows]
+                vy[...] = sdx
+                vy += cdy[:, r:r + rows]
+                np.square(vx, out=r2)
+                np.square(vy, out=e)
+                r2 += e
+                vx *= ly
+                vy *= lx
+                np.square(vx, out=vx)
+                np.square(vy, out=vy)
+                vx += vy                                  # q
+                np.sqrt(vx, out=e)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    np.power(r2, power, out=vy)
+                    e *= vy
+                e *= scale
+                e[r2 == 0.0] = 0.0                        # blob center
+                np.exp(e, out=e)
+                e *= params.blob_amplitude
+                out[first + r:first + r + rows] += e.sum(axis=0)
+
+    workers.two_threads(tiles, h, rows)
     return out.astype(np.float32)
 
 
@@ -213,13 +223,70 @@ def render_signal_image(spec: SignalSpec, grid: tuple[int, int],
     return img.astype(np.float32)
 
 
+# Bit generators that draw one 64-bit word per Laplace value and whose
+# advance(k) skips k words
+_WORD_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM)
+
+
+def _laplace_noise(img: np.ndarray, scale: float,
+                   rng: np.random.Generator) -> np.ndarray:
+    """img + Laplace(0, scale) noise, added in float64 and rounded to
+    float32, with the noise of one rng.laplace call of img's size.
+
+    For a stack of images the second half of the values, cut at an image
+    edge, is drawn on a second thread (workers.two_threads) from a copy of
+    the bit generator advanced past the first half.  Laplace rejects a draw
+    of exactly 0.0 and draws again, so the first half can use more words
+    than values: if it did not end where the copy started, the second half
+    is drawn again in order.  Either way rng ends where one call would
+    leave it.
+    """
+    out = np.empty(img.shape, dtype=np.float32)
+    src, dst = img.reshape(-1), out.reshape(-1)
+
+    def draw(gen, lo, hi):
+        np.add(src[lo:hi], gen.laplace(0.0, scale, hi - lo), out=dst[lo:hi])
+
+    bitgen = rng.bit_generator
+    pixels = math.prod(img.shape[-2:])
+    if img.size <= pixels or not isinstance(bitgen, _WORD_GENERATORS):
+        draw(rng, 0, img.size)
+        return out
+    ahead = copy.deepcopy(bitgen)  # copied before any half draws
+    second = []  # the start of a second half and the copy's state there
+
+    def half(lo, hi):
+        if lo == 0:
+            draw(rng, lo, hi)
+        else:
+            ahead.advance(lo)
+            second.extend((lo, ahead.state["state"]))
+            draw(np.random.Generator(ahead), lo, hi)
+
+    workers.two_threads(half, img.size, pixels)
+    if second:
+        lo, start = second
+        state = bitgen.state
+        if state["state"] == start:
+            state["state"] = ahead.state["state"]  # keeps a buffered uint32
+            bitgen.state = state
+        else:
+            draw(rng, lo, img.size)
+    return out
+
+
 def apply_noise(img: np.ndarray, model: NoiseModel,
                 rng: np.random.Generator) -> np.ndarray:
-    """Apply the measurement-noise model to a noiseless image."""
-    img = np.asarray(img, dtype=np.float64)
+    """Apply the measurement-noise model to a noiseless image.
+
+    Laplacian and Gaussian noise on a stack of images (N, height, width)
+    is the noise of its images drawn in turn; Poisson-Gaussian noise is
+    drawn for one image at a time only.
+    """
     if model.kind == "laplacian":
-        out = img + rng.laplace(0.0, model.scale, size=img.shape)
-    elif model.kind == "gaussian":
+        return _laplace_noise(np.asarray(img), model.scale, rng)
+    img = np.asarray(img, dtype=np.float64)
+    if model.kind == "gaussian":
         out = img + rng.normal(0.0, model.scale, size=img.shape)
     else:  # poisson_gaussian; clamp numerical dust below zero before the draw
         rate = np.clip(img, 0.0, None)

@@ -105,6 +105,8 @@ def laplacian_io_log_lrs_batch(images: np.ndarray,
 
     The stack is walked a block of images at a time through three float64
     workspaces; each image's sum is the one a whole-stack sum would give.
+    The two halves of the stack, cut at a block edge, run on two threads
+    (workers.two_threads), each with its own workspaces.
     """
     if c <= 0:
         raise ValueError("Laplacian scale c must be positive")
@@ -113,17 +115,22 @@ def laplacian_io_log_lrs_batch(images: np.ndarray,
     b = np.asarray(background, dtype=np.float64).ravel()
     sigs = signal_images.reshape(len(signal_images), -1).astype(np.float64)
     out = np.empty((n, len(sigs)))
-    r, mag, work = np.empty((3, min(n, _BLOCK_ROWS), flat.shape[1]))
-    for lo in range(0, n, _BLOCK_ROWS):
-        rows = min(n - lo, _BLOCK_ROWS)
-        rk, ak, wk = r[:rows], mag[:rows], work[:rows]
-        np.subtract(flat[lo:lo + rows], b, out=rk)
-        np.abs(rk, out=ak)
-        for j, s in enumerate(sigs):
-            np.subtract(rk, s, out=wk)
-            np.abs(wk, out=wk)
-            np.subtract(ak, wk, out=wk)
-            out[lo:lo + rows, j] = wk.sum(axis=1)
+
+    def blocks(first, last):
+        r, mag, work = np.empty((3, min(last - first, _BLOCK_ROWS),
+                                 flat.shape[1]))
+        for lo in range(first, last, _BLOCK_ROWS):
+            rows = min(last - lo, _BLOCK_ROWS)
+            rk, ak, wk = r[:rows], mag[:rows], work[:rows]
+            np.subtract(flat[lo:lo + rows], b, out=rk)
+            np.abs(rk, out=ak)
+            for j, s in enumerate(sigs):
+                np.subtract(rk, s, out=wk)
+                np.abs(wk, out=wk)
+                np.subtract(ak, wk, out=wk)
+                out[lo:lo + rows, j] = wk.sum(axis=1)
+
+    workers.two_threads(blocks, n, _BLOCK_ROWS)
     out /= c
     return out
 

@@ -1,11 +1,22 @@
-"""Forked pools of single-BLAS-thread worker processes (Linux only).
+"""The second core: two threads for numpy kernels, forked pools of
+single-BLAS-thread worker processes for Python (Linux only).
 
-The MCMC chains and the network's micro-batches reach their workers through
-``task_map``, and only through it.  Every task runs at one thread of
-numpy's OpenBLAS, and results come back in task order, so what a caller
-computes from them depends neither on the worker count nor on the BLAS
-thread count.  Workers are forked, so they start with the caller's
-modules, data and module attributes as they are at the pool's first task.
+One rule decides which a stage uses.  A numpy kernel that releases the
+interpreter lock and writes disjoint parts of one output runs on two
+threads in this process through ``two_threads``: the Laplace noise of a
+stack of images (``imaging.apply_noise``), the Laplacian log-LRs
+(``observers.laplacian_io_log_lrs_batch``) and the clustered-lumpy blobs
+(``imaging.render_clb_image``).  Work that holds the lock, in Python, goes
+to forked workers through ``task_map``: the MCMC chains, the network's
+micro-batches and each observer's report (``runner.run_observers``).
+
+Every task of a pool runs at one thread of numpy's OpenBLAS, and results
+come back in task order, so what a caller computes from them depends
+neither on the worker count nor on the BLAS thread count.  Workers are
+forked, so they start with the caller's modules, data and module
+attributes as they are at the pool's first task.  ``two_threads`` starts
+and joins its thread inside the call, so no such thread is alive when a
+pool forks.
 """
 
 from __future__ import annotations
@@ -15,6 +26,7 @@ import ctypes
 import functools
 import mmap
 import os
+import threading
 
 import numpy as np
 
@@ -60,6 +72,36 @@ def one_blas_thread(names=NUMPY_BLAS):
     finally:
         for (setter, _), n in zip(libs, before):
             setter(n)
+
+
+def two_threads(fn, n, step):
+    """Run ``fn(lo, hi)`` over the two halves of range(n), cut at a
+    multiple of step, the second half on a thread started and joined here;
+    ``fn(0, n)`` alone when the cut leaves a half empty or fewer than 2
+    CPUs are usable.  fn must write disjoint parts of its output for
+    disjoint ranges.  Starting and joining the thread costs about 50 us on
+    a 2-core x86_64 VM, so a half should be far more work than that: a
+    stack, not an image."""
+    mid = -(-n // (2 * step)) * step
+    if mid >= n or len(os.sched_getaffinity(0)) < 2:
+        fn(0, n)
+        return
+    errors = []
+
+    def second_half():
+        try:
+            fn(mid, n)
+        except BaseException as exc:  # raised again in the caller below
+            errors.append(exc)
+
+    thread = threading.Thread(target=second_half)
+    thread.start()
+    try:
+        fn(0, mid)
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def shared_copies(arrays):

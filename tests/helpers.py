@@ -1,15 +1,16 @@
-"""Test-only dataset writers, readers of evaluation and observer outputs, the
-comparison-matrix LROC/ROC sweep, a malformed checkpoint writer, the
-whole-stack scanning Hotelling observer, the im2col einsum network that the
-channels-last convolution is checked against, the band-copy convolutions,
-the channels-last network with those convolutions, ``np.where`` activations
-and an argmax pool, and the ``rng.uniform`` samplers and the per-lump,
-whole-image (with its own ``hypot`` blob evaluator) and per-iteration
-lumpy-background references; the curves, the Hotelling records, the network
-passes, the sampling and the rendering must equal these bit for bit, and the
-MCMC chain must take the reference chain's path with its statistics within
-1e-10.  Also the traced allocation peak of a call, and a Python snippet's
-output at one and two OpenBLAS threads."""
+"""Test-only dataset writers (among them the per-image split writer),
+readers of evaluation and observer outputs, the comparison-matrix LROC/ROC
+sweep, a malformed checkpoint writer, the whole-stack scanning Hotelling
+observer, the im2col einsum network that the channels-last convolution is
+checked against, the band-copy convolutions, the channels-last network with
+those convolutions, ``np.where`` activations and an argmax pool, and the
+``rng.uniform`` samplers and the per-lump, whole-image (with its own
+``hypot`` blob evaluator) and per-iteration lumpy-background references; the
+splits, the curves, the Hotelling records, the network passes, the sampling
+and the rendering must equal these bit for bit, and the MCMC chain must take
+the reference chain's path with its statistics within 1e-10.  Also the
+traced allocation peak of a call, and a Python snippet's output at one and
+two OpenBLAS threads."""
 
 import csv
 import math
@@ -34,6 +35,7 @@ from scanobs.observers import (
     records_from_statistics,
 )
 from scanobs.phantoms import ClbCluster, ClbRealization, LumpyRealization
+from scanobs.tasks import simulate_measurement
 
 
 def write_dataset(path, images: np.ndarray, labels):
@@ -43,6 +45,17 @@ def write_dataset(path, images: np.ndarray, labels):
     with DatasetWriter(path, w, h, int(labels.max(initial=0))) as out:
         for img, lab in zip(images, labels):
             out.append(img, int(lab))
+
+
+def reference_write_split(path, task, n_per_class, rng):
+    """A balanced noisy split, labels 0..J in order, written with one
+    simulate_measurement call per image."""
+    w, h = task.grid
+    with DatasetWriter(path, w, h, task.J) as out:
+        for label in range(task.J + 1):
+            for _ in range(n_per_class):
+                img, _ = simulate_measurement(task, label, rng)
+                out.append(img, label)
 
 
 def image_to_csv(path, image: np.ndarray):

@@ -64,6 +64,19 @@ def test_writer_rejects_wrong_shape(tmp_path):
             out.append(np.zeros((3, 3)), 0)
 
 
+@pytest.mark.parametrize("label", [-1, 4, 7])
+def test_writer_rejects_label_outside_0_to_j(tmp_path, label):
+    path = tmp_path / "bad.bin"
+    with DatasetWriter(path, 3, 2, 3) as out:
+        out.append(np.zeros((2, 3)), 3)
+        with pytest.raises(ValueError,
+                           match=f"bad.bin: label {label} outside 0..J, "
+                                 f"J = 3$"):
+            out.append(np.zeros((2, 3)), label)
+    _, labels, _ = read_dataset(path)
+    assert list(labels) == [3]
+
+
 def test_read_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTDATA!" + b"\0" * 100)

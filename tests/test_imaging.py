@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -139,6 +141,62 @@ def test_laplacian_noise_std():
     c = 20.0 / math.sqrt(2.0)
     img = apply_noise(np.zeros((1000, 1000)), NoiseModel.laplacian(c), rng)
     assert abs(img.std() - 20.0) / 20.0 < 0.01
+
+
+class _AdvancesOneWordTooFar(np.random.PCG64):
+    """PCG64 whose advance skips one word more than asked, as a copy of the
+    generator seems to a split draw whose first half rejected a zero."""
+
+    def advance(self, delta):
+        return super().advance(delta + 1)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("shape, bit_generator", [
+    ((64, 64), np.random.PCG64),          # one image: one draw
+    ((2, 64, 64), np.random.PCG64),
+    ((65, 64, 64), np.random.PCG64),      # halves of 33 and 32 images
+    ((7, 5, 3), np.random.PCG64DXSM),
+    ((6, 8, 8), np.random.MT19937),       # no advance: one draw
+    ((6, 8, 8), _AdvancesOneWordTooFar),  # the second half drawn again
+])
+def test_laplacian_stack_noise_equals_one_draw(monkeypatch, cpus, shape,
+                                               bit_generator):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    c = 20.0 / math.sqrt(2.0)
+    img = np.random.default_rng(1).normal(0.0, 5.0, shape).astype(np.float32)
+    rng, ref = (np.random.Generator(bit_generator(7)) for _ in range(2))
+    for gen in (rng, ref):  # leaves a buffered 32-bit word in PCG64
+        gen.integers(0, 5, dtype=np.uint32)
+    got = apply_noise(img, NoiseModel.laplacian(c), rng)
+    want = (img.astype(np.float64)
+            + ref.laplace(0.0, c, size=shape)).astype(np.float32)
+    assert got.dtype == np.float32
+    assert np.array_equal(got, want)
+    # rng is left where one draw leaves it, buffered word included
+    assert np.array_equal(rng.integers(0, 2 ** 32, 3, dtype=np.uint32),
+                          ref.integers(0, 2 ** 32, 3, dtype=np.uint32))
+    assert np.array_equal(rng.random(3), ref.random(3))
+
+
+def test_laplacian_split_is_exact_under_a_short_switch_interval(monkeypatch):
+    # the halves share the output, the generator copy and its start state;
+    # switching threads every microsecond must not lose or reorder a value
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    img = np.random.default_rng(2).normal(size=(6, 16, 16)).astype(np.float32)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(50):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = apply_noise(img, NoiseModel.laplacian(3.0), rng)
+            want = (img.astype(np.float64)
+                    + ref.laplace(0.0, 3.0, size=img.shape)).astype(np.float32)
+            assert np.array_equal(got, want), seed
+            assert rng.bit_generator.state == ref.bit_generator.state, seed
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_poisson_gaussian_variance():
@@ -304,6 +362,21 @@ def test_clb_render_equals_whole_image_reference(count, fov):
     assert img.dtype == np.float32 and img.shape == (fov[1], fov[0])
     ref = reference_render_clb_image(real, params)
     np.testing.assert_array_equal(img, ref)
+
+
+@pytest.mark.parametrize("count, fov", [(200, (128, 128)), (3, (128, 37))])
+def test_clb_render_is_the_same_on_one_and_two_cpus(monkeypatch, count,
+                                                    fov):
+    params = ClbParams(field_of_view=fov)
+    real = _blobs(np.random.default_rng(count), count, fov)
+    found = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        found.append(render_clb_image(real, params))
+    np.testing.assert_array_equal(found[0], found[1])
+    np.testing.assert_array_equal(found[1],
+                                  reference_render_clb_image(real, params))
 
 
 def test_clb_render_blob_at_pixel_center_equals_reference():

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -140,6 +141,21 @@ def test_laplacian_blocks_equal_whole_stack(n, dtype):
     assert got.dtype == np.float64
     assert np.array_equal(
         got, _whole_stack_log_lrs(images, signals, background, c))
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 33, 5000])
+def test_laplacian_log_lrs_are_the_same_on_one_and_two_cpus(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    images = rng.laplace(3.0, 20.0, size=(n, 40, 33)).astype(np.float32)
+    signals = rng.normal(size=(4, 40, 33)).astype(np.float32)
+    background = rng.normal(2.0, 1.0, size=(40, 33))
+    found = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        found.append(laplacian_io_log_lrs_batch(images, signals, background,
+                                                14.0))
+    assert np.array_equal(found[0], found[1])
 
 
 def test_posteriors_symmetry_and_substitution():

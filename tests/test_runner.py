@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -13,8 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import records_from_csv, write_malformed_checkpoint
-from scanobs import neuralnet, runner
+from helpers import (
+    records_from_csv,
+    reference_write_split,
+    write_dataset,
+    write_malformed_checkpoint,
+)
+from scanobs import neuralnet, runner, workers
 from scanobs.cli import main
 from scanobs.dataset import HEADER_SIZE, DatasetWriter, read_dataset
 from scanobs.mcmc import McmcConfig, mcmc_io_record
@@ -393,16 +399,16 @@ def test_interrupted_generate_keeps_the_old_files(tmp_path, monkeypatch):
     generate_dataset(plan)
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     assert set(before) == {"val.bin", "test.bin", "manifest.txt"}
-    simulate = runner.simulate_measurement
+    append = DatasetWriter.append
     calls = []
 
-    def interrupt_at_fifth_test_image(task, label, rng):
+    def interrupt_at_fifth_test_image(writer, image, label):
         calls.append(label)
         if len(calls) == 10 + 5:  # the 10 validation images come first
             raise KeyboardInterrupt
-        return simulate(task, label, rng)
+        return append(writer, image, label)
 
-    monkeypatch.setattr(runner, "simulate_measurement",
+    monkeypatch.setattr(DatasetWriter, "append",
                         interrupt_at_fifth_test_image)
     plan.seed = 2
     with pytest.raises(KeyboardInterrupt):
@@ -415,6 +421,52 @@ def test_interrupted_generate_keeps_the_old_files(tmp_path, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         generate_dataset(plan)
     assert list((tmp_path / "new").iterdir()) == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("preset, n_per_class", [
+    ("bke_system1", 0), ("bke_system1", 1), ("bke_system1", 6),
+    ("bke_system2", 7), ("bke_system1", 500), ("lb", 1)])
+def test_split_equals_per_image_writer(tmp_path, monkeypatch, cpus, preset,
+                                       n_per_class):
+    # with J = 9, 0, 10, 60, 70 and 5000 images: no block, part of one,
+    # one whole and a part, and many blocks of runner._NOISE_BLOCK = 64
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    task = task_preset(preset)
+    rng, ref = runner.stream(3, "test-images"), runner.stream(3, "test-images")
+    runner._write_split(tmp_path / "split.bin", task, n_per_class, rng)
+    reference_write_split(tmp_path / "ref.bin", task, n_per_class, ref)
+    assert ((tmp_path / "split.bin").read_bytes()
+            == (tmp_path / "ref.bin").read_bytes())
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_two_threads_runs_the_halves_on_two_threads(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    main, alive = threading.get_ident(), threading.active_count()
+    calls = []
+
+    def record(lo, hi):
+        calls.append((lo, hi, threading.get_ident() == main))
+
+    workers.two_threads(record, 50, 16)
+    assert sorted(calls) == [(0, 32, True), (32, 50, False)]
+    for n, cpus in ((16, 2), (0, 2), (50, 1)):  # one half, or one CPU
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        calls.clear()
+        workers.two_threads(record, n, 16)
+        assert calls == [(0, n, True)]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def second_half_fails(lo, hi):
+        if lo:
+            raise ArithmeticError(f"rows {lo}..{hi}")
+
+    with pytest.raises(ArithmeticError, match="^rows 32..50$"):
+        workers.two_threads(second_half_fails, 50, 16)
+    assert threading.active_count() == alive
 
 
 def test_run_observers_analytic(tmp_path):
@@ -436,6 +488,56 @@ def test_run_observers_analytic(tmp_path):
     assert (out / "report.csv").exists()
     records = records_from_csv(out / "records_analytic_io.csv")
     assert len(records) == 300
+
+
+def _counted_pools(monkeypatch):
+    """The worker counts of the process pools made from here on."""
+    pools = []
+    executor = concurrent.futures.ProcessPoolExecutor
+
+    def counted(workers, *args, **kwargs):
+        pools.append(workers)
+        return executor(workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+    return pools
+
+
+def test_reports_on_the_pool_equal_reports_in_process(tmp_path, monkeypatch):
+    pools = _counted_pools(monkeypatch)
+    found = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        plan = ExperimentPlan("bke_system2", tmp_path / str(cpus),
+                              observers=["analytic_io", "hotelling"],
+                              n_val_per_class=0, n_test_per_class=20, seed=4,
+                              bootstrap_samples=50)
+        generate_dataset(plan)
+        rows = run_observers(plan)
+        assert [r["observer"] for r in rows] == plan.observers
+        found.append({p.name: p.read_bytes()
+                      for p in sorted(plan.out_dir.glob("*.csv"))})
+    assert pools == [2]  # one usable CPU writes the reports in process
+    assert len(found[0]) == 7 and found[0] == found[1]
+
+
+def test_failing_report_task_raises_and_writes_no_report(tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    plan = ExperimentPlan("bke_system1", tmp_path / "o",
+                          observers=["analytic_io", "hotelling"],
+                          bootstrap_samples=20)
+    plan.out_dir.mkdir()
+    labels = np.arange(18) % 9 + 1  # no signal-absent image
+    images = np.random.default_rng(0).normal(size=(18, 64, 64))
+    write_dataset(plan.out_dir / "test.bin", images.astype(np.float32),
+                  labels)
+    pools = _counted_pools(monkeypatch)
+    with pytest.raises(ValueError, match="signal-absent"):
+        run_observers(plan)
+    assert pools == [2]
+    assert not (plan.out_dir / "report.csv").exists()
 
 
 def test_run_observers_hotelling_and_mcmc_on_lb(tmp_path):
