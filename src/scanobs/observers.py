@@ -154,8 +154,10 @@ def build_hotelling(backgrounds, signals,
     K^-1 s = (s - C^T A^-1 C s) / noise_var with the n x n system
     A = C C^T + (n - 1) noise_var I, solved by one Cholesky factorisation.
     C is centred in float64 a block of _GRAM_COLUMNS pixels at a time, so
-    no float64 copy of the stack is held, and the algebra runs at one BLAS
-    thread, so the templates do not depend on the BLAS thread count.
+    no float64 copy of the stack is held.  Like every product in scanobs,
+    the algebra runs at the one BLAS thread that ``scanobs.workers`` sets
+    at import, so the templates do not depend on the OPENBLAS_NUM_THREADS
+    a process starts with.
     """
     signals = np.asarray(signals, dtype=np.float64).reshape(len(signals), -1)
     j_count, m = signals.shape
@@ -184,19 +186,18 @@ def build_hotelling(backgrounds, signals,
             np.subtract(x[:, cols], mean_bg[cols], out=block)
             yield cols, block
 
-    with workers.one_blas_thread(workers.EVERY_BLAS):
-        # the upper triangle of A, which is all that dsyrk and the
-        # factorisation touch; in Fortran order, so both work in place
-        gram = np.zeros((n, n), order="F")
-        c_s = np.zeros((n, j_count))  # C S^T
-        for cols, block in centred_blocks():
-            dsyrk(1.0, block.T, beta=1.0, c=gram, trans=1, overwrite_c=True)
-            c_s += block @ signals[:, cols].T
-        gram.flat[::n + 1] += (n - 1) * noise_var
-        coef = cho_solve(cho_factor(gram, overwrite_a=True), c_s)
-        templates = signals.copy()
-        for cols, block in centred_blocks():
-            templates[:, cols] -= coef.T @ block
+    # the upper triangle of A, which is all that dsyrk and the
+    # factorisation touch; in Fortran order, so both work in place
+    gram = np.zeros((n, n), order="F")
+    c_s = np.zeros((n, j_count))  # C S^T
+    for cols, block in centred_blocks():
+        dsyrk(1.0, block.T, beta=1.0, c=gram, trans=1, overwrite_c=True)
+        c_s += block @ signals[:, cols].T
+    gram.flat[::n + 1] += (n - 1) * noise_var
+    coef = cho_solve(cho_factor(gram, overwrite_a=True), c_s)
+    templates = signals.copy()
+    for cols, block in centred_blocks():
+        templates[:, cols] -= coef.T @ block
     templates /= noise_var
     return HotellingObserverState(templates, mean_bg, signals)
 

@@ -1,5 +1,5 @@
 """The second core: two threads for numpy kernels, forked pools of
-single-BLAS-thread worker processes for Python (Linux only).
+worker processes for Python (Linux only).
 
 One rule decides which a stage uses.  A numpy kernel that releases the
 interpreter lock and writes disjoint parts of one output runs on two
@@ -10,44 +10,51 @@ stack of images (``imaging.apply_noise``), the Laplacian log-LRs
 to forked workers through ``task_map``: the MCMC chains, the network's
 micro-batches and each observer's report (``runner.run_observers``).
 
-Every task of a pool runs at one thread of numpy's OpenBLAS, and results
-come back in task order, so what a caller computes from them depends
-neither on the worker count nor on the BLAS thread count.  Workers are
-forked, so they start with the caller's modules, data and module
-attributes as they are at the pool's first task.  ``two_threads`` starts
-and joins its thread inside the call, so no such thread is alive when a
-pool forks.
+Importing this module sets every loaded OpenBLAS, numpy's and scipy's, to
+one thread, once, before anything can fork, and nothing sets it again.  So
+BLAS never takes the second core: no BLAS thread spins beside
+``two_threads`` or a pool's workers, and every product has the bits of
+one thread.  (OpenBLAS 0.3.31 shuts its threads down at each fork, and a
+thread count set after that, even to one, starts them again; each then
+busy-waits for a while before it sleeps.)
+
+Results of a pool come back in task order, so what a caller computes from
+them does not depend on the worker count.  Workers are forked at the
+pool's first task, so they start with the caller's modules, data and
+module attributes as they are then, and with its one BLAS thread.
+``two_threads`` starts and joins its thread inside the call, so no such
+thread is alive when a pool forks.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
-import functools
 import mmap
 import os
 import threading
 
 import numpy as np
+import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS before the pin)
 
 
-# (prefix, suffix) of the thread-count functions of numpy's OpenBLAS: an
-# ILP64 scipy-openblas in numpy's wheels, or a system OpenBLAS
-NUMPY_BLAS = (("scipy_openblas_", "64_"), ("openblas_", ""))
-# and also of scipy's own, an LP64 scipy-openblas in scipy's wheels
-EVERY_BLAS = NUMPY_BLAS + (("scipy_openblas_", ""),)
+# (prefix, suffix) of the thread-count functions of an OpenBLAS: the
+# ILP64 scipy-openblas in numpy's wheels, a system OpenBLAS, and the LP64
+# scipy-openblas in scipy's wheels
+_BLAS_NAMES = (("scipy_openblas_", "64_"), ("openblas_", ""),
+               ("scipy_openblas_", ""))
 
 
-@functools.cache
-def _openblas(names=NUMPY_BLAS):
-    """(set, get) thread-count functions of each loaded OpenBLAS that
-    exports a pair of names; empty where no such library is found."""
+def _openblas():
+    """(set, get) thread-count functions of each loaded OpenBLAS, in the
+    order of the libraries' paths; empty where no such library is
+    found."""
     with open("/proc/self/maps") as fh:
-        libs = {line.split(None, 5)[5].strip() for line in fh
-                if "openblas" in line}
+        libs = sorted({line.split(None, 5)[5].strip() for line in fh
+                       if "openblas" in line})
     found = []
     for lib in map(ctypes.CDLL, libs):
-        for prefix, suffix in names:
+        for prefix, suffix in _BLAS_NAMES:
             setter = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
             getter = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
             if setter is not None and getter is not None:
@@ -58,20 +65,9 @@ def _openblas(names=NUMPY_BLAS):
     return tuple(found)
 
 
-@contextlib.contextmanager
-def one_blas_thread(names=NUMPY_BLAS):
-    """Run the enclosed code at one thread of each OpenBLAS that exports a
-    pair of names (by default numpy's), and restore the previous thread
-    counts afterwards."""
-    libs = _openblas(names)
-    before = [getter() for _, getter in libs]
-    for setter, _ in libs:
-        setter(1)
-    try:
-        yield
-    finally:
-        for (setter, _), n in zip(libs, before):
-            setter(n)
+# the pin: every loaded OpenBLAS at one thread, set once, before any fork
+for _setter, _ in _openblas():
+    _setter(1)
 
 
 def two_threads(fn, n, step):
@@ -119,32 +115,21 @@ def shared_copies(arrays):
 
 @contextlib.contextmanager
 def task_map(tasks):
-    """Yields a map for a call of ``tasks`` tasks, each run at one BLAS
-    thread; the caller's own BLAS work in the scope runs at one thread too.
-    Only numpy's OpenBLAS is set, since no task uses scipy's: a thread
-    count set after a fork restarts that library's threads, which then
-    busy-wait before they sleep.
+    """Yields a map for a call of ``tasks`` tasks.
 
     With one task, or one usable CPU, the map is the builtin, run in this
     process.  Otherwise it is the map of a pool of min(tasks, usable CPUs)
     workers, forked at the pool's first task.  Consume the map inside the
     scope.
     """
-    with one_blas_thread():
-        cpus = len(os.sched_getaffinity(0))
-        if tasks < 2 or cpus < 2:
-            yield map
-            return
-        # imported here, so that a process that forks no worker does not
-        # load the pool machinery (1.4 MB of peak RSS)
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
+    cpus = len(os.sched_getaffinity(0))
+    if tasks < 2 or cpus < 2:
+        yield map
+        return
+    # imported here, so that a process that forks no worker does not load
+    # the pool machinery (1.4 MB of peak RSS)
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
 
-        # each worker inherits the one BLAS thread of this process, so two
-        # workers do not crowd each other with spinning BLAS threads.
-        # (Setting it again in a forked worker made the worker's first
-        # 4-image pass of the paper net about 80 ms slower, with OpenBLAS
-        # 0.3.31.)
-        with ProcessPoolExecutor(min(tasks, cpus),
-                                 get_context("fork")) as pool:
-            yield pool.map
+    with ProcessPoolExecutor(min(tasks, cpus), get_context("fork")) as pool:
+        yield pool.map

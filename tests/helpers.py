@@ -76,7 +76,11 @@ def traced_peak(fn, *args):
 
 
 def stdout_at_blas_threads(code):
-    """The output of a Python snippet run at OPENBLAS_NUM_THREADS=1 and 2."""
+    """The output of a Python snippet run at OPENBLAS_NUM_THREADS=1 and 2.
+
+    Importing scanobs sets every OpenBLAS to one thread whatever the
+    variable says, so equal outputs show, end to end, that this setting
+    covers what the snippet computes."""
     src = str(Path(neuralnet.__file__).resolve().parents[1])
     found = []
     for threads in ("1", "2"):

@@ -10,6 +10,7 @@ import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
+from textwrap import dedent
 
 import numpy as np
 import pytest
@@ -669,6 +670,50 @@ def test_mcmc_records_do_not_depend_on_blas_threads(tmp_path):
                        env=env, check=True, capture_output=True, timeout=300)
         found.append((plan.out_dir / "records_mcmc_io.csv").read_bytes())
     assert found[0] == found[1]
+
+
+def test_every_openblas_runs_one_thread_from_import():
+    # a process started at two BLAS threads: importing scanobs sets every
+    # OpenBLAS it loaded to one, and no later pool, Hotelling build or
+    # many-row product starts a BLAS thread again
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs two usable CPUs, so that task_map forks")
+    src = str(Path(runner.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(
+                   [src, os.environ.get("PYTHONPATH", "")]))
+    code = dedent("""
+        import ctypes, json, os
+        import numpy as np
+        import scanobs.runner
+        from scanobs import observers, workers
+        from scanobs.tasks import task_preset
+
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split(None, 5)[5].strip() for line in fh
+                           if "openblas" in line})
+        counts = [getattr(blas, name)() for blas in map(ctypes.CDLL, libs)
+                  for name in ("scipy_openblas_get_num_threads64_",
+                               "openblas_get_num_threads",
+                               "scipy_openblas_get_num_threads")
+                  if hasattr(blas, name)]
+        with workers.task_map(2) as tasks:
+            assert list(tasks(abs, [-1, -2])) == [1, 2]
+        task = task_preset("lb")
+        rng = np.random.default_rng(24)
+        observers.build_hotelling(
+            np.stack([task.sample_background(rng) for _ in range(20)]),
+            task.signal_images, task.noise.std ** 2)
+        np.ones((256, 4096)) @ np.ones((4096, 9))
+        print(json.dumps([counts, len(os.listdir("/proc/self/task"))]))
+        """)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    counts, threads = json.loads(out)
+    if not counts:
+        pytest.skip("no OpenBLAS with a thread getter was loaded")
+    assert counts == [1] * len(counts)
+    assert threads == 1
 
 
 def test_failing_chain_cancels_the_chains_not_started(tmp_path, monkeypatch):
