@@ -85,7 +85,10 @@ def lump_kernel(params: LumpyParams, prf: PrfSpec):
     coef = a * h * w_b^2 / v, which is coef exp(-dy^2 / 2v) exp(-dx^2 / 2v).
     The returned function maps an (N, 2) array of (x, y) centers to the
     float64 factors fy (N, height), which carries coef, and fx (N, width):
-    lump i is the outer product fy[i, :, None] * fx[i, None, :].
+    lump i is the outer product fy[i, :, None] * fx[i, None, :].  One center
+    given as an (x, y) tuple maps to the 1-D factors fy (height,) and fx
+    (width,) of the same steps, without the (N, 2) array handling; the MCMC
+    chain makes that call once per proposed lump.
     """
     w, h = prf.grid
     var = prf.width ** 2 + params.lump_width ** 2
@@ -93,18 +96,22 @@ def lump_kernel(params: LumpyParams, prf: PrfSpec):
     # pixel-center coordinates along x then y, so that both axes are one pass
     axes = np.concatenate([np.arange(w, dtype=np.float64),
                            np.arange(h, dtype=np.float64)]) + 0.5
+    along_x = np.arange(w + h) < w
 
     def factors(centers) -> tuple[np.ndarray, np.ndarray]:
-        centers = np.asarray(centers, dtype=np.float64)
-        if centers.ndim != 2 or centers.shape[1] != 2:
-            raise ValueError(f"lump centers must have shape (N, 2), got "
-                             f"{centers.shape}")
-        d = axes - centers.repeat((w, h), axis=1)
+        if type(centers) is tuple:
+            d = axes - np.where(along_x, *centers)
+        else:
+            centers = np.asarray(centers, dtype=np.float64)
+            if centers.ndim != 2 or centers.shape[1] != 2:
+                raise ValueError(f"lump centers must have shape (N, 2), got "
+                                 f"{centers.shape}")
+            d = axes - centers.repeat((w, h), axis=1)
         # np.exp(-d**2 / (2.0 * var)) in place
         d *= d
         d /= -2.0 * var
         np.exp(d, out=d)
-        fx, fy = d[:, :w], d[:, w:]
+        fx, fy = d[..., :w], d[..., w:]
         fy *= coef
         return fy, fx
 

@@ -42,6 +42,11 @@ class TaskConfig:
             if params is not None and params.field_of_view != self.grid:
                 raise ValueError(f"{name} field of view {params.field_of_view}"
                                  f" does not match task grid {self.grid}")
+        if self.lumpy is not None and self.prf is None:
+            raise ValueError("a lumpy-background task needs a prf")
+        if self.lumpy is not None and self.clb is not None:
+            raise ValueError("a task takes one background, lumpy or clb, "
+                             "not both")
         if self.priors is None:
             self.priors = np.full(self.J + 1, 1.0 / (self.J + 1))
         self.priors = np.asarray(self.priors, dtype=np.float64)

@@ -298,6 +298,11 @@ def test_lump_factors_match_reference_lump_image():
             np.testing.assert_allclose(
                 y[:, None] * x, reference_lump_image(center, LB_PARAMS, prf),
                 rtol=2e-14, atol=0)
+            # one (x, y) tuple gives the same bytes as its row
+            one_y, one_x = factors(center)
+            assert one_y.shape == (h,) and one_x.shape == (w,)
+            assert one_y.tobytes() == y.tobytes()
+            assert one_x.tobytes() == x.tobytes()
         fy, fx = factors(np.empty((0, 2)))
         assert fy.shape == (0, h) and fx.shape == (0, w)
     for bad in (np.zeros((2, 3)), np.zeros(3)):

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,6 +39,21 @@ def test_task_rejects_field_of_view_other_than_grid():
         TaskConfig(kind="custom", grid=grid, noise=NoiseModel.gaussian(1.0),
                    clb=ClbParams(field_of_view=(8, 16)),
                    signals=[SignalSpec(1, (2.5, 2.5), 0.3, 1.0, 1.0)])
+
+
+def test_task_rejects_lumpy_without_prf():
+    grid = (8, 8)
+    with pytest.raises(ValueError, match="prf") as err:
+        TaskConfig(kind="custom", grid=grid, noise=NoiseModel.gaussian(1.0),
+                   lumpy=LumpyParams(field_of_view=grid),
+                   signals=[SignalSpec(1, (2.5, 2.5), 0.3, 1.0, 1.0)])
+    assert "\n" not in str(err.value)
+
+
+def test_task_rejects_lumpy_and_clb_together():
+    with pytest.raises(ValueError, match="lumpy or clb") as err:
+        replace(task_preset("lb"), clb=ClbParams(field_of_view=(64, 64)))
+    assert "\n" not in str(err.value)
 
 
 def _render_config(task, centers):
@@ -100,6 +117,17 @@ def test_rejects_wrong_image_shape():
             mcmc_io_record(np.zeros(shape), task, cfg,
                            np.random.default_rng(0))
         assert str(shape) in str(err.value)
+
+
+def test_rejects_non_finite_image():
+    task = _tiny_task()
+    cfg = McmcConfig(iterations=100, burn_in=10)
+    for bad in (math.nan, math.inf, -math.inf):
+        g = np.zeros((8, 8))
+        g[3, 5] = bad
+        with pytest.raises(ValueError, match="non-finite pixels") as err:
+            mcmc_io_record(g, task, cfg, np.random.default_rng(0))
+        assert "\n" not in str(err.value)
 
 
 @pytest.mark.parametrize("kwargs, field", [
@@ -301,3 +329,53 @@ def test_frozen_chain_equals_per_iteration_reference():
     trace = _assert_same_chain(task, g,
                                McmcConfig(iterations=2000, burn_in=100), 2)
     assert set(trace) == {0}
+
+
+def _chain_sha256(task, g, cfg, seed, true_label=0):
+    """sha256 of a chain's record arrays and count trace, and the trace."""
+    trace = []
+    rec = mcmc_io_record(g, task, cfg, np.random.default_rng(seed),
+                         true_label=true_label, count_trace=trace)
+    h = hashlib.sha256()
+    for name in ("statistic", "per_location", "binary_statistic"):
+        h.update(np.ascontiguousarray(getattr(rec, name),
+                                      dtype=np.float64).tobytes())
+    h.update(np.asarray(trace, dtype=np.int64).tobytes())
+    return h.hexdigest(), trace
+
+
+def test_chain_bytes_are_pinned():
+    # _assert_same_chain allows 1e-10 against the whole-image reference;
+    # these digests pin every bit of three chains' records and count traces,
+    # so a last-bit drift in the running S @ r or the stored rows shows, and
+    # so does any change to the path the chain takes.
+    task = task_preset("lb")
+    g, label = simulate_measurement(task, 5, np.random.default_rng(26))
+    digest, trace = _chain_sha256(task, g, McmcConfig(iterations=4000), 26,
+                                  label)
+    assert set(trace) == {7}
+    assert digest == (
+        "757d209a4f575833edc88ce2f3a9955f"
+        "df2bd036104c73ea837d3ffd205d2f38")
+
+    # two candidates and three lumps: some candidate is held twice at once
+    task = _tiny_task(mean_count=3.0, sig_amp=0.15)
+    candidates = np.array([[2.5, 2.5], [5.5, 5.5]])
+    g = _render_config(task, candidates[[0, 0, 1]]) + task.signal_images[0] \
+        + np.random.default_rng(27).normal(0.0, 2.0, size=(8, 8))
+    cfg = McmcConfig(iterations=6000, candidate_centers=candidates,
+                     max_count=3)
+    digest, trace = _chain_sha256(task, g, cfg, 28, true_label=1)
+    assert max(trace) == 3
+    assert digest == (
+        "5f2930b481e1ac82d47222d235cfa030"
+        "8c053bc1095cbea31f19b340fcd9dc0e")
+
+    task = _tiny_task(mean_count=3.0, sig_amp=0.5)
+    g = np.random.default_rng(29).normal(0.0, 2.0, size=(8, 8))
+    digest, trace = _chain_sha256(task, g,
+                                  McmcConfig(iterations=3000, burn_in=0), 30)
+    assert len(trace) == 3000
+    assert digest == (
+        "26c940b304b556da0b85cf7f6e3d9c5f"
+        "2dc930cd8fce378f2fc3eac6fe04d1ac")
