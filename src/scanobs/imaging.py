@@ -8,8 +8,6 @@ m = iy * width + ix.
 
 from __future__ import annotations
 
-import copy
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,73 +228,22 @@ def render_signal_image(spec: SignalSpec, grid: tuple[int, int],
     return img.astype(np.float32)
 
 
-# Bit generators that draw one 64-bit word per Laplace value and whose
-# advance(k) skips k words
-_WORD_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM)
-
-
-def _laplace_noise(img: np.ndarray, scale: float,
-                   rng: np.random.Generator) -> np.ndarray:
-    """img + Laplace(0, scale) noise, added in float64 and rounded to
-    float32, with the noise of one rng.laplace call of img's size.
-
-    For a stack of images the second half of the values, cut at an image
-    edge, is drawn on a second thread (workers.two_threads) from a copy of
-    the bit generator advanced past the first half.  Laplace rejects a draw
-    of exactly 0.0 and draws again, so the first half can use more words
-    than values: if it did not end where the copy started, the second half
-    is drawn again in order.  Either way rng ends where one call would
-    leave it.
-    """
-    out = np.empty(img.shape, dtype=np.float32)
-    src, dst = img.reshape(-1), out.reshape(-1)
-
-    def draw(gen, lo, hi):
-        np.add(src[lo:hi], gen.laplace(0.0, scale, hi - lo), out=dst[lo:hi])
-
-    bitgen = rng.bit_generator
-    pixels = math.prod(img.shape[-2:])
-    if img.size <= pixels or not isinstance(bitgen, _WORD_GENERATORS):
-        draw(rng, 0, img.size)
-        return out
-    ahead = copy.deepcopy(bitgen)  # copied before any half draws
-    second = []  # the start of a second half and the copy's state there
-
-    def half(lo, hi):
-        if lo == 0:
-            draw(rng, lo, hi)
-        else:
-            ahead.advance(lo)
-            second.extend((lo, ahead.state["state"]))
-            draw(np.random.Generator(ahead), lo, hi)
-
-    workers.two_threads(half, img.size, pixels)
-    if second:
-        lo, start = second
-        state = bitgen.state
-        if state["state"] == start:
-            state["state"] = ahead.state["state"]  # keeps a buffered uint32
-            bitgen.state = state
-        else:
-            draw(rng, lo, img.size)
-    return out
-
-
 def apply_noise(img: np.ndarray, model: NoiseModel,
                 rng: np.random.Generator) -> np.ndarray:
-    """Apply the measurement-noise model to a noiseless image.
+    """Apply the measurement-noise model to a noiseless image or a stack of
+    images (N, height, width), with one draw of the input's shape.
 
-    Laplacian and Gaussian noise on a stack of images (N, height, width)
-    is the noise of its images drawn in turn; Poisson-Gaussian noise is
-    drawn for one image at a time only.
+    Laplacian and Gaussian noise is added in float64 and rounded to float32;
+    on a stack it is the noise of its images drawn in turn.
+    Poisson-Gaussian noise is the Poisson draw of the whole input, then the
+    Gaussian draw of the whole input, summed in float64.
     """
-    if model.kind == "laplacian":
-        return _laplace_noise(np.asarray(img), model.scale, rng)
-    img = np.asarray(img, dtype=np.float64)
-    if model.kind == "gaussian":
-        out = img + rng.normal(0.0, model.scale, size=img.shape)
-    else:  # poisson_gaussian; clamp numerical dust below zero before the draw
-        rate = np.clip(img, 0.0, None)
-        out = rng.poisson(rate).astype(np.float64) \
-            + rng.normal(0.0, model.scale, size=img.shape)
-    return out.astype(np.float32)
+    img = np.asarray(img)
+    if model.kind == "poisson_gaussian":  # clamp numerical dust below zero
+        noisy = rng.poisson(np.clip(img, 0.0, None)).astype(np.float64)
+        noisy += rng.normal(0.0, model.scale, img.shape)
+    else:
+        draw = rng.laplace if model.kind == "laplacian" else rng.normal
+        noisy = draw(0.0, model.scale, img.shape)
+        noisy += img
+    return noisy.astype(np.float32)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, imaging, neuralnet, observers, workers
+from . import evaluation, neuralnet, observers, workers
 from .dataset import DatasetWriter, read_dataset
 from .mcmc import McmcConfig, mcmc_io_record
 from .neuralnet import Architecture, TrainSchedule, TrainingDiverged
@@ -37,9 +37,8 @@ _OBSERVER_PRESETS = {"analytic_io": ("bke_system1", "bke_system2"),
                      "mcmc_io": ("lb",)}
 
 
-# Images per noise draw of a split without random backgrounds.  The
-# criterion-1 benchmark's peak RSS read 1.9 MB above a per-image draw's at
-# 64, and 7 MB above at 256 (2-core x86_64 VM).
+# Images per block of a split or store (_write_blocks); each block is drawn
+# from its own substream, a split block's noise in one apply_noise call
 _NOISE_BLOCK = 64
 
 
@@ -142,46 +141,53 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_split(path, task, n_per_class, rng):
-    """Balanced noisy split: n images per class, labels 0..J in order.
-
-    An image of a task with no random background is its signal plus noise,
-    and a stack's Laplace noise is its images' noise in turn, so such a
-    split is noised _NOISE_BLOCK images at a time, with the bytes of one
-    simulate_measurement call per image."""
+def _write_blocks(path, task, labels, seed, name, draw):
+    """Write a dataset file of images with these labels, block b of
+    _NOISE_BLOCK of them being draw(labels of the block, rng) on
+    rng = substream(seed, name, b).  Blocks are drawn two at a time, one on
+    each half of workers.two_threads, and written in order, so the file
+    depends only on (seed, name, labels)."""
     w, h = task.grid
-    labels = np.repeat(np.arange(task.J + 1), n_per_class)
+    blocks = [labels[lo:lo + _NOISE_BLOCK]
+              for lo in range(0, len(labels), _NOISE_BLOCK)]
     with DatasetWriter(path, w, h, task.J) as out:
-        if (task.lumpy is None and task.clb is None
-                and task.noise.kind == "laplacian"):
-            means = np.concatenate([np.zeros((1, h, w), np.float32),
-                                    task.signal_images])
-            for lo in range(0, len(labels), _NOISE_BLOCK):
-                block = labels[lo:lo + _NOISE_BLOCK]
-                noisy = imaging.apply_noise(means[block], task.noise, rng)
-                for img, label in zip(noisy, block.tolist()):
+        for first in range(0, len(blocks), 2):
+            images = {}
+
+            def draw_blocks(lo, hi):
+                for b in range(first + lo, first + hi):
+                    images[b] = draw(blocks[b], substream(seed, name, b))
+
+            workers.two_threads(draw_blocks, min(2, len(blocks) - first), 1)
+            for b in sorted(images):
+                for img, label in zip(images[b], blocks[b].tolist()):
                     out.append(img, label)
-        else:
-            for label in labels.tolist():
-                img, _ = simulate_measurement(task, label, rng)
-                out.append(img, label)
+
+
+def _write_split(path, task, n_per_class, seed, name):
+    """Balanced noisy split: n images per class, labels 0..J in order, each
+    block of images from one simulate_measurement call."""
+    _write_blocks(path, task, np.repeat(np.arange(task.J + 1), n_per_class),
+                  seed, name,
+                  lambda block, rng: simulate_measurement(task, block, rng)[0])
 
 
 def generate_dataset(plan: ExperimentPlan, force: bool = False) -> dict:
     """Write the noiseless training store and fixed noisy val/test splits.
 
-    Each split draws from its own named random stream, so no background can
-    appear in more than one split.  Every file is written under a temporary
-    name in the output directory and renamed into place only once all are
-    complete, the manifest last; if anything raises, an interrupt included,
-    the temporaries are removed and the files already there keep their
-    bytes.  Nothing is fsynced: this guards against a failing or interrupted
+    Block b of a file draws from substream(seed, name, b), with the file's
+    name "train-backgrounds", "val-images" or "test-images", so no
+    background can appear in more than one file, and no file depends on the
+    CPU count.  Every file is written under a temporary name in the output
+    directory and renamed into place only once all are complete, the
+    manifest last; if anything raises, an interrupt included, the
+    temporaries are removed and the files already there keep their bytes.
+    Nothing is fsynced: this guards against a failing or interrupted
     process, not against power loss.  Returns the manifest entries.
     """
     task = plan.task
     out = plan.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    w, h = task.grid
 
     names = ["val", "test"]
     if plan.n_train_backgrounds > 0:
@@ -196,16 +202,15 @@ def generate_dataset(plan: ExperimentPlan, force: bool = False) -> dict:
              for f in [f"{n}.bin" for n in names] + ["manifest.txt"]}
     try:
         if plan.n_train_backgrounds > 0:
-            rng = stream(plan.seed, "train-backgrounds")
-            with DatasetWriter(temps["train_backgrounds.bin"], w, h,
-                               task.J) as writer:
-                for _ in range(plan.n_train_backgrounds):
-                    writer.append(task.sample_background(rng), 0)
-
+            _write_blocks(temps["train_backgrounds.bin"], task,
+                          np.zeros(plan.n_train_backgrounds, dtype=int),
+                          plan.seed, "train-backgrounds",
+                          lambda block, rng: [task.sample_background(rng)
+                                              for _ in block])
         for split, n in (("val", plan.n_val_per_class),
                          ("test", plan.n_test_per_class)):
-            _write_split(temps[f"{split}.bin"], task, n,
-                         stream(plan.seed, f"{split}-images"))
+            _write_split(temps[f"{split}.bin"], task, n, plan.seed,
+                         f"{split}-images")
 
         manifest = {
             "preset": plan.preset,

@@ -76,18 +76,25 @@ class TaskConfig:
         return np.zeros((h, w), dtype=np.float32)
 
 
-def simulate_measurement(task: TaskConfig, label: int,
-                         rng: np.random.Generator):
-    """Simulate one noisy measurement under hypothesis H_label.
+def simulate_measurement(task: TaskConfig, label, rng: np.random.Generator):
+    """Simulate noisy measurements under hypotheses H_label.
 
     label = 0 is signal-absent; label = j in 1..J adds the signal at
-    location j.  Returns (image, label).
+    location j.  An int label gives one (height, width) image; an array of
+    int labels gives a stack of their shape, whose backgrounds are drawn in
+    turn and then its noise in one apply_noise call.  Returns (image, label).
     """
-    if not 0 <= label <= task.J:
-        raise ValueError(f"label {label} outside 0..{task.J}")
-    img = task.sample_background(rng)
-    if label > 0:
-        img = img + task.signal_images[label - 1]
+    labels = np.asarray(label)
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be ints, not {labels.dtype}")
+    outside = labels[(labels < 0) | (labels > task.J)]
+    if outside.size:
+        raise ValueError(f"label {outside[0]} outside 0..{task.J}")
+    img = np.empty(labels.shape + task.grid[::-1], dtype=np.float32)
+    for im, j in zip(img.reshape((-1,) + img.shape[-2:]), labels.flat):
+        im[...] = task.sample_background(rng)
+        if j > 0:
+            im += task.signal_images[j - 1]
     return apply_noise(img, task.noise, rng), label
 
 

@@ -3,8 +3,9 @@ worker processes for Python (Linux only).
 
 One rule decides which a stage uses.  A numpy kernel that releases the
 interpreter lock and writes disjoint parts of one output runs on two
-threads in this process through ``two_threads``: the Laplace noise of a
-stack of images (``imaging.apply_noise``), the Laplacian log-LRs
+threads in this process through ``two_threads``: the blocks of a split or
+store, each from its own substream, whose noise draws release the lock
+(``runner.generate_dataset``), the Laplacian log-LRs
 (``observers.laplacian_io_log_lrs_batch``) and the clustered-lumpy blobs
 (``imaging.render_clb_image``).  Work that holds the lock, in Python, goes
 to forked workers through ``task_map``: the MCMC chains, the network's

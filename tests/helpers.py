@@ -1,16 +1,17 @@
-"""Test-only dataset writers (among them the per-image split writer),
-readers of evaluation and observer outputs, the comparison-matrix LROC/ROC
-sweep, a malformed checkpoint writer, the whole-stack scanning Hotelling
-observer, the im2col einsum network that the channels-last convolution is
-checked against, the band-copy convolutions, the channels-last network with
-those convolutions, ``np.where`` activations and an argmax pool, and the
-``rng.uniform`` samplers and the per-lump, whole-image (with its own
-``hypot`` blob evaluator) and per-iteration lumpy-background references; the
-splits, the curves, the Hotelling records, the network passes, the sampling
-and the rendering must equal these bit for bit, and the MCMC chain must take
-the reference chain's path with its statistics within 1e-10.  Also the
-traced allocation peak of a call, and a Python snippet's output at one and
-two OpenBLAS threads."""
+"""Test-only dataset writers (among them the per-block split and store
+reference), readers of evaluation and observer outputs, the
+comparison-matrix LROC/ROC sweep, a malformed checkpoint writer, the
+whole-stack scanning Hotelling observer, the im2col einsum network that the
+channels-last convolution is checked against, the band-copy convolutions,
+the channels-last network with those convolutions, ``np.where``
+activations and an argmax pool, and the ``rng.uniform`` samplers and the
+per-lump, whole-image (with its own ``hypot`` blob evaluator) and
+per-iteration lumpy-background references; the splits, the curves, the
+Hotelling records, the network passes, the sampling and the rendering must
+equal these bit for bit, and the MCMC chain must take the reference
+chain's path with its statistics within 1e-10.  Also the traced
+allocation peak of a call, and a Python snippet's output at one and two
+OpenBLAS threads."""
 
 import csv
 import math
@@ -35,7 +36,7 @@ from scanobs.observers import (
     records_from_statistics,
 )
 from scanobs.phantoms import ClbCluster, ClbRealization, LumpyRealization
-from scanobs.tasks import simulate_measurement
+from scanobs.rng import substream
 
 
 def write_dataset(path, images: np.ndarray, labels):
@@ -47,15 +48,36 @@ def write_dataset(path, images: np.ndarray, labels):
             out.append(img, int(lab))
 
 
-def reference_write_split(path, task, n_per_class, rng):
-    """A balanced noisy split, labels 0..J in order, written with one
-    simulate_measurement call per image."""
+# Images per block of a split or store
+BLOCK = 64
+
+
+def reference_write_blocks(path, task, labels, seed, name, noisy=True):
+    """A dataset file of images with these labels, block b of BLOCK images
+    drawn from substream(seed, name, b): the block's backgrounds by
+    task.sample_background in turn, its signals added in float32, then,
+    when noisy, one rng.laplace, rng.normal or rng.poisson + rng.normal
+    call of the block's shape."""
     w, h = task.grid
+    scale = task.noise.scale
     with DatasetWriter(path, w, h, task.J) as out:
-        for label in range(task.J + 1):
-            for _ in range(n_per_class):
-                img, _ = simulate_measurement(task, label, rng)
-                out.append(img, label)
+        for b, lo in enumerate(range(0, len(labels), BLOCK)):
+            block = labels[lo:lo + BLOCK].tolist()
+            rng = substream(seed, name, b)
+            images = np.stack([task.sample_background(rng) for _ in block])
+            for img, j in zip(images, block):
+                if j:
+                    img += task.signal_images[j - 1]
+            if noisy and task.noise.kind == "poisson_gaussian":
+                images = (rng.poisson(np.clip(images, 0.0, None))
+                          + rng.normal(0.0, scale, images.shape))
+            elif noisy:
+                draw = (rng.laplace if task.noise.kind == "laplacian"
+                        else rng.normal)
+                images = images.astype(np.float64) \
+                    + draw(0.0, scale, images.shape)
+            for img, j in zip(images.astype(np.float32), block):
+                out.append(img, j)
 
 
 def image_to_csv(path, image: np.ndarray):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import sys
@@ -9,8 +10,10 @@ from helpers import (
     reference_lump_image,
     reference_render_clb_image,
     reference_render_lumpy_image,
+    reference_write_blocks,
 )
 from quadrature import gaussian_lump, gaussian_signal, prf_pixel_value
+from scanobs import runner
 from scanobs.imaging import (
     NoiseModel,
     PrfSpec,
@@ -31,7 +34,7 @@ from scanobs.phantoms import (
     sample_clb,
     sample_lumpy,
 )
-from scanobs.tasks import simulate_measurement, task_preset
+from scanobs.tasks import PRESETS, simulate_measurement, task_preset
 
 LB_PRF = PrfSpec(height=40.0, width=1.5, grid=(64, 64))
 LB_PARAMS = LumpyParams()
@@ -143,22 +146,13 @@ def test_laplacian_noise_std():
     assert abs(img.std() - 20.0) / 20.0 < 0.01
 
 
-class _AdvancesOneWordTooFar(np.random.PCG64):
-    """PCG64 whose advance skips one word more than asked, as a copy of the
-    generator seems to a split draw whose first half rejected a zero."""
-
-    def advance(self, delta):
-        return super().advance(delta + 1)
-
-
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("shape, bit_generator", [
     ((64, 64), np.random.PCG64),          # one image: one draw
     ((2, 64, 64), np.random.PCG64),
     ((65, 64, 64), np.random.PCG64),      # halves of 33 and 32 images
     ((7, 5, 3), np.random.PCG64DXSM),
-    ((6, 8, 8), np.random.MT19937),       # no advance: one draw
-    ((6, 8, 8), _AdvancesOneWordTooFar),  # the second half drawn again
+    ((6, 8, 8), np.random.MT19937),
 ])
 def test_laplacian_stack_noise_equals_one_draw(monkeypatch, cpus, shape,
                                                bit_generator):
@@ -180,23 +174,43 @@ def test_laplacian_stack_noise_equals_one_draw(monkeypatch, cpus, shape,
     assert np.array_equal(rng.random(3), ref.random(3))
 
 
-def test_laplacian_split_is_exact_under_a_short_switch_interval(monkeypatch):
-    # the halves share the output, the generator copy and its start state;
-    # switching threads every microsecond must not lose or reorder a value
+def test_laplacian_split_is_exact_under_a_short_switch_interval(
+        tmp_path, monkeypatch):
+    # the two threads draw their blocks into one dict and share the task;
+    # switching threads every microsecond must not lose, reorder or mix a
+    # block: 340 images are two pairs of 64-image blocks and a part
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    img = np.random.default_rng(2).normal(size=(6, 16, 16)).astype(np.float32)
+    task = task_preset("bke_system1")
+    labels = np.repeat(np.arange(task.J + 1), 34)
+    reference_write_blocks(tmp_path / "ref.bin", task, labels, 4, "val-images")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for seed in range(50):
-            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = apply_noise(img, NoiseModel.laplacian(3.0), rng)
-            want = (img.astype(np.float64)
-                    + ref.laplace(0.0, 3.0, size=img.shape)).astype(np.float32)
-            assert np.array_equal(got, want), seed
-            assert rng.bit_generator.state == ref.bit_generator.state, seed
+        for _ in range(5):
+            runner._write_split(tmp_path / "split.bin", task, 34, 4,
+                                "val-images")
+            assert ((tmp_path / "split.bin").read_bytes()
+                    == (tmp_path / "ref.bin").read_bytes())
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "poisson_gaussian"])
+def test_gaussian_and_poisson_gaussian_stack_noise_equals_one_draw(kind):
+    # a Poisson-Gaussian stack is all its Poisson values, then all its
+    # Gaussian values, not the images' noise in turn
+    img = np.random.default_rng(1).uniform(-1.0, 50.0, (5, 8, 8))
+    img = img.astype(np.float32)
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    got = apply_noise(img, NoiseModel(kind, 3.0), rng)
+    if kind == "gaussian":
+        want = img.astype(np.float64) + ref.normal(0.0, 3.0, img.shape)
+    else:
+        want = (ref.poisson(np.clip(img, 0.0, None))
+                + ref.normal(0.0, 3.0, img.shape))
+    assert got.dtype == np.float32
+    assert np.array_equal(got, want.astype(np.float32))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_poisson_gaussian_variance():
@@ -239,6 +253,46 @@ def test_prf_and_noise_reject_nan_and_non_positive(make, name):
 def test_prf_rejects_a_grid_that_is_not_two_positive_ints(grid):
     with pytest.raises(ValueError, match="^grid must be two positive ints"):
         PrfSpec(1.0, 1.0, grid)
+
+
+# sha256 of the images of simulate_measurement(task, label, rng) for labels
+# 0..J in turn, then of the generator's end state, on rng [26, 7]; the MCMC
+# pins and the acceptance and observer tests are built on these draws
+SINGLE_IMAGE_SHA256 = {
+    "bke_system1":
+        "c22a8e2f690bc3065d40e3cdb718b1598d95d497000c43d66d930ee7d3cbac8e",
+    "bke_system2":
+        "0191f58ee60c192b77f02efd0cbd6b92a09beb906627e165dd1484c9d36d6bc7",
+    "lb": "cefe92d5ff86adc44da6bc695c9e4da6e7a06d23cba3bb0e6ee94c0c17e565f9",
+    "clb": "7d789d97a23399b5d6b29ee83d364fcb605e4a0c851171f50926ff330a37fa4c",
+}
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_single_image_bytes_are_pinned(preset):
+    task = task_preset(preset)
+    rng = np.random.default_rng([26, 7])
+    digest = hashlib.sha256()
+    for label in range(task.J + 1):
+        img, found = simulate_measurement(task, label, rng)
+        assert found == label and img.shape == task.grid[::-1]
+        digest.update(img.tobytes())
+    digest.update(repr(rng.bit_generator.state).encode())
+    assert digest.hexdigest() == SINGLE_IMAGE_SHA256[preset]
+
+
+@pytest.mark.parametrize("label, message", [
+    (1.5, "^labels must be ints, not float64$"),
+    (True, "^labels must be ints, not bool$"),
+    (np.array([0, 1.0]), "^labels must be ints, not float64$"),
+    (np.array([False, True]), "^labels must be ints, not bool$"),
+    (10, "^label 10 outside 0..9$"),
+    (np.array([3, -1, 12]), "^label -1 outside 0..9$"),
+])
+def test_simulate_rejects_labels_that_are_not_ints_in_range(label, message):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=message):
+        simulate_measurement(task_preset("bke_system1"), label, rng)
 
 
 def test_simulate_bke_absent_is_pure_noise():

@@ -17,7 +17,7 @@ import pytest
 
 from helpers import (
     records_from_csv,
-    reference_write_split,
+    reference_write_blocks,
     write_dataset,
     write_malformed_checkpoint,
 )
@@ -427,20 +427,41 @@ def test_interrupted_generate_keeps_the_old_files(tmp_path, monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("preset, n_per_class", [
     ("bke_system1", 0), ("bke_system1", 1), ("bke_system1", 6),
-    ("bke_system2", 7), ("bke_system1", 500), ("lb", 1)])
+    ("bke_system2", 7), ("bke_system1", 500), ("lb", 1), ("lb", 13),
+    ("clb", 1)])
 def test_split_equals_per_image_writer(tmp_path, monkeypatch, cpus, preset,
                                        n_per_class):
-    # with J = 9, 0, 10, 60, 70 and 5000 images: no block, part of one,
-    # one whole and a part, and many blocks of runner._NOISE_BLOCK = 64
+    # the split against helpers.reference_write_blocks, which draws block b
+    # image by image from substream(3, "test-images", b) and then its noise
+    # from numpy primitives; with J = 9, 0, 10, 60, 70, 5000, 10, 130 and
+    # 10 images: no block, part of one, one whole and a part, many pairs of
+    # blocks of runner._NOISE_BLOCK = 64, and a pair and a part
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(cpus)))
     task = task_preset(preset)
-    rng, ref = runner.stream(3, "test-images"), runner.stream(3, "test-images")
-    runner._write_split(tmp_path / "split.bin", task, n_per_class, rng)
-    reference_write_split(tmp_path / "ref.bin", task, n_per_class, ref)
+    runner._write_split(tmp_path / "split.bin", task, n_per_class, 3,
+                        "test-images")
+    reference_write_blocks(tmp_path / "ref.bin", task,
+                           np.repeat(np.arange(task.J + 1), n_per_class), 3,
+                           "test-images")
     assert ((tmp_path / "split.bin").read_bytes()
             == (tmp_path / "ref.bin").read_bytes())
-    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_store_draws_each_block_from_its_substream(tmp_path, monkeypatch,
+                                                   cpus):
+    # 150 backgrounds: a pair of blocks and a part
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    plan = ExperimentPlan("lb", tmp_path / "out", n_train_backgrounds=150,
+                          n_val_per_class=0, n_test_per_class=0, seed=5)
+    generate_dataset(plan)
+    reference_write_blocks(tmp_path / "ref.bin", plan.task,
+                           np.zeros(150, dtype=int), 5, "train-backgrounds",
+                           noisy=False)
+    assert ((tmp_path / "out" / "train_backgrounds.bin").read_bytes()
+            == (tmp_path / "ref.bin").read_bytes())
 
 
 def test_two_threads_runs_the_halves_on_two_threads(monkeypatch):

@@ -6,6 +6,7 @@ import os
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from scanobs import (cli, dataset, evaluation, imaging, mcmc, neuralnet,
                      observers, phantoms, rng, runner, tasks)
@@ -92,3 +93,27 @@ def test_traced_evaluation_times_inference(tmp_path, monkeypatch):
     name = "neuralnet.forward_posteriors"
     assert sum(s.name == name for s in tracer.spans) == 1
     assert tracer.seconds(name) > 0
+
+
+@pytest.mark.parametrize("preset", ["bke_system1", "lb"])
+def test_traced_generate_times_each_block(tmp_path, monkeypatch, preset):
+    # the blocks are drawn on two threads, and each block's one
+    # simulate_measurement call and its one noise draw are still spans
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    from spans import Tracer
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    plan = runner.ExperimentPlan(preset, tmp_path, n_train_backgrounds=70,
+                                 n_val_per_class=7, n_test_per_class=13)
+    tracer = Tracer()
+    try:
+        layers.install(tracer)
+        runner.generate_dataset(plan)
+    finally:
+        tracer.unwrap_all()
+    blocks = 2 + 3  # of the 70 validation and 130 test images
+    for name in ("tasks.simulate_measurement", "imaging.apply_noise"):
+        assert tracer.calls(name) == blocks, name
+        assert tracer.seconds(name) > 0, name
+    assert tracer.calls("dataset.DatasetWriter.append") == 70 + 70 + 130
