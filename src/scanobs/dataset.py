@@ -10,6 +10,7 @@ File layout: a fixed 64-byte header followed by per-record data.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 from pathlib import Path
@@ -24,45 +25,83 @@ _HEADER = struct.Struct("<8sIQIII")
 HEADER_SIZE = 64
 
 
-class DatasetWriter:
-    """Streaming writer; records may be appended one batch at a time."""
+def _record(height, width):
+    """The dtype of one record: its label, then its image."""
+    return np.dtype([("label", "u1"), ("image", "<f4", (height, width))])
 
-    def __init__(self, path, width: int, height: int, n_locations: int):
+
+class DatasetWriter:
+    """Streaming writer; records are appended one image, or one stack of
+    images, at a time.
+
+    Given the record count, the writer writes the final header on opening
+    and keeps the sha256 of every byte it writes, header first
+    (``sha256``), and close raises if another number of records came.
+    Without it, the header's count is patched at close, and no digest is
+    kept."""
+
+    def __init__(self, path, width: int, height: int, n_locations: int,
+                 count: int | None = None):
         self.path = Path(path)
         self.width = width
         self.height = height
         self.n_locations = n_locations
+        self.expected = count
         self.count = 0
+        self._record = _record(height, width)
+        self.sha256 = None if count is None else hashlib.sha256()
         self._fh = open(self.path, "wb")
-        self._write_header()
+        self._write(self._header(count or 0))
 
-    def _write_header(self):
-        hdr = _HEADER.pack(MAGIC, VERSION, self.count,
-                           self.width, self.height, self.n_locations)
-        self._fh.seek(0)
-        self._fh.write(hdr.ljust(HEADER_SIZE, b"\0"))
-        self._fh.seek(0, 2)
+    def _header(self, count):
+        return _HEADER.pack(MAGIC, VERSION, count, self.width, self.height,
+                            self.n_locations).ljust(HEADER_SIZE, b"\0")
 
-    def append(self, image: np.ndarray, label: int):
-        if image.shape != (self.height, self.width):
-            raise ValueError(f"image shape {image.shape} does not match "
-                             f"({self.height}, {self.width})")
-        if not 0 <= label <= self.n_locations:
-            raise ValueError(f"{self.path}: label {label} outside 0..J, "
+    def _write(self, data):
+        self._fh.write(data)
+        if self.sha256 is not None:
+            self.sha256.update(data)
+
+    def append(self, images: np.ndarray, labels):
+        """Append one (height, width) image with its int label, or an
+        (N, height, width) stack with its N labels, as one buffer of
+        records."""
+        images, labels = np.asarray(images), np.asarray(labels)
+        if images.shape != labels.shape + (self.height, self.width):
+            raise ValueError(f"image shape {images.shape} does not match "
+                             f"{labels.shape + (self.height, self.width)}")
+        if labels.dtype.kind not in "iu":
+            raise ValueError(f"{self.path}: labels must be ints, not "
+                             f"{labels.dtype}")
+        outside = labels[(labels < 0) | (labels > self.n_locations)]
+        if outside.size:
+            raise ValueError(f"{self.path}: label {outside[0]} outside 0..J, "
                              f"J = {self.n_locations}")
-        self._fh.write(struct.pack("<B", label))
-        self._fh.write(np.ascontiguousarray(image, dtype="<f4").tobytes())
-        self.count += 1
+        records = np.empty(labels.size, self._record)
+        records["label"] = labels.reshape(-1)
+        records["image"] = images.reshape(records["image"].shape)
+        self._write(records)
+        self.count += labels.size
 
     def close(self):
-        self._write_header()
+        """Close the file; raises if the record count was given and another
+        number of records came."""
+        if self.expected is None:
+            self._fh.seek(0)
+            self._fh.write(self._header(self.count))
         self._fh.close()
+        if self.expected not in (None, self.count):
+            raise ValueError(f"{self.path}: {self.count} records written, "
+                             f"but its header counts {self.expected}")
 
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc):
-        self.close()
+    def __exit__(self, exc_type, *exc):
+        if exc_type is None:
+            self.close()
+        else:  # the exception in flight is the one to report
+            self._fh.close()
 
 
 def read_dataset(path):
@@ -79,8 +118,7 @@ def read_dataset(path):
             raise ValueError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        record = np.dtype([("label", "u1"),
-                           ("image", "<f4", (height, width))])
+        record = _record(height, width)
         size = os.fstat(fh.fileno()).st_size
         if size != HEADER_SIZE + count * record.itemsize:
             raise ValueError(f"{path}: truncated file")

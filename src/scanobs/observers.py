@@ -207,20 +207,27 @@ def scanning_ho_records(images, labels,
     """Scanning HO: lambda_j = w_j^T (g - mean_b - s_j / 2); the binary
     statistic is max_j lambda_j.
 
-    The stack is walked through one float64 workspace in blocks of
-    HO_BLOCK_ROWS images, the last taking the remainder, so no product has
-    fewer than min(N, HO_BLOCK_ROWS) rows: OpenBLAS rounds products of a few
-    rows on another path, and these keep the whole-stack product's bits.
+    The stack is walked in blocks of HO_BLOCK_ROWS images, the last taking
+    the remainder, so no product has fewer than min(N, HO_BLOCK_ROWS) rows:
+    OpenBLAS rounds products of a few rows on another path, and these keep
+    the whole-stack product's bits.  The two halves of the blocks run on
+    two threads (workers.two_threads), each through its own float64
+    workspace.
     """
     n = len(images)
     flat = images.reshape(n, -1)
     lams = np.empty((n, len(state.templates)))
     edges = [i * HO_BLOCK_ROWS for i in range(max(n // HO_BLOCK_ROWS, 1))]
     edges.append(n)
-    work = np.empty((n - edges[-2], flat.shape[1]))
-    for lo, hi in zip(edges, edges[1:]):
-        np.subtract(flat[lo:hi], state.mean_background, out=work[:hi - lo])
-        np.matmul(work[:hi - lo], state.templates.T, out=lams[lo:hi])
+
+    def blocks(first, last):  # the last block of a half is its largest
+        work = np.empty((edges[last] - edges[last - 1], flat.shape[1]))
+        for lo, hi in zip(edges[first:last], edges[first + 1:last + 1]):
+            np.subtract(flat[lo:hi], state.mean_background,
+                        out=work[:hi - lo])
+            np.matmul(work[:hi - lo], state.templates.T, out=lams[lo:hi])
+
+    workers.two_threads(blocks, len(edges) - 1, 1)
     lams -= 0.5 * (state.templates * state.signals).sum(axis=1)
     return records_from_statistics(lams, labels, lams.max(axis=1))
 

@@ -4,7 +4,6 @@ execution, and network training."""
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import os
 import time
@@ -133,24 +132,19 @@ def load_config(path) -> ExperimentPlan:
     return ExperimentPlan(**raw)
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
 def _write_blocks(path, task, labels, seed, name, draw):
     """Write a dataset file of images with these labels, block b of
     _NOISE_BLOCK of them being draw(labels of the block, rng) on
-    rng = substream(seed, name, b).  Blocks are drawn two at a time, one on
-    each half of workers.two_threads, and written in order, so the file
-    depends only on (seed, name, labels)."""
+    rng = substream(seed, name, b), and return the file's sha256.  Blocks
+    are drawn two at a time, one on each half of workers.two_threads, and
+    each block is appended whole, in order, on the file's writer thread
+    (workers.writer_thread), which hashes the bytes as it writes them, so
+    the file depends only on (seed, name, labels) and is not read back."""
     w, h = task.grid
     blocks = [labels[lo:lo + _NOISE_BLOCK]
               for lo in range(0, len(labels), _NOISE_BLOCK)]
-    with DatasetWriter(path, w, h, task.J) as out:
+    with DatasetWriter(path, w, h, task.J, len(labels)) as out, \
+            workers.writer_thread(out.append) as put:
         for first in range(0, len(blocks), 2):
             images = {}
 
@@ -160,16 +154,17 @@ def _write_blocks(path, task, labels, seed, name, draw):
 
             workers.two_threads(draw_blocks, min(2, len(blocks) - first), 1)
             for b in sorted(images):
-                for img, label in zip(images[b], blocks[b].tolist()):
-                    out.append(img, label)
+                put(images[b], blocks[b])
+    return out.sha256.hexdigest()
 
 
 def _write_split(path, task, n_per_class, seed, name):
     """Balanced noisy split: n images per class, labels 0..J in order, each
-    block of images from one simulate_measurement call."""
-    _write_blocks(path, task, np.repeat(np.arange(task.J + 1), n_per_class),
-                  seed, name,
-                  lambda block, rng: simulate_measurement(task, block, rng)[0])
+    block of images from one simulate_measurement call; returns its
+    sha256."""
+    return _write_blocks(
+        path, task, np.repeat(np.arange(task.J + 1), n_per_class), seed, name,
+        lambda block, rng: simulate_measurement(task, block, rng)[0])
 
 
 def generate_dataset(plan: ExperimentPlan, force: bool = False) -> dict:
@@ -178,7 +173,9 @@ def generate_dataset(plan: ExperimentPlan, force: bool = False) -> dict:
     Block b of a file draws from substream(seed, name, b), with the file's
     name "train-backgrounds", "val-images" or "test-images", so no
     background can appear in more than one file, and no file depends on the
-    CPU count.  Every file is written under a temporary name in the output
+    CPU count.  Each file's sha256 in the manifest is the one its writer
+    thread computed while writing it (_write_blocks); no file is read back.
+    Every file is written under a temporary name in the output
     directory and renamed into place only once all are complete, the
     manifest last; if anything raises, an interrupt included, the
     temporaries are removed and the files already there keep their bytes.
@@ -200,17 +197,19 @@ def generate_dataset(plan: ExperimentPlan, force: bool = False) -> dict:
     # file name -> temporary path, in renaming order: the manifest last
     temps = {f: out / f".{f}.partial"
              for f in [f"{n}.bin" for n in names] + ["manifest.txt"]}
+    digests = {}  # file name -> sha256, in the order of names
     try:
         if plan.n_train_backgrounds > 0:
-            _write_blocks(temps["train_backgrounds.bin"], task,
-                          np.zeros(plan.n_train_backgrounds, dtype=int),
-                          plan.seed, "train-backgrounds",
-                          lambda block, rng: [task.sample_background(rng)
-                                              for _ in block])
+            digests["train_backgrounds"] = _write_blocks(
+                temps["train_backgrounds.bin"], task,
+                np.zeros(plan.n_train_backgrounds, dtype=int), plan.seed,
+                "train-backgrounds",
+                lambda block, rng: [task.sample_background(rng)
+                                    for _ in block])
         for split, n in (("val", plan.n_val_per_class),
                          ("test", plan.n_test_per_class)):
-            _write_split(temps[f"{split}.bin"], task, n, plan.seed,
-                         f"{split}-images")
+            digests[split] = _write_split(temps[f"{split}.bin"], task, n,
+                                          plan.seed, f"{split}-images")
 
         manifest = {
             "preset": plan.preset,
@@ -220,8 +219,8 @@ def generate_dataset(plan: ExperimentPlan, force: bool = False) -> dict:
             "n_test_per_class": plan.n_test_per_class,
             "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         }
-        for name in names:
-            manifest[f"sha256_{name}"] = _sha256(temps[f"{name}.bin"])
+        for name, digest in digests.items():
+            manifest[f"sha256_{name}"] = digest
         with open(temps["manifest.txt"], "w") as fh:
             for key, val in manifest.items():
                 fh.write(f"{key}={val}\n")

@@ -6,9 +6,14 @@ interpreter lock and writes disjoint parts of one output runs on two
 threads in this process through ``two_threads``: the blocks of a split or
 store, each from its own substream, whose noise draws release the lock
 (``runner.generate_dataset``), the Laplacian log-LRs
-(``observers.laplacian_io_log_lrs_batch``) and the clustered-lumpy blobs
-(``imaging.render_clb_image``).  Work that holds the lock, in Python, goes
-to forked workers through ``task_map``: the MCMC chains, the network's
+(``observers.laplacian_io_log_lrs_batch``), the scanning Hotelling
+products (``observers.scanning_ho_records``) and the clustered-lumpy blobs
+(``imaging.render_clb_image``).  Writing a file, which must stay in order,
+runs beside them on one thread per file through ``writer_thread``: each
+drawn block of a split or store is appended whole, in block order, and
+hashed as it is written, and the thread is joined inside
+``runner._write_blocks``.  Work that holds the lock, in Python, goes to
+forked workers through ``task_map``: the MCMC chains, the network's
 micro-batches and each observer's report (``runner.run_observers``).
 
 Importing this module sets every loaded OpenBLAS, numpy's and scipy's, to
@@ -23,8 +28,8 @@ Results of a pool come back in task order, so what a caller computes from
 them does not depend on the worker count.  Workers are forked at the
 pool's first task, so they start with the caller's modules, data and
 module attributes as they are then, and with its one BLAS thread.
-``two_threads`` starts and joins its thread inside the call, so no such
-thread is alive when a pool forks.
+``two_threads`` and ``writer_thread`` start and join their threads inside
+the call or scope, so no such thread is alive when a pool forks.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import contextlib
 import ctypes
 import mmap
 import os
+import queue
 import threading
 
 import numpy as np
@@ -96,6 +102,51 @@ def two_threads(fn, n, step):
     try:
         fn(0, mid)
     finally:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
+# Calls a writer_thread holds queued; each is a 64-image block of about
+# 1 MB at 64x64 in runner._write_blocks, so peak memory stays small
+_QUEUED_WRITES = 4
+
+
+@contextlib.contextmanager
+def writer_thread(write):
+    """Yields put(*args), which queues write(*args) for one thread started
+    here while the caller goes on; the thread makes the calls in put order,
+    and put blocks while _QUEUED_WRITES calls wait.  The thread is joined
+    before the scope is left, however it is left.  Once write raises, or the
+    scope does, the calls still queued are dropped; write's exception is
+    raised again in the caller, at its next put or at the scope's end.  The
+    thread drains the queue until the scope ends, so a put never waits on a
+    dead thread."""
+    pending = queue.Queue(_QUEUED_WRITES)
+    errors = []
+
+    def drain():
+        while (args := pending.get()) is not None:
+            if not errors:
+                try:
+                    write(*args)
+                except BaseException as exc:  # raised again in the caller
+                    errors.append(exc)
+
+    def put(*args):
+        if errors:
+            raise errors[0]
+        pending.put(args)
+
+    thread = threading.Thread(target=drain)
+    thread.start()
+    try:
+        yield put
+    except BaseException as exc:
+        errors.append(exc)  # the thread drops the calls still queued
+        raise
+    finally:
+        pending.put(None)
         thread.join()
     if errors:
         raise errors[0]

@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
@@ -58,6 +61,41 @@ def test_streaming_writer_counts(tmp_path):
     assert path.stat().st_size == HEADER_SIZE + 5 * (1 + 4 * 6)
 
 
+@pytest.mark.parametrize("count", [None, 7])
+def test_stack_append_writes_the_per_image_records(tmp_path, count):
+    # float64 images are rounded to float32 either way
+    rng = np.random.default_rng(3)
+    images = rng.normal(size=(7, 2, 3))
+    labels = np.array([0, 9, 3, 3, 1, 0, 2])
+    with DatasetWriter(tmp_path / "one.bin", 3, 2, 9) as out:
+        for img, lab in zip(images, labels.tolist()):
+            out.append(img, lab)
+    with DatasetWriter(tmp_path / "stack.bin", 3, 2, 9, count) as out:
+        out.append(images[:4], labels[:4])
+        out.append(images[4:], labels[4:])
+    data = (tmp_path / "one.bin").read_bytes()
+    assert (tmp_path / "stack.bin").read_bytes() == data
+    if count is not None:
+        assert out.sha256.hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("written", [0, 2, 4])
+def test_writer_rejects_another_record_count(tmp_path, written):
+    path = tmp_path / "short.bin"
+    out = DatasetWriter(path, 3, 2, 9, 3)
+    out.append(np.zeros((written, 2, 3)), np.zeros(written, dtype=int))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                       f"{written} records written, but its header counts 3$"):
+        out.close()
+
+
+def test_writer_leaves_an_error_in_flight_alone(tmp_path):
+    with pytest.raises(KeyError):
+        with DatasetWriter(tmp_path / "cut.bin", 3, 2, 9, 3) as out:
+            out.append(np.zeros((2, 3)), 1)
+            raise KeyError("not the count")
+
+
 def test_writer_rejects_wrong_shape(tmp_path):
     with DatasetWriter(tmp_path / "bad.bin", 3, 2, 9) as out:
         with pytest.raises(ValueError):
@@ -75,6 +113,17 @@ def test_writer_rejects_label_outside_0_to_j(tmp_path, label):
             out.append(np.zeros((2, 3)), label)
     _, labels, _ = read_dataset(path)
     assert list(labels) == [3]
+
+
+@pytest.mark.parametrize("label", [1.5, True, [0.0, 1.0]])
+def test_writer_rejects_labels_that_are_not_ints(tmp_path, label):
+    path = tmp_path / "bad.bin"
+    images = np.zeros(np.shape(label) + (2, 3))
+    with DatasetWriter(path, 3, 2, 3) as out:
+        with pytest.raises(ValueError, match="bad.bin: labels must be ints, "
+                                             "not (float64|bool)$"):
+            out.append(images, label)
+    assert read_dataset(path)[2]["count"] == 0
 
 
 def test_read_rejects_bad_magic(tmp_path):

@@ -404,9 +404,11 @@ def test_scanning_ho_records_do_not_depend_on_blas_threads():
     assert one == two
 
 
-def test_scanning_ho_holds_one_block_workspace():
+def _ho_peak_over_workspace(monkeypatch, cpus, workspace_rows):
     # 2000 images are 7 blocks, the last of 464 rows; a block never has
     # more than 2 * 256 - 1 rows
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
     task = task_preset("bke_system1")
     state = build_hotelling(None, task.signal_images, task.noise.std ** 2)
     n, m = 2000, state.templates.shape[1]
@@ -416,10 +418,37 @@ def test_scanning_ho_holds_one_block_workspace():
     rec = scanning_ho_records(imgs, labels, state)
     records = sum(getattr(rec, f.name).nbytes
                   for f in dataclasses.fields(rec))
-    workspace = (2 * observers.HO_BLOCK_ROWS - 1) * m * 8
     # and the (J, M) product of templates and signals for the offsets
     assert traced_peak(scanning_ho_records, imgs, labels, state) <= \
-        workspace + records + state.templates.nbytes
+        workspace_rows * m * 8 + records + state.templates.nbytes
+
+
+def test_scanning_ho_holds_one_block_workspace(monkeypatch):
+    _ho_peak_over_workspace(monkeypatch, 1, 2 * observers.HO_BLOCK_ROWS - 1)
+
+
+def test_scanning_ho_holds_one_block_workspace_per_thread(monkeypatch):
+    # the first half's blocks are whole; the second's last takes the
+    # remainder
+    _ho_peak_over_workspace(monkeypatch, 2, 3 * observers.HO_BLOCK_ROWS - 1)
+
+
+@pytest.mark.parametrize("n", [10, 257, 300, 511, 5000])
+def test_scanning_ho_records_are_the_same_on_one_and_two_cpus(monkeypatch,
+                                                              n):
+    # 10, 257, 300 and 511 images are one block, the last three a whole
+    # block and a remainder joined to it (a cut at row 256 would leave a
+    # product of one row); 5000 are 19 blocks, cut after the tenth
+    state, _, _ = _ho_stack("bke_system2")
+    rng = np.random.default_rng(n)
+    imgs = rng.laplace(0.0, 30.0, size=(n, 64, 64)).astype(np.float32)
+    labels = np.arange(n) % 10
+    found = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        found.append(scanning_ho_records(imgs, labels, state))
+    _assert_records_equal(*found)
 
 
 def test_constant_shift_leaves_chosen_location():

@@ -1,5 +1,6 @@
 import concurrent.futures
 import ctypes
+import hashlib
 import json
 import math
 import os
@@ -393,35 +394,84 @@ def test_generate_refuses_overwrite(tmp_path):
     generate_dataset(plan, force=True)  # no error
 
 
-def test_interrupted_generate_keeps_the_old_files(tmp_path, monkeypatch):
+def _failed_generate_keeps_the_old_files(tmp_path, monkeypatch, owner,
+                                        attr, error):
+    # owner.attr raises error at its third call: with 10 validation and 130
+    # test images, at the second of the three test blocks appended on the
+    # writer thread (DatasetWriter.append), or at the first or second test
+    # block, drawn together on the two halves of two_threads
+    # (simulate_measurement)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     out = tmp_path / "o"
     plan = ExperimentPlan("bke_system1", out, n_val_per_class=1,
-                          n_test_per_class=3, seed=1)
+                          n_test_per_class=13, seed=1)
     generate_dataset(plan)
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     assert set(before) == {"val.bin", "test.bin", "manifest.txt"}
-    append = DatasetWriter.append
+    original = getattr(owner, attr)
     calls = []
 
-    def interrupt_at_fifth_test_image(writer, image, label):
-        calls.append(label)
-        if len(calls) == 10 + 5:  # the 10 validation images come first
-            raise KeyboardInterrupt
-        return append(writer, image, label)
+    def fail_at_third_call(*args):
+        calls.append(threading.get_ident())
+        if len(calls) == 3:
+            raise error
+        return original(*args)
 
-    monkeypatch.setattr(DatasetWriter, "append",
-                        interrupt_at_fifth_test_image)
+    monkeypatch.setattr(owner, attr, fail_at_third_call)
     plan.seed = 2
-    with pytest.raises(KeyboardInterrupt):
+    alive = threading.active_count()
+    with pytest.raises(type(error)):
         generate_dataset(plan, force=True)
+    # the old files keep their bytes, no temporary is left, and no thread
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert threading.active_count() == alive
 
-    # interrupted in an empty directory, a run leaves nothing behind
+    # failing in an empty directory, a run leaves nothing behind
     calls.clear()
     plan.out_dir = tmp_path / "new"
-    with pytest.raises(KeyboardInterrupt):
+    with pytest.raises(type(error)):
         generate_dataset(plan)
     assert list((tmp_path / "new").iterdir()) == []
+    assert threading.active_count() == alive
+    return calls
+
+
+def test_interrupted_generate_keeps_the_old_files(tmp_path, monkeypatch):
+    calls = _failed_generate_keeps_the_old_files(
+        tmp_path, monkeypatch, DatasetWriter, "append", KeyboardInterrupt())
+    assert threading.get_ident() not in calls  # appended on the writer thread
+
+
+def test_failed_draw_keeps_the_old_files(tmp_path, monkeypatch):
+    _failed_generate_keeps_the_old_files(
+        tmp_path, monkeypatch, runner, "simulate_measurement",
+        RuntimeError("draw failed"))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("preset, store, n_val, n_test", [
+    ("bke_system1", 0, 0, 7), ("bke_system2", 0, 1, 13),
+    ("lb", 150, 1, 1)])
+def test_manifest_hashes_the_bytes_written(tmp_path, monkeypatch, cpus,
+                                           preset, store, n_val, n_test):
+    # an empty validation split (its header only), a part of one block, a
+    # pair of blocks and a part, and an lb store of a pair and a part
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    out = tmp_path / "o"
+    manifest = generate_dataset(ExperimentPlan(
+        preset, out, n_train_backgrounds=store, n_val_per_class=n_val,
+        n_test_per_class=n_test, seed=8))
+    files = sorted(p.stem for p in out.glob("*.bin"))
+    assert files == sorted(["val", "test"]
+                           + ["train_backgrounds"] * (store > 0))
+    for name in files:
+        assert manifest[f"sha256_{name}"] == hashlib.sha256(
+            (out / f"{name}.bin").read_bytes()).hexdigest(), name
+    assert f"sha256_val={manifest['sha256_val']}\n" in \
+        (out / "manifest.txt").read_text()
+    if n_val == 0:
+        assert (out / "val.bin").stat().st_size == HEADER_SIZE
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -462,6 +512,66 @@ def test_store_draws_each_block_from_its_substream(tmp_path, monkeypatch,
                            noisy=False)
     assert ((tmp_path / "out" / "train_backgrounds.bin").read_bytes()
             == (tmp_path / "ref.bin").read_bytes())
+
+
+def test_writer_thread_calls_in_order_on_one_thread():
+    main, alive = threading.get_ident(), threading.active_count()
+    calls = []
+    with workers.writer_thread(lambda *a: calls.append(
+            (a, threading.get_ident()))) as put:
+        for i in range(20):
+            put(i, -i)
+    assert [a for a, _ in calls] == [(i, -i) for i in range(20)]
+    assert len({t for _, t in calls}) == 1 and calls[0][1] != main
+    assert threading.active_count() == alive
+
+
+@pytest.mark.parametrize("puts", [3, 40])
+def test_writer_thread_raises_its_error_in_the_caller(puts):
+    # the error comes back at a later put or at the scope's end; the puts
+    # after it, more than the queue holds, do not wait on a dead thread (the
+    # scope runs on a daemon thread, so that a hang fails the test)
+    alive = threading.active_count()
+    calls, raised = [], []
+
+    def write(i):
+        calls.append(i)
+        if i == 2:
+            raise OSError("disk full")
+
+    def scope():
+        try:
+            with workers.writer_thread(write) as put:
+                for i in range(puts):
+                    put(i)
+        except OSError as exc:
+            raised.append(str(exc))
+
+    caller = threading.Thread(target=scope, daemon=True)
+    caller.start()
+    caller.join(60)
+    assert not caller.is_alive()
+    assert raised == ["disk full"]
+    assert calls == [0, 1, 2]
+    assert threading.active_count() == alive
+
+
+def test_writer_thread_drops_the_queue_when_the_scope_raises():
+    # the first call, if the thread has taken it, outlasts the scope
+    alive = threading.active_count()
+    calls = []
+
+    def write(i):
+        time.sleep(0.2)
+        calls.append(i)
+
+    with pytest.raises(KeyboardInterrupt):
+        with workers.writer_thread(write) as put:
+            for i in range(4):
+                put(i)
+            raise KeyboardInterrupt
+    assert calls in ([], [0])
+    assert threading.active_count() == alive
 
 
 def test_two_threads_runs_the_halves_on_two_threads(monkeypatch):

@@ -98,7 +98,8 @@ def test_traced_evaluation_times_inference(tmp_path, monkeypatch):
 @pytest.mark.parametrize("preset", ["bke_system1", "lb"])
 def test_traced_generate_times_each_block(tmp_path, monkeypatch, preset):
     # the blocks are drawn on two threads, and each block's one
-    # simulate_measurement call and its one noise draw are still spans
+    # simulate_measurement call, its one noise draw and its one append are
+    # still spans
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import layers
     from spans import Tracer
@@ -116,4 +117,6 @@ def test_traced_generate_times_each_block(tmp_path, monkeypatch, preset):
     for name in ("tasks.simulate_measurement", "imaging.apply_noise"):
         assert tracer.calls(name) == blocks, name
         assert tracer.seconds(name) > 0, name
-    assert tracer.calls("dataset.DatasetWriter.append") == 70 + 70 + 130
+    # each block, the 70 backgrounds' two included, is appended whole on
+    # its file's writer thread
+    assert tracer.calls("dataset.DatasetWriter.append") == 2 + blocks
