@@ -135,26 +135,19 @@ def load_config(path) -> ExperimentPlan:
 def _write_blocks(path, task, labels, seed, name, draw):
     """Write a dataset file of images with these labels, block b of
     _NOISE_BLOCK of them being draw(labels of the block, rng) on
-    rng = substream(seed, name, b), and return the file's sha256.  Blocks
-    are drawn two at a time, one on each half of workers.two_threads, and
-    each block is appended whole, in order, on the file's writer thread
-    (workers.writer_thread), which hashes the bytes as it writes them, so
-    the file depends only on (seed, name, labels) and is not read back."""
+    rng = substream(seed, name, b), and return the file's sha256.  The
+    blocks go through workers.ordered_blocks: drawn on up to two threads,
+    each as soon as a drawer is free, and appended whole, in block order,
+    on the file's writer thread, which hashes the bytes as it writes them,
+    so the file depends only on (seed, name, labels) and is not read
+    back."""
     w, h = task.grid
     blocks = [labels[lo:lo + _NOISE_BLOCK]
               for lo in range(0, len(labels), _NOISE_BLOCK)]
-    with DatasetWriter(path, w, h, task.J, len(labels)) as out, \
-            workers.writer_thread(out.append) as put:
-        for first in range(0, len(blocks), 2):
-            images = {}
-
-            def draw_blocks(lo, hi):
-                for b in range(first + lo, first + hi):
-                    images[b] = draw(blocks[b], substream(seed, name, b))
-
-            workers.two_threads(draw_blocks, min(2, len(blocks) - first), 1)
-            for b in sorted(images):
-                put(images[b], blocks[b])
+    with DatasetWriter(path, w, h, task.J, len(labels)) as out:
+        workers.ordered_blocks(
+            lambda b: draw(blocks[b], substream(seed, name, b)), len(blocks),
+            lambda b, images: out.append(images, blocks[b]))
     return out.sha256.hexdigest()
 
 
@@ -173,8 +166,10 @@ def generate_dataset(plan: ExperimentPlan, force: bool = False) -> dict:
     Block b of a file draws from substream(seed, name, b), with the file's
     name "train-backgrounds", "val-images" or "test-images", so no
     background can appear in more than one file, and no file depends on the
-    CPU count.  Each file's sha256 in the manifest is the one its writer
-    thread computed while writing it (_write_blocks); no file is read back.
+    CPU count.  The blocks are drawn on up to two threads and written in
+    block order on one writer thread per file, and each file's sha256 in
+    the manifest is the one that thread computed while writing it
+    (_write_blocks); no file is read back.
     Every file is written under a temporary name in the output
     directory and renamed into place only once all are complete, the
     manifest last; if anything raises, an interrupt included, the

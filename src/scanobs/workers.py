@@ -3,18 +3,19 @@ worker processes for Python (Linux only).
 
 One rule decides which a stage uses.  A numpy kernel that releases the
 interpreter lock and writes disjoint parts of one output runs on two
-threads in this process through ``two_threads``: the blocks of a split or
-store, each from its own substream, whose noise draws release the lock
-(``runner.generate_dataset``), the Laplacian log-LRs
+threads in this process through ``two_threads``: the Laplacian log-LRs
 (``observers.laplacian_io_log_lrs_batch``), the scanning Hotelling
 products (``observers.scanning_ho_records``) and the clustered-lumpy blobs
-(``imaging.render_clb_image``).  Writing a file, which must stay in order,
-runs beside them on one thread per file through ``writer_thread``: each
-drawn block of a split or store is appended whole, in block order, and
-hashed as it is written, and the thread is joined inside
-``runner._write_blocks``.  Work that holds the lock, in Python, goes to
-forked workers through ``task_map``: the MCMC chains, the network's
-micro-batches and each observer's report (``runner.run_observers``).
+(``imaging.render_clb_image``).  A file written in blocks, each drawn from
+its own substream with noise draws that release the lock, goes through
+``ordered_blocks``: the blocks of a split or store are drawn on the
+caller's thread and, given two CPUs and two blocks, on one more, each
+drawer taking the next block as soon as it is free, and appended whole,
+in block order, on one writer thread per file, which hashes them as it
+writes (``runner._write_blocks``).  Work that holds the lock, in Python,
+goes to forked workers through ``task_map``: the MCMC chains, the
+network's micro-batches and each observer's report
+(``runner.run_observers``).
 
 Importing this module sets every loaded OpenBLAS, numpy's and scipy's, to
 one thread, once, before anything can fork, and nothing sets it again.  So
@@ -28,8 +29,8 @@ Results of a pool come back in task order, so what a caller computes from
 them does not depend on the worker count.  Workers are forked at the
 pool's first task, so they start with the caller's modules, data and
 module attributes as they are then, and with its one BLAS thread.
-``two_threads`` and ``writer_thread`` start and join their threads inside
-the call or scope, so no such thread is alive when a pool forks.
+``two_threads`` and ``ordered_blocks`` start and join their threads
+inside the call, so no such thread is alive when a pool forks.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import contextlib
 import ctypes
 import mmap
 import os
-import queue
 import threading
 
 import numpy as np
@@ -107,47 +107,80 @@ def two_threads(fn, n, step):
         raise errors[0]
 
 
-# Calls a writer_thread holds queued; each is a 64-image block of about
-# 1 MB at 64x64 in runner._write_blocks, so peak memory stays small
-_QUEUED_WRITES = 4
+# Blocks that ordered_blocks holds taken by a drawer but not yet written;
+# each is a 64-image block of about 1 MB at 64x64 in runner._write_blocks,
+# so peak memory stays small
+_IN_FLIGHT = 6
 
 
-@contextlib.contextmanager
-def writer_thread(write):
-    """Yields put(*args), which queues write(*args) for one thread started
-    here while the caller goes on; the thread makes the calls in put order,
-    and put blocks while _QUEUED_WRITES calls wait.  The thread is joined
-    before the scope is left, however it is left.  Once write raises, or the
-    scope does, the calls still queued are dropped; write's exception is
-    raised again in the caller, at its next put or at the scope's end.  The
-    thread drains the queue until the scope ends, so a put never waits on a
-    dead thread."""
-    pending = queue.Queue(_QUEUED_WRITES)
+def ordered_blocks(draw, n, write):
+    """Call write(b, draw(b)) for b in range(n).  The draws run on this
+    thread and, with at least 2 usable CPUs and 2 blocks, on one thread
+    started here, each drawer taking the next block as soon as it is free;
+    the writes run in block order on one writer thread started here.  At
+    most _IN_FLIGHT blocks are taken but not yet written.  Once a draw or
+    a write raises, an interrupt of this thread included, no block is taken
+    or written after it; every thread is joined before the call returns or
+    raises, and the first exception is raised again here."""
+    cond = threading.Condition()
+    drawn = {}  # block -> draw(block), until the writer takes it
+    taken = written = 0
     errors = []
 
-    def drain():
-        while (args := pending.get()) is not None:
-            if not errors:
-                try:
-                    write(*args)
-                except BaseException as exc:  # raised again in the caller
-                    errors.append(exc)
+    def fail(exc):
+        with cond:
+            errors.append(exc)
+            cond.notify_all()
 
-    def put(*args):
-        if errors:
-            raise errors[0]
-        pending.put(args)
+    def keep(b, block):
+        with cond:
+            drawn[b] = block
+            cond.notify_all()
 
-    thread = threading.Thread(target=drain)
-    thread.start()
+    def draw_blocks():
+        nonlocal taken
+        while True:
+            with cond:
+                cond.wait_for(lambda: errors or taken - written < _IN_FLIGHT)
+                if errors or taken == n:
+                    return
+                b, taken = taken, taken + 1
+            keep(b, draw(b))
+
+    def write_blocks():
+        nonlocal written
+        for b in range(n):
+            with cond:
+                written = b  # the blocks before b are written
+                cond.notify_all()
+                cond.wait_for(lambda: errors or b in drawn)
+                if errors:
+                    return
+                block = drawn.pop(b)
+            write(b, block)
+            del block  # not held while the next block is awaited
+
+    def guarded(fn):
+        try:
+            fn()
+        except BaseException as exc:  # raised again in the caller below
+            fail(exc)
+
+    threads = [threading.Thread(target=guarded, args=(write_blocks,))]
+    if n >= 2 and len(os.sched_getaffinity(0)) >= 2:
+        threads.append(threading.Thread(target=guarded, args=(draw_blocks,)))
     try:
-        yield put
-    except BaseException as exc:
-        errors.append(exc)  # the thread drops the calls still queued
-        raise
-    finally:
-        pending.put(None)
-        thread.join()
+        for thread in threads:
+            thread.start()
+        draw_blocks()
+    except BaseException as exc:  # raised again below, once all are joined
+        fail(exc)
+    for thread in threads:
+        while thread.is_alive():
+            try:
+                thread.join()
+            except BaseException as exc:  # an interrupt: stop, join again
+                fail(exc)
     if errors:
         raise errors[0]
 

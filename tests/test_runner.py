@@ -395,12 +395,12 @@ def test_generate_refuses_overwrite(tmp_path):
 
 
 def _failed_generate_keeps_the_old_files(tmp_path, monkeypatch, owner,
-                                        attr, error):
-    # owner.attr raises error at its third call: with 10 validation and 130
-    # test images, at the second of the three test blocks appended on the
-    # writer thread (DatasetWriter.append), or at the first or second test
-    # block, drawn together on the two halves of two_threads
-    # (simulate_measurement)
+                                        attr, fails, error):
+    # owner.attr raises error at the call for which fails(number of the
+    # call, from 1) is true; with 10 validation and 130 test images, the
+    # first call draws or appends the validation block and the next two the
+    # first two of the three test blocks.  Returns the set of threads that
+    # made the calls, for each of the two failing runs.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     out = tmp_path / "o"
     plan = ExperimentPlan("bke_system1", out, n_val_per_class=1,
@@ -409,15 +409,17 @@ def _failed_generate_keeps_the_old_files(tmp_path, monkeypatch, owner,
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     assert set(before) == {"val.bin", "test.bin", "manifest.txt"}
     original = getattr(owner, attr)
-    calls = []
+    calls, lock = [], threading.Lock()
 
-    def fail_at_third_call(*args):
-        calls.append(threading.get_ident())
-        if len(calls) == 3:
+    def failing(*args):
+        with lock:
+            calls.append(threading.get_ident())
+            number = len(calls)
+        if fails(number):
             raise error
         return original(*args)
 
-    monkeypatch.setattr(owner, attr, fail_at_third_call)
+    monkeypatch.setattr(owner, attr, failing)
     plan.seed = 2
     alive = threading.active_count()
     with pytest.raises(type(error)):
@@ -425,6 +427,7 @@ def _failed_generate_keeps_the_old_files(tmp_path, monkeypatch, owner,
     # the old files keep their bytes, no temporary is left, and no thread
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     assert threading.active_count() == alive
+    threads = [set(calls)]
 
     # failing in an empty directory, a run leaves nothing behind
     calls.clear()
@@ -433,19 +436,36 @@ def _failed_generate_keeps_the_old_files(tmp_path, monkeypatch, owner,
         generate_dataset(plan)
     assert list((tmp_path / "new").iterdir()) == []
     assert threading.active_count() == alive
-    return calls
+    return threads + [set(calls)]
 
 
 def test_interrupted_generate_keeps_the_old_files(tmp_path, monkeypatch):
-    calls = _failed_generate_keeps_the_old_files(
-        tmp_path, monkeypatch, DatasetWriter, "append", KeyboardInterrupt())
-    assert threading.get_ident() not in calls  # appended on the writer thread
+    # interrupted at the second test block's append
+    threads = _failed_generate_keeps_the_old_files(
+        tmp_path, monkeypatch, DatasetWriter, "append",
+        lambda number: number == 3, KeyboardInterrupt())
+    # on the writer thread
+    assert all(threading.get_ident() not in run for run in threads)
 
 
 def test_failed_draw_keeps_the_old_files(tmp_path, monkeypatch):
-    _failed_generate_keeps_the_old_files(
-        tmp_path, monkeypatch, runner, "simulate_measurement",
-        RuntimeError("draw failed"))
+    # the first two test blocks are drawn at once, one on each drawing
+    # thread (they meet at a barrier), and the draw on the caller's thread,
+    # then the one on the started thread, raises
+    main = threading.get_ident()
+    pair = threading.Barrier(2, timeout=60)
+    for on_caller in (True, False):
+        def fails(number, on_caller=on_caller):
+            if number not in (2, 3):
+                return False
+            pair.wait()
+            return (threading.get_ident() == main) == on_caller
+
+        threads = _failed_generate_keeps_the_old_files(
+            tmp_path / str(on_caller), monkeypatch, runner,
+            "simulate_measurement", fails, RuntimeError("draw failed"))
+        assert all(len(run) == 2 and main in run for run in threads)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -514,64 +534,223 @@ def test_store_draws_each_block_from_its_substream(tmp_path, monkeypatch,
             == (tmp_path / "ref.bin").read_bytes())
 
 
-def test_writer_thread_calls_in_order_on_one_thread():
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_ordered_blocks_writes_in_order_on_one_thread(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
     main, alive = threading.get_ident(), threading.active_count()
-    calls = []
-    with workers.writer_thread(lambda *a: calls.append(
-            (a, threading.get_ident()))) as put:
-        for i in range(20):
-            put(i, -i)
-    assert [a for a, _ in calls] == [(i, -i) for i in range(20)]
-    assert len({t for _, t in calls}) == 1 and calls[0][1] != main
+    writes = []
+    workers.ordered_blocks(lambda b: -b, 20, lambda b, block: writes.append(
+        (b, block, threading.get_ident())))
+    assert [(b, block) for b, block, _ in writes] == [
+        (b, -b) for b in range(20)]
+    assert len({t for _, _, t in writes}) == 1 and writes[0][2] != main
     assert threading.active_count() == alive
 
 
-@pytest.mark.parametrize("puts", [3, 40])
-def test_writer_thread_raises_its_error_in_the_caller(puts):
-    # the error comes back at a later put or at the scope's end; the puts
-    # after it, more than the queue holds, do not wait on a dead thread (the
-    # scope runs on a daemon thread, so that a hang fails the test)
+@pytest.mark.parametrize("n", [3, 40])
+def test_ordered_blocks_raises_a_write_error_in_the_caller(monkeypatch, n):
+    # the draws after it, more than the blocks in flight, do not wait on a
+    # stopped writer (the call runs on a daemon thread, so that a hang fails
+    # the test)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     alive = threading.active_count()
-    calls, raised = [], []
+    writes, raised = [], []
 
-    def write(i):
-        calls.append(i)
-        if i == 2:
+    def write(b, block):
+        writes.append(b)
+        if b == 2:
             raise OSError("disk full")
 
-    def scope():
+    def call():
         try:
-            with workers.writer_thread(write) as put:
-                for i in range(puts):
-                    put(i)
+            workers.ordered_blocks(lambda b: b, n, write)
         except OSError as exc:
             raised.append(str(exc))
 
-    caller = threading.Thread(target=scope, daemon=True)
+    caller = threading.Thread(target=call, daemon=True)
     caller.start()
     caller.join(60)
     assert not caller.is_alive()
     assert raised == ["disk full"]
-    assert calls == [0, 1, 2]
+    assert writes == [0, 1, 2]
     assert threading.active_count() == alive
 
 
-def test_writer_thread_drops_the_queue_when_the_scope_raises():
-    # the first call, if the thread has taken it, outlasts the scope
-    alive = threading.active_count()
-    calls = []
+@pytest.mark.parametrize("on_caller", [True, False])
+def test_ordered_blocks_raises_a_draw_error_in_the_caller(monkeypatch,
+                                                          on_caller):
+    # blocks 0 and 1 are drawn at once, one on each drawing thread (they
+    # meet at a barrier), and the draw on the caller's thread, or the one on
+    # the started thread, raises
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    main, alive = threading.get_ident(), threading.active_count()
+    pair = threading.Barrier(2, timeout=60)
+    writes = []
 
-    def write(i):
-        time.sleep(0.2)
-        calls.append(i)
+    def draw(b):
+        if b < 2:
+            pair.wait()
+            if (threading.get_ident() == main) == on_caller:
+                raise ArithmeticError(f"block {b}")
+        return b
+
+    with pytest.raises(ArithmeticError, match="^block [01]$"):
+        workers.ordered_blocks(draw, 10, lambda b, block: writes.append(b))
+    assert writes in ([], [0])
+    assert threading.active_count() == alive
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_ordered_blocks_drops_the_pending_work_on_an_interrupt(monkeypatch,
+                                                               cpus):
+    # the caller's second draw is interrupted; the first write, if the
+    # writer has taken block 0, outlasts it, and the started thread's draws
+    # take a while, so the caller reaches its second draw first
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    main, alive = threading.get_ident(), threading.active_count()
+    drawn, writes = [], []
+
+    def draw(b):
+        if threading.get_ident() != main:
+            time.sleep(0.05)
+        elif b:
+            raise KeyboardInterrupt
+        drawn.append(b)
+        return b
+
+    def write(b, block):
+        time.sleep(0.3)
+        writes.append(b)
 
     with pytest.raises(KeyboardInterrupt):
-        with workers.writer_thread(write) as put:
-            for i in range(4):
-                put(i)
-            raise KeyboardInterrupt
-    assert calls in ([], [0])
+        workers.ordered_blocks(draw, 40, write)
+    assert writes in ([], [0])
+    assert set(drawn) <= {0, 1, 2}
     assert threading.active_count() == alive
+
+
+def test_ordered_blocks_holds_at_most_its_blocks_in_flight(monkeypatch):
+    # instant draws and slow writes: the drawers run ahead until the bound
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    lock, pending, most = threading.Lock(), set(), []
+
+    def draw(b):
+        with lock:
+            pending.add(b)
+            most.append(len(pending))
+        return b
+
+    def write(b, block):
+        time.sleep(0.01)
+        with lock:
+            pending.remove(b)
+
+    workers.ordered_blocks(draw, 30, write)
+    assert max(most) == workers._IN_FLIGHT and not pending
+
+
+def test_ordered_blocks_under_frequent_thread_switches(monkeypatch):
+    # a 1 us switch interval interleaves the three threads often; a lost
+    # update of the shared counts would draw a block twice, drop, repeat or
+    # reorder a write, overrun the bound, or hang (the call runs on a daemon
+    # thread, so that a hang fails the test)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    lock, pending, most, draws, writes = threading.Lock(), set(), [0], [], []
+
+    def draw(b):
+        with lock:
+            draws.append(b)
+            pending.add(b)
+            most.append(len(pending))
+        return -b
+
+    def write(b, block):
+        writes.append((b, block))
+        with lock:
+            pending.remove(b)
+
+    caller = threading.Thread(target=workers.ordered_blocks,
+                              args=(draw, 5000, write), daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller.start()
+        caller.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    assert sorted(draws) == list(range(5000))
+    assert writes == [(b, -b) for b in range(5000)]
+    assert max(most) <= workers._IN_FLIGHT and not pending
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_split_drawn_out_of_order_equals_the_reference(tmp_path, monkeypatch,
+                                                      cpus):
+    # even blocks take 20 ms longer to draw, so later blocks are often drawn
+    # first; the file, its digest and the blocks in flight stay as they are
+    # when blocks are drawn in order
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    ordered_blocks = workers.ordered_blocks
+    lock, pending, most = threading.Lock(), set(), [0]
+
+    def spied(draw, n, write):
+        def slow_draw(b):
+            if b % 2 == 0:
+                time.sleep(0.02)
+            block = draw(b)
+            with lock:
+                pending.add(b)
+                most.append(len(pending))
+            return block
+
+        def counted_write(b, block):
+            write(b, block)
+            with lock:
+                pending.remove(b)
+
+        ordered_blocks(slow_draw, n, counted_write)
+
+    monkeypatch.setattr(workers, "ordered_blocks", spied)
+    out = tmp_path / "o"
+    manifest = generate_dataset(ExperimentPlan(
+        "bke_system1", out, n_val_per_class=0, n_test_per_class=70, seed=9))
+    reference_write_blocks(tmp_path / "ref.bin", task_preset("bke_system1"),
+                           np.repeat(np.arange(10), 70), 9, "test-images")
+    data = (out / "test.bin").read_bytes()
+    assert data == (tmp_path / "ref.bin").read_bytes()
+    assert manifest["sha256_test"] == hashlib.sha256(data).hexdigest()
+    assert max(most) <= workers._IN_FLIGHT and not pending
+
+
+@pytest.mark.parametrize("n_val, n_test", [(0, 1), (1, 5)])
+def test_one_block_file_is_drawn_on_the_callers_thread(tmp_path, monkeypatch,
+                                                       n_val, n_test):
+    # an empty split, a 10-image one, and cnn_train's 10-image and 50-image
+    # splits: each file starts its writer thread and no drawing thread
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    main = threading.get_ident()
+    started, drawers = [], []
+    start, draw = threading.Thread.start, runner.simulate_measurement
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    def recorded_draw(*args):
+        drawers.append(threading.get_ident())
+        return draw(*args)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    monkeypatch.setattr(runner, "simulate_measurement", recorded_draw)
+    generate_dataset(ExperimentPlan("bke_system1", tmp_path / "o",
+                                    n_val_per_class=n_val,
+                                    n_test_per_class=n_test, seed=4))
+    assert len(started) == 2  # the writers of val.bin and test.bin
+    assert drawers == [main] * ((n_val > 0) + 1)
 
 
 def test_two_threads_runs_the_halves_on_two_threads(monkeypatch):
