@@ -68,9 +68,11 @@ class ExperimentPlan:
         if self.preset not in PRESETS:
             raise ConfigError(f"preset: unknown preset {self.preset!r}; "
                               f"expected one of {PRESETS}")
-        for obs in self.observers:
+        for i, obs in enumerate(self.observers):
             if obs not in OBSERVERS:
                 raise ConfigError(f"observers: unknown observer {obs!r}")
+            if obs in self.observers[:i]:
+                raise ConfigError(f"observers: {obs!r} is listed twice")
             if self.preset not in _OBSERVER_PRESETS.get(obs, PRESETS):
                 raise ConfigError(f"observers: {obs} needs preset "
                                   f"{' or '.join(_OBSERVER_PRESETS[obs])}, "
@@ -83,7 +85,7 @@ class ExperimentPlan:
             raise ConfigError(f"learning_rate: must be above 0 and at most "
                               f"{neuralnet._LARGEST_RATE:.8g}, got "
                               f"{self.learning_rate}")
-        if not self.depths or not all(isinstance(d, int) and d >= 1
+        if not self.depths or not all(type(d) is int and d >= 1
                                       for d in self.depths):
             raise ConfigError(f"conv_layers: need one or more depths of at "
                               f"least 1, got {self.conv_layers}")
@@ -136,9 +138,9 @@ def _write_blocks(path, task, labels, seed, name, draw):
     """Write a dataset file of images with these labels, block b of
     _NOISE_BLOCK of them being draw(labels of the block, rng) on
     rng = substream(seed, name, b), and return the file's sha256.  The
-    blocks go through workers.ordered_blocks: drawn on up to two threads,
-    each as soon as a drawer is free, and appended whole, in block order,
-    on the file's writer thread, which hashes the bytes as it writes them,
+    blocks go through workers.ordered_blocks: drawn on up to two executor
+    threads, each as soon as a drawer is free, and appended whole, in
+    block order, on this thread, which hashes the bytes as it writes them,
     so the file depends only on (seed, name, labels) and is not read
     back."""
     w, h = task.grid
@@ -166,10 +168,10 @@ def generate_dataset(plan: ExperimentPlan, force: bool = False) -> dict:
     Block b of a file draws from substream(seed, name, b), with the file's
     name "train-backgrounds", "val-images" or "test-images", so no
     background can appear in more than one file, and no file depends on the
-    CPU count.  The blocks are drawn on up to two threads and written in
-    block order on one writer thread per file, and each file's sha256 in
-    the manifest is the one that thread computed while writing it
-    (_write_blocks); no file is read back.
+    CPU count.  The blocks are drawn on up to two executor threads and
+    written in block order on the caller's thread, and each file's sha256
+    in the manifest is the one computed while writing it (_write_blocks);
+    no file is read back.
     Every file is written under a temporary name in the output
     directory and renamed into place only once all are complete, the
     manifest last; if anything raises, an interrupt included, the

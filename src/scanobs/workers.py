@@ -9,13 +9,13 @@ products (``observers.scanning_ho_records``) and the clustered-lumpy blobs
 (``imaging.render_clb_image``).  A file written in blocks, each drawn from
 its own substream with noise draws that release the lock, goes through
 ``ordered_blocks``: the blocks of a split or store are drawn on the
-caller's thread and, given two CPUs and two blocks, on one more, each
-drawer taking the next block as soon as it is free, and appended whole,
-in block order, on one writer thread per file, which hashes them as it
-writes (``runner._write_blocks``).  Work that holds the lock, in Python,
-goes to forked workers through ``task_map``: the MCMC chains, the
-network's micro-batches and each observer's report
-(``runner.run_observers``).
+threads of an executor, two given two CPUs and two blocks, each taking
+the next block as soon as it is free, and appended whole, in block
+order, on the caller's thread, which hashes them as it writes
+(``runner._write_blocks``).  Work that holds the lock, in Python, goes
+to forked workers through ``task_map``: the MCMC chains, the network's
+micro-batches and each observer's report (``runner.run_observers``).
+All three are built on ``concurrent.futures``.
 
 Importing this module sets every loaded OpenBLAS, numpy's and scipy's, to
 one thread, once, before anything can fork, and nothing sets it again.  So
@@ -29,8 +29,9 @@ Results of a pool come back in task order, so what a caller computes from
 them does not depend on the worker count.  Workers are forked at the
 pool's first task, so they start with the caller's modules, data and
 module attributes as they are then, and with its one BLAS thread.
-``two_threads`` and ``ordered_blocks`` start and join their threads
-inside the call, so no such thread is alive when a pool forks.
+``two_threads`` and ``ordered_blocks`` open and shut their executors
+inside the call, joining every thread, so no such thread is alive when a
+pool forks.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ import contextlib
 import ctypes
 import mmap
 import os
-import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS before the pin)
@@ -79,110 +81,52 @@ for _setter, _ in _openblas():
 
 def two_threads(fn, n, step):
     """Run ``fn(lo, hi)`` over the two halves of range(n), cut at a
-    multiple of step, the second half on a thread started and joined here;
-    ``fn(0, n)`` alone when the cut leaves a half empty or fewer than 2
-    CPUs are usable.  fn must write disjoint parts of its output for
-    disjoint ranges.  Starting and joining the thread costs about 50 us on
-    a 2-core x86_64 VM, so a half should be far more work than that: a
-    stack, not an image."""
+    multiple of step, the second half on the one thread of an executor
+    opened here; ``fn(0, n)`` alone when the cut leaves a half empty or
+    fewer than 2 CPUs are usable.  fn must write disjoint parts of its
+    output for disjoint ranges.  The thread is joined before the call
+    returns or raises; if both halves raise, the first half's error is the
+    one raised.  Opening the executor and starting and joining its thread
+    cost about 80 us on a 2-core x86_64 VM, so a half should be far more
+    work than that: a stack, not an image."""
     mid = -(-n // (2 * step)) * step
     if mid >= n or len(os.sched_getaffinity(0)) < 2:
         fn(0, n)
         return
-    errors = []
-
-    def second_half():
-        try:
-            fn(mid, n)
-        except BaseException as exc:  # raised again in the caller below
-            errors.append(exc)
-
-    thread = threading.Thread(target=second_half)
-    thread.start()
-    try:
+    with ThreadPoolExecutor(1) as pool:
+        second = pool.submit(fn, mid, n)
         fn(0, mid)
-    finally:
-        thread.join()
-    if errors:
-        raise errors[0]
+        second.result()
 
 
-# Blocks that ordered_blocks holds taken by a drawer but not yet written;
-# each is a 64-image block of about 1 MB at 64x64 in runner._write_blocks,
-# so peak memory stays small
+# Blocks that ordered_blocks holds submitted but not yet written; each is a
+# 64-image block of about 1 MB at 64x64 in runner._write_blocks, so peak
+# memory stays small
 _IN_FLIGHT = 6
 
 
 def ordered_blocks(draw, n, write):
-    """Call write(b, draw(b)) for b in range(n).  The draws run on this
-    thread and, with at least 2 usable CPUs and 2 blocks, on one thread
-    started here, each drawer taking the next block as soon as it is free;
-    the writes run in block order on one writer thread started here.  At
-    most _IN_FLIGHT blocks are taken but not yet written.  Once a draw or
-    a write raises, an interrupt of this thread included, no block is taken
-    or written after it; every thread is joined before the call returns or
-    raises, and the first exception is raised again here."""
-    cond = threading.Condition()
-    drawn = {}  # block -> draw(block), until the writer takes it
-    taken = written = 0
-    errors = []
-
-    def fail(exc):
-        with cond:
-            errors.append(exc)
-            cond.notify_all()
-
-    def keep(b, block):
-        with cond:
-            drawn[b] = block
-            cond.notify_all()
-
-    def draw_blocks():
-        nonlocal taken
-        while True:
-            with cond:
-                cond.wait_for(lambda: errors or taken - written < _IN_FLIGHT)
-                if errors or taken == n:
-                    return
-                b, taken = taken, taken + 1
-            keep(b, draw(b))
-
-    def write_blocks():
-        nonlocal written
-        for b in range(n):
-            with cond:
-                written = b  # the blocks before b are written
-                cond.notify_all()
-                cond.wait_for(lambda: errors or b in drawn)
-                if errors:
-                    return
-                block = drawn.pop(b)
-            write(b, block)
-            del block  # not held while the next block is awaited
-
-    def guarded(fn):
+    """Call write(b, draw(b)) for b in range(n).  The draws run on an
+    executor opened here, with 2 threads given at least 2 usable CPUs and 2
+    blocks, and 1 otherwise; the writes run on this thread, in block
+    order.  At most _IN_FLIGHT blocks are submitted but not yet written.
+    A failing draw is raised when this thread reaches its block.  Once a
+    draw or a write raises, an interrupt of this thread included, no block
+    is written after it: the draws not yet started are cancelled, those
+    under way finish, and every thread is joined before the exception is
+    raised here.  A call that returns has joined its threads too."""
+    drawers = 2 if n >= 2 and len(os.sched_getaffinity(0)) >= 2 else 1
+    with ThreadPoolExecutor(drawers) as pool:
+        pending = deque(pool.submit(draw, b)
+                        for b in range(min(n, _IN_FLIGHT)))
         try:
-            fn()
-        except BaseException as exc:  # raised again in the caller below
-            fail(exc)
-
-    threads = [threading.Thread(target=guarded, args=(write_blocks,))]
-    if n >= 2 and len(os.sched_getaffinity(0)) >= 2:
-        threads.append(threading.Thread(target=guarded, args=(draw_blocks,)))
-    try:
-        for thread in threads:
-            thread.start()
-        draw_blocks()
-    except BaseException as exc:  # raised again below, once all are joined
-        fail(exc)
-    for thread in threads:
-        while thread.is_alive():
-            try:
-                thread.join()
-            except BaseException as exc:  # an interrupt: stop, join again
-                fail(exc)
-    if errors:
-        raise errors[0]
+            for b in range(n):
+                write(b, pending.popleft().result())
+                if b + _IN_FLIGHT < n:
+                    pending.append(pool.submit(draw, b + _IN_FLIGHT))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def shared_copies(arrays):

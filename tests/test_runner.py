@@ -141,7 +141,10 @@ def test_cli_bad_mcmc_settings_are_one_line_errors(tmp_path, capsys,
     {"conv_layers": 0}, {"conv_layers": [2, 0]}, {"n_train_backgrounds": -1},
     {"n_val_per_class": -1}, {"n_test_per_class": -1}, {"cov_samples": 0},
     {"cov_samples": 1}, {"learning_rate": 0}, {"learning_rate": -1.0},
-    {"learning_rate": math.nan}, {"learning_rate": 1e39}, {"seed": -1}])
+    {"learning_rate": math.nan}, {"learning_rate": 1e39}, {"seed": -1},
+    {"conv_layers": [True, 2]}, {"conv_layers": True},
+    {"observers": ["hotelling", "hotelling"]},
+    {"observers": ["analytic_io", "hotelling", "analytic_io"]}])
 def test_plan_rejects_out_of_range_settings(tmp_path, overrides):
     key = next(iter(overrides))
     with pytest.raises(ConfigError, match=f"^{key}: "):
@@ -159,7 +162,7 @@ def test_plan_accepts_smallest_settings(tmp_path):
     {"val_period": 0}, {"total_minibatches": 0}, {"bootstrap_samples": 1},
     {"conv_layers": []}, {"cov_samples": 0}, {"learning_rate": 0},
     {"learning_rate": -1.0}, {"learning_rate": math.nan},
-    {"learning_rate": 1e39}])
+    {"learning_rate": 1e39}, {"conv_layers": [True, 2]}])
 def test_cli_out_of_range_plans_are_one_line_errors(tmp_path, capsys,
                                                     overrides):
     key = next(iter(overrides))
@@ -444,27 +447,28 @@ def test_interrupted_generate_keeps_the_old_files(tmp_path, monkeypatch):
     threads = _failed_generate_keeps_the_old_files(
         tmp_path, monkeypatch, DatasetWriter, "append",
         lambda number: number == 3, KeyboardInterrupt())
-    # on the writer thread
-    assert all(threading.get_ident() not in run for run in threads)
+    # on the caller's thread
+    assert all(run == {threading.get_ident()} for run in threads)
 
 
 def test_failed_draw_keeps_the_old_files(tmp_path, monkeypatch):
     # the first two test blocks are drawn at once, one on each drawing
-    # thread (they meet at a barrier), and the draw on the caller's thread,
-    # then the one on the started thread, raises
+    # thread (they meet at a barrier), and the draw that called first, then
+    # the one that called second, raises
     main = threading.get_ident()
     pair = threading.Barrier(2, timeout=60)
-    for on_caller in (True, False):
-        def fails(number, on_caller=on_caller):
+    for failing in (2, 3):
+        def fails(number, failing=failing):
             if number not in (2, 3):
                 return False
             pair.wait()
-            return (threading.get_ident() == main) == on_caller
+            return number == failing
 
         threads = _failed_generate_keeps_the_old_files(
-            tmp_path / str(on_caller), monkeypatch, runner,
+            tmp_path / str(failing), monkeypatch, runner,
             "simulate_measurement", fails, RuntimeError("draw failed"))
-        assert all(len(run) == 2 and main in run for run in threads)
+        # the barrier needs two drawing threads; neither is the caller's
+        assert all(main not in run for run in threads)
         monkeypatch.undo()
 
 
@@ -536,105 +540,118 @@ def test_store_draws_each_block_from_its_substream(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_ordered_blocks_writes_in_order_on_one_thread(monkeypatch, cpus):
+    # the caller's, and draws on at most one thread per usable CPU, none of
+    # them the caller's
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(cpus)))
     main, alive = threading.get_ident(), threading.active_count()
-    writes = []
-    workers.ordered_blocks(lambda b: -b, 20, lambda b, block: writes.append(
+    drawers, writes = set(), []
+
+    def draw(b):
+        drawers.add(threading.get_ident())
+        return -b
+
+    workers.ordered_blocks(draw, 20, lambda b, block: writes.append(
         (b, block, threading.get_ident())))
     assert [(b, block) for b, block, _ in writes] == [
         (b, -b) for b in range(20)]
-    assert len({t for _, _, t in writes}) == 1 and writes[0][2] != main
+    assert {t for _, _, t in writes} == {main}
+    assert 1 <= len(drawers) <= cpus and main not in drawers
     assert threading.active_count() == alive
 
 
 @pytest.mark.parametrize("n", [3, 40])
 def test_ordered_blocks_raises_a_write_error_in_the_caller(monkeypatch, n):
-    # the draws after it, more than the blocks in flight, do not wait on a
-    # stopped writer (the call runs on a daemon thread, so that a hang fails
-    # the test)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    # on 1 and 2 usable CPUs; the blocks after it, more than the blocks in
+    # flight, are dropped without a hang (the call runs on a daemon thread,
+    # so that a hang fails the test)
     alive = threading.active_count()
-    writes, raised = [], []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, cpus=cpus: set(range(cpus)))
+        writes, raised = [], []
 
-    def write(b, block):
-        writes.append(b)
-        if b == 2:
-            raise OSError("disk full")
+        def write(b, block):
+            writes.append(b)
+            if b == 2:
+                raise OSError("disk full")
 
-    def call():
-        try:
-            workers.ordered_blocks(lambda b: b, n, write)
-        except OSError as exc:
-            raised.append(str(exc))
+        def call():
+            try:
+                workers.ordered_blocks(lambda b: b, n, write)
+            except OSError as exc:
+                raised.append(str(exc))
 
-    caller = threading.Thread(target=call, daemon=True)
-    caller.start()
-    caller.join(60)
-    assert not caller.is_alive()
-    assert raised == ["disk full"]
-    assert writes == [0, 1, 2]
-    assert threading.active_count() == alive
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(60)
+        assert not caller.is_alive()
+        assert raised == ["disk full"]
+        assert writes == [0, 1, 2]
+        assert threading.active_count() == alive
 
 
-@pytest.mark.parametrize("on_caller", [True, False])
+@pytest.mark.parametrize("first", [True, False])
 def test_ordered_blocks_raises_a_draw_error_in_the_caller(monkeypatch,
-                                                          on_caller):
-    # blocks 0 and 1 are drawn at once, one on each drawing thread (they
-    # meet at a barrier), and the draw on the caller's thread, or the one on
-    # the started thread, raises
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    main, alive = threading.get_ident(), threading.active_count()
-    pair = threading.Barrier(2, timeout=60)
-    writes = []
+                                                          first):
+    # the draw of block 0 (first), or of block 1, raises, on 1 and 2 usable
+    # CPUs; at two, blocks 0 and 1 are drawn at once, one on each drawing
+    # thread (they meet at a barrier).  The caller raises it on reaching
+    # that block, the blocks before it written and none after it
+    alive = threading.active_count()
+    failing = 0 if first else 1
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, cpus=cpus: set(range(cpus)))
+        pair = threading.Barrier(cpus, timeout=60)
+        writes = []
 
-    def draw(b):
-        if b < 2:
-            pair.wait()
-            if (threading.get_ident() == main) == on_caller:
-                raise ArithmeticError(f"block {b}")
-        return b
+        def draw(b, pair=pair):
+            if b < 2:
+                pair.wait()
+                if b == failing:
+                    raise ArithmeticError(f"block {b}")
+            return b
 
-    with pytest.raises(ArithmeticError, match="^block [01]$"):
-        workers.ordered_blocks(draw, 10, lambda b, block: writes.append(b))
-    assert writes in ([], [0])
-    assert threading.active_count() == alive
+        with pytest.raises(ArithmeticError, match=f"^block {failing}$"):
+            workers.ordered_blocks(draw, 10,
+                                   lambda b, block: writes.append(b))
+        assert writes == list(range(failing))
+        assert threading.active_count() == alive
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_ordered_blocks_drops_the_pending_work_on_an_interrupt(monkeypatch,
                                                                cpus):
-    # the caller's second draw is interrupted; the first write, if the
-    # writer has taken block 0, outlasts it, and the started thread's draws
-    # take a while, so the caller reaches its second draw first
+    # a real SIGINT, sent to the caller (the main thread) by the draw of
+    # block 1, interrupts the caller while it writes block 0 or waits for
+    # block 1; each draw takes 50 ms, so the blocks not yet started when
+    # the caller is interrupted are dropped undrawn
+    assert threading.current_thread() is threading.main_thread()
+    assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(cpus)))
     main, alive = threading.get_ident(), threading.active_count()
     drawn, writes = [], []
 
     def draw(b):
-        if threading.get_ident() != main:
-            time.sleep(0.05)
-        elif b:
-            raise KeyboardInterrupt
         drawn.append(b)
+        time.sleep(0.05)
+        if b == 1:
+            signal.pthread_kill(main, signal.SIGINT)
         return b
 
-    def write(b, block):
-        time.sleep(0.3)
-        writes.append(b)
-
     with pytest.raises(KeyboardInterrupt):
-        workers.ordered_blocks(draw, 40, write)
+        workers.ordered_blocks(draw, 40, lambda b, block: writes.append(b))
     assert writes in ([], [0])
-    assert set(drawn) <= {0, 1, 2}
+    assert set(drawn) <= {0, 1, 2, 3}
     assert threading.active_count() == alive
 
 
 def test_ordered_blocks_holds_at_most_its_blocks_in_flight(monkeypatch):
-    # instant draws and slow writes: the drawers run ahead until the bound
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    lock, pending, most = threading.Lock(), set(), []
+    # instant draws and slow writes, on 1 and 2 usable CPUs: the drawers
+    # run ahead until the bound
+    lock, pending = threading.Lock(), set()
 
     def draw(b):
         with lock:
@@ -647,13 +664,17 @@ def test_ordered_blocks_holds_at_most_its_blocks_in_flight(monkeypatch):
         with lock:
             pending.remove(b)
 
-    workers.ordered_blocks(draw, 30, write)
-    assert max(most) == workers._IN_FLIGHT and not pending
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, cpus=cpus: set(range(cpus)))
+        most = []
+        workers.ordered_blocks(draw, 30, write)
+        assert max(most) == workers._IN_FLIGHT and not pending
 
 
 def test_ordered_blocks_under_frequent_thread_switches(monkeypatch):
-    # a 1 us switch interval interleaves the three threads often; a lost
-    # update of the shared counts would draw a block twice, drop, repeat or
+    # a 1 us switch interval interleaves the caller and the two drawing
+    # threads often; a race would draw a block twice, drop, repeat or
     # reorder a write, overrun the bound, or hang (the call runs on a daemon
     # thread, so that a hang fails the test)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -727,12 +748,12 @@ def test_split_drawn_out_of_order_equals_the_reference(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("n_val, n_test", [(0, 1), (1, 5)])
-def test_one_block_file_is_drawn_on_the_callers_thread(tmp_path, monkeypatch,
-                                                       n_val, n_test):
+def test_one_block_file_is_drawn_on_one_thread(tmp_path, monkeypatch, n_val,
+                                               n_test):
     # an empty split, a 10-image one, and cnn_train's 10-image and 50-image
-    # splits: each file starts its writer thread and no drawing thread
+    # splits: each file of one block starts one drawing thread, which draws
+    # it, and the empty split starts none
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    main = threading.get_ident()
     started, drawers = [], []
     start, draw = threading.Thread.start, runner.simulate_measurement
 
@@ -749,8 +770,8 @@ def test_one_block_file_is_drawn_on_the_callers_thread(tmp_path, monkeypatch,
     generate_dataset(ExperimentPlan("bke_system1", tmp_path / "o",
                                     n_val_per_class=n_val,
                                     n_test_per_class=n_test, seed=4))
-    assert len(started) == 2  # the writers of val.bin and test.bin
-    assert drawers == [main] * ((n_val > 0) + 1)
+    assert drawers == [thread.ident for thread in started]
+    assert len(started) == (n_val > 0) + 1
 
 
 def test_two_threads_runs_the_halves_on_two_threads(monkeypatch):
@@ -778,6 +799,60 @@ def test_two_threads_runs_the_halves_on_two_threads(monkeypatch):
     with pytest.raises(ArithmeticError, match="^rows 32..50$"):
         workers.two_threads(second_half_fails, 50, 16)
     assert threading.active_count() == alive
+
+
+def test_two_threads_raises_the_first_halfs_error_after_both_end(
+        monkeypatch):
+    # the first half fails at once, while the second takes 0.2 s; then both
+    # fail, the second half first
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    alive = threading.active_count()
+    finished = []
+
+    def first_half_fails(lo, hi):
+        if not lo:
+            raise ArithmeticError(f"rows {lo}..{hi}")
+        time.sleep(0.2)
+        finished.append(lo)
+
+    with pytest.raises(ArithmeticError, match="^rows 0..32$"):
+        workers.two_threads(first_half_fails, 50, 16)
+    assert finished == [32]
+    assert threading.active_count() == alive
+
+    def both_fail(lo, hi):
+        if not lo:
+            time.sleep(0.2)
+        raise ArithmeticError(f"rows {lo}..{hi}")
+
+    with pytest.raises(ArithmeticError, match="^rows 0..32$"):
+        workers.two_threads(both_fail, 50, 16)
+    assert threading.active_count() == alive
+
+
+def test_no_helper_thread_is_alive_when_a_pool_is_made(tmp_path,
+                                                       monkeypatch):
+    # a generate, an evaluate with two observers and a two-step train run
+    # ordered_blocks, two_threads and two pools; no thread of the first two
+    # is alive when a pool is made, and so when it forks
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    alive, threads = threading.active_count(), []
+    executor = concurrent.futures.ProcessPoolExecutor
+
+    def counted(*args, **kwargs):
+        threads.append(threading.active_count())
+        return executor(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+    plan = ExperimentPlan("bke_system1", tmp_path,
+                          observers=["analytic_io", "hotelling"],
+                          n_val_per_class=1, n_test_per_class=20, seed=3,
+                          batch_per_class=1, total_minibatches=2,
+                          val_period=1, conv_layers=1, bootstrap_samples=10)
+    generate_dataset(plan)
+    run_observers(plan)
+    run_training(plan)
+    assert threads == [alive, alive]  # the report pool, the training pool
 
 
 def test_run_observers_analytic(tmp_path):

@@ -118,5 +118,5 @@ def test_traced_generate_times_each_block(tmp_path, monkeypatch, preset):
         assert tracer.calls(name) == blocks, name
         assert tracer.seconds(name) > 0, name
     # each block, the 70 backgrounds' two included, is appended whole on
-    # its file's writer thread
+    # the caller's thread
     assert tracer.calls("dataset.DatasetWriter.append") == 2 + blocks
