@@ -69,7 +69,7 @@ class ExperimentPlan:
             raise ConfigError(f"preset: unknown preset {self.preset!r}; "
                               f"expected one of {PRESETS}")
         for i, obs in enumerate(self.observers):
-            if obs not in OBSERVERS:
+            if not isinstance(obs, str) or obs not in OBSERVERS:
                 raise ConfigError(f"observers: unknown observer {obs!r}")
             if obs in self.observers[:i]:
                 raise ConfigError(f"observers: {obs!r} is listed twice")
@@ -85,10 +85,12 @@ class ExperimentPlan:
             raise ConfigError(f"learning_rate: must be above 0 and at most "
                               f"{neuralnet._LARGEST_RATE:.8g}, got "
                               f"{self.learning_rate}")
-        if not self.depths or not all(type(d) is int and d >= 1
-                                      for d in self.depths):
-            raise ConfigError(f"conv_layers: need one or more depths of at "
-                              f"least 1, got {self.conv_layers}")
+        d = self.depths
+        if not (d and all(type(k) is int and k >= 1 for k in d)
+                and all(a < b for a, b in zip(d, d[1:]))):
+            raise ConfigError(f"conv_layers: need one or more strictly "
+                              f"increasing depths of at least 1, got "
+                              f"{self.conv_layers}")
         if self.mcmc_burn_in < -1:
             raise ConfigError(f"mcmc_burn_in: must be >= 0, or -1 for the "
                               f"default, got {self.mcmc_burn_in}")
@@ -141,7 +143,7 @@ def _write_blocks(path, task, labels, seed, name, draw):
     blocks go through workers.ordered_blocks: drawn on up to two executor
     threads, each as soon as a drawer is free, and appended whole, in
     block order, on this thread, which hashes the bytes as it writes them,
-    so the file depends only on (seed, name, labels) and is not read
+    so the file depends only on (seed, name, labels, draw) and is not read
     back."""
     w, h = task.grid
     blocks = [labels[lo:lo + _NOISE_BLOCK]
@@ -153,25 +155,17 @@ def _write_blocks(path, task, labels, seed, name, draw):
     return out.sha256.hexdigest()
 
 
-def _write_split(path, task, n_per_class, seed, name):
-    """Balanced noisy split: n images per class, labels 0..J in order, each
-    block of images from one simulate_measurement call; returns its
-    sha256."""
-    return _write_blocks(
-        path, task, np.repeat(np.arange(task.J + 1), n_per_class), seed, name,
-        lambda block, rng: simulate_measurement(task, block, rng)[0])
-
-
 def generate_dataset(plan: ExperimentPlan, force: bool = False) -> dict:
     """Write the noiseless training store and fixed noisy val/test splits.
 
-    Block b of a file draws from substream(seed, name, b), with the file's
-    name "train-backgrounds", "val-images" or "test-images", so no
-    background can appear in more than one file, and no file depends on the
-    CPU count.  The blocks are drawn on up to two executor threads and
-    written in block order on the caller's thread, and each file's sha256
-    in the manifest is the one computed while writing it (_write_blocks);
-    no file is read back.
+    One table maps each file to its stream name, labels and block draw,
+    and each is written by _write_blocks in table order.  Block b of a file
+    draws from substream(seed, name, b), with the file's name
+    "train-backgrounds", "val-images" or "test-images", so no background
+    can appear in more than one file, and no file depends on the CPU count.
+    The blocks are drawn on up to two executor threads and written in
+    block order on the caller's thread, and each file's sha256 in the
+    manifest is the one computed while writing it; no file is read back.
     Every file is written under a temporary name in the output
     directory and renamed into place only once all are complete, the
     manifest last; if anything raises, an interrupt included, the
@@ -183,31 +177,29 @@ def generate_dataset(plan: ExperimentPlan, force: bool = False) -> dict:
     out = plan.out_dir
     out.mkdir(parents=True, exist_ok=True)
 
-    names = ["val", "test"]
+    # file -> (stream name, labels, draw of a block), in writing order
+    files = {}
     if plan.n_train_backgrounds > 0:
-        names.insert(0, "train_backgrounds")
-    existing = [out / f"{n}.bin" for n in names if (out / f"{n}.bin").exists()]
+        files["train_backgrounds"] = (
+            "train-backgrounds", np.zeros(plan.n_train_backgrounds, dtype=int),
+            lambda block, rng: [task.sample_background(rng) for _ in block])
+    for split, n in (("val", plan.n_val_per_class),
+                     ("test", plan.n_test_per_class)):
+        files[split] = (
+            f"{split}-images", np.repeat(np.arange(task.J + 1), n),
+            lambda block, rng: simulate_measurement(task, block, rng)[0])
+    existing = [out / f"{n}.bin" for n in files if (out / f"{n}.bin").exists()]
     if existing and not force:
         raise FileExistsError(
             f"refusing to overwrite {existing[0]} (use force)")
 
     # file name -> temporary path, in renaming order: the manifest last
     temps = {f: out / f".{f}.partial"
-             for f in [f"{n}.bin" for n in names] + ["manifest.txt"]}
-    digests = {}  # file name -> sha256, in the order of names
+             for f in [f"{n}.bin" for n in files] + ["manifest.txt"]}
     try:
-        if plan.n_train_backgrounds > 0:
-            digests["train_backgrounds"] = _write_blocks(
-                temps["train_backgrounds.bin"], task,
-                np.zeros(plan.n_train_backgrounds, dtype=int), plan.seed,
-                "train-backgrounds",
-                lambda block, rng: [task.sample_background(rng)
-                                    for _ in block])
-        for split, n in (("val", plan.n_val_per_class),
-                         ("test", plan.n_test_per_class)):
-            digests[split] = _write_split(temps[f"{split}.bin"], task, n,
-                                          plan.seed, f"{split}-images")
-
+        digests = {n: _write_blocks(temps[f"{n}.bin"], task, labels,
+                                    plan.seed, name, draw)
+                   for n, (name, labels, draw) in files.items()}
         manifest = {
             "preset": plan.preset,
             "seed": plan.seed,
@@ -241,28 +233,31 @@ def _read_split(path, task):
     return images, labels
 
 
-def _analytic_io_records(images, labels, task, plan):
+def _analytic_io(task, plan):
     if task.kind != "bke_laplacian":
         raise ValueError("analytic IO is available only for the Laplacian "
                          "BKE task")
     background = np.zeros(task.grid[::-1], dtype=np.float32)
-    log_lrs = observers.laplacian_io_log_lrs_batch(
-        images, task.signal_images, background, task.noise.scale)
-    return observers.records_from_log_lrs(log_lrs, task.priors, labels)
+    return lambda images, labels: observers.records_from_log_lrs(
+        observers.laplacian_io_log_lrs_batch(
+            images, task.signal_images, background, task.noise.scale),
+        task.priors, labels)
 
 
-def _hotelling_records(images, labels, task, plan):
-    if task.kind == "bke_laplacian":
-        backgrounds = None
-    else:
-        rng = stream(plan.seed, "hotelling-covariance")
-        backgrounds = np.empty((plan.cov_samples, *task.grid[::-1]),
-                               dtype=np.float32)
-        for sample in backgrounds:  # drawn in place, one stack held
-            sample[...] = task.sample_background(rng)
-    state = observers.build_hotelling(backgrounds, task.signal_images,
-                                      task.noise.std ** 2)
-    return observers.scanning_ho_records(images, labels, state)
+def _hotelling(task, plan):
+    def score(images, labels):
+        if task.kind == "bke_laplacian":
+            backgrounds = None
+        else:
+            rng = stream(plan.seed, "hotelling-covariance")
+            backgrounds = np.empty((plan.cov_samples, *task.grid[::-1]),
+                                   dtype=np.float32)
+            for sample in backgrounds:  # drawn in place, one stack held
+                sample[...] = task.sample_background(rng)
+        state = observers.build_hotelling(backgrounds, task.signal_images,
+                                          task.noise.std ** 2)
+        return observers.scanning_ho_records(images, labels, state)
+    return score
 
 
 def _mcmc_chain(g, task, cfg, rng, label):
@@ -272,23 +267,27 @@ def _mcmc_chain(g, task, cfg, rng, label):
     return mcmc_io_record(g, task, cfg, rng, true_label=int(label))
 
 
-def _mcmc_records(images, labels, task, plan):
-    """One chain per image, each from its own substream, mapped by
-    workers.task_map (in process on one usable CPU); the rows are
+def _mcmc_io(task, plan):
+    """Scores with one chain per image, each from its own substream, mapped
+    by workers.task_map (in process on one usable CPU); the rows are
     concatenated in image order, so the records do not depend on the worker
     count.  If a chain raises, the chains not yet started do not run."""
     cfg = McmcConfig(
         iterations=plan.mcmc_iterations,
         burn_in=None if plan.mcmc_burn_in < 0 else plan.mcmc_burn_in)
-    rngs = (substream(plan.seed, "mcmc-chain", i)
-            for i in range(len(images)))
-    with workers.task_map(len(images)) as tasks:
-        return observers.Records.concatenate(list(tasks(
-            _mcmc_chain, images, repeat(task), repeat(cfg), rngs, labels)))
+
+    def score(images, labels):
+        rngs = (substream(plan.seed, "mcmc-chain", i)
+                for i in range(len(images)))
+        with workers.task_map(len(images)) as tasks:
+            return observers.Records.concatenate(list(tasks(
+                _mcmc_chain, images, repeat(task), repeat(cfg), rngs,
+                labels)))
+    return score
 
 
-def _cnn_state(task, plan):
-    """The plan's checkpoint, checked against the task."""
+def _cnn_io(task, plan):
+    """Scores with the plan's checkpoint, checked against the task."""
     ckpt = plan.out_dir / "checkpoint.bin"
     if not ckpt.exists():
         raise FileNotFoundError(f"cnn_io requires a checkpoint at {ckpt}")
@@ -298,19 +297,16 @@ def _cnn_state(task, plan):
     if found != expected:
         raise ValueError(f"{ckpt}: (classes, input shape) is {found}, but "
                          f"the plan's task has {expected}")
-    return state
+    return lambda images, labels: neuralnet.cnn_io_records(
+        images, labels, state, task.priors)
 
 
-def _cnn_records(images, labels, task, plan):
-    return neuralnet.cnn_io_records(images, labels, _cnn_state(task, plan),
-                                    task.priors)
-
-
-# Each observer maps (images, labels, task, plan) to its test-split records
-OBSERVERS = {"analytic_io": _analytic_io_records,
-             "hotelling": _hotelling_records,
-             "mcmc_io": _mcmc_records,
-             "cnn_io": _cnn_records}
+# Each observer's set-up maps (task, plan) to score(images, labels) ->
+# Records; it only checks and loads, and the expensive work runs in score
+OBSERVERS = {"analytic_io": _analytic_io,
+             "hotelling": _hotelling,
+             "mcmc_io": _mcmc_io,
+             "cnn_io": _cnn_io}
 
 
 def _report(name, records, plan):
@@ -337,9 +333,10 @@ def run_observers(plan: ExperimentPlan) -> list[dict]:
     """Run the configured observers on the test split; write records,
     curves, and the figure-of-merit report.
 
-    Every observer's records are computed first; then each observer's
-    files and figures of merit are one task of a workers.task_map, and the
-    report lists the rows in observer order."""
+    Every observer is set up first, in plan order, so a failed check (a
+    missing or mismatched checkpoint) raises before any observer scores;
+    then each observer's files and figures of merit are one task of a
+    workers.task_map, and the report lists the rows in observer order."""
     if not plan.observers:
         raise ConfigError("observers: empty observer list")
     task = plan.task
@@ -348,13 +345,8 @@ def run_observers(plan: ExperimentPlan) -> list[dict]:
     if len(images) == 0:
         raise ConfigError(f"n_test_per_class: the observers need test "
                           f"images, and {test_path} has none")
-    observe = dict(OBSERVERS)
-    if "cnn_io" in plan.observers:  # loaded and checked once, up front
-        state = _cnn_state(task, plan)
-        observe["cnn_io"] = lambda images, labels, task, plan: (
-            neuralnet.cnn_io_records(images, labels, state, task.priors))
-    records = [observe[name](images, labels, task, plan)
-               for name in plan.observers]
+    scorers = [OBSERVERS[name](task, plan) for name in plan.observers]
+    records = [score(images, labels) for score in scorers]
     with workers.task_map(len(records)) as tasks:
         rows = list(tasks(_report, plan.observers, records, repeat(plan)))
     evaluation.report_to_csv(plan.out_dir / "report.csv", rows)

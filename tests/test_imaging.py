@@ -187,8 +187,9 @@ def test_laplacian_split_is_exact_under_a_short_switch_interval(
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            runner._write_split(tmp_path / "split.bin", task, 34, 4,
-                                "val-images")
+            runner._write_blocks(
+                tmp_path / "split.bin", task, labels, 4, "val-images",
+                lambda block, rng: simulate_measurement(task, block, rng)[0])
             assert ((tmp_path / "split.bin").read_bytes()
                     == (tmp_path / "ref.bin").read_bytes())
     finally:

@@ -593,7 +593,7 @@ def test_mcmc_records_match_per_row_reference(tmp_path, monkeypatch):
     for i, g in enumerate(imgs):
         scanobs.mcmc.mcmc_io_record(g, task, cfg,
                                     substream(17, "mcmc-chain", i))
-    rec = runner._mcmc_records(imgs, labels, task, plan)
+    rec = runner.OBSERVERS["mcmc_io"](task, plan)(imgs, labels)
     _assert_records_equal(rec, _reference_io_rows(np.array(seen),
                                                   task.priors, labels))
 

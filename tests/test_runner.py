@@ -38,7 +38,7 @@ from scanobs.runner import (
     run_observers,
     run_training,
 )
-from scanobs.tasks import task_preset
+from scanobs.tasks import simulate_measurement, task_preset
 
 
 def _write_config(tmp_path, **overrides):
@@ -144,7 +144,9 @@ def test_cli_bad_mcmc_settings_are_one_line_errors(tmp_path, capsys,
     {"learning_rate": math.nan}, {"learning_rate": 1e39}, {"seed": -1},
     {"conv_layers": [True, 2]}, {"conv_layers": True},
     {"observers": ["hotelling", "hotelling"]},
-    {"observers": ["analytic_io", "hotelling", "analytic_io"]}])
+    {"observers": ["analytic_io", "hotelling", "analytic_io"]},
+    {"observers": [["hotelling"]]}, {"observers": [{"a": 1}]},
+    {"conv_layers": [1, 1]}, {"conv_layers": [3, 1]}])
 def test_plan_rejects_out_of_range_settings(tmp_path, overrides):
     key = next(iter(overrides))
     with pytest.raises(ConfigError, match=f"^{key}: "):
@@ -162,11 +164,14 @@ def test_plan_accepts_smallest_settings(tmp_path):
     {"val_period": 0}, {"total_minibatches": 0}, {"bootstrap_samples": 1},
     {"conv_layers": []}, {"cov_samples": 0}, {"learning_rate": 0},
     {"learning_rate": -1.0}, {"learning_rate": math.nan},
-    {"learning_rate": 1e39}, {"conv_layers": [True, 2]}])
+    {"learning_rate": 1e39}, {"conv_layers": [True, 2]},
+    {"observers": [["hotelling"]]}, {"observers": [{"a": 1}]},
+    {"conv_layers": [1, 1]}, {"conv_layers": [3, 1]}])
 def test_cli_out_of_range_plans_are_one_line_errors(tmp_path, capsys,
                                                     overrides):
     key = next(iter(overrides))
-    cfg = _write_config(tmp_path, observers=["analytic_io"], **overrides)
+    cfg = _write_config(tmp_path, **{"observers": ["analytic_io"],
+                                     **overrides})
     for verb in ("generate", "train", "evaluate"):
         assert main([verb, "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
@@ -513,10 +518,11 @@ def test_split_equals_per_image_writer(tmp_path, monkeypatch, cpus, preset,
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(cpus)))
     task = task_preset(preset)
-    runner._write_split(tmp_path / "split.bin", task, n_per_class, 3,
-                        "test-images")
-    reference_write_blocks(tmp_path / "ref.bin", task,
-                           np.repeat(np.arange(task.J + 1), n_per_class), 3,
+    labels = np.repeat(np.arange(task.J + 1), n_per_class)
+    runner._write_blocks(
+        tmp_path / "split.bin", task, labels, 3, "test-images",
+        lambda block, rng: simulate_measurement(task, block, rng)[0])
+    reference_write_blocks(tmp_path / "ref.bin", task, labels, 3,
                            "test-images")
     assert ((tmp_path / "split.bin").read_bytes()
             == (tmp_path / "ref.bin").read_bytes())
@@ -958,7 +964,7 @@ def test_hotelling_covariance_stack_equals_list_and_stack(tmp_path,
     monkeypatch.setattr(runner.observers, "build_hotelling", keep)
     labels = np.arange(10)
     images = np.zeros((10, *task.grid[::-1]), dtype=np.float32)
-    runner.OBSERVERS["hotelling"](images, labels, task, plan)
+    runner.OBSERVERS["hotelling"](task, plan)(images, labels)
     rng = runner.stream(plan.seed, "hotelling-covariance")
     listed = np.stack([task.sample_background(rng) for _ in range(40)])
     backgrounds, state = built[0]
@@ -1004,7 +1010,7 @@ def test_mcmc_pool_equals_in_process_chains(tmp_path, monkeypatch, cpus):
         return executor(workers, *args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
-    records = runner.OBSERVERS["mcmc_io"](images, labels, task, plan)
+    records = runner.OBSERVERS["mcmc_io"](task, plan)(images, labels)
     if cpus == 1:  # one usable CPU runs the chains in process
         assert pools == []
     else:
@@ -1037,7 +1043,7 @@ def test_mcmc_workers_run_one_blas_thread(tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner, "mcmc_io_record", report_threads)
     with pytest.raises(RuntimeError, match="^BLAS threads: 1$"):
-        runner.OBSERVERS["mcmc_io"](images, labels, plan.task, plan)
+        runner.OBSERVERS["mcmc_io"](plan.task, plan)(images, labels)
 
 
 def test_mcmc_records_do_not_depend_on_blas_threads(tmp_path):
@@ -1117,7 +1123,7 @@ def test_failing_chain_cancels_the_chains_not_started(tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner, "mcmc_io_record", first_chain_fails)
     with pytest.raises(ValueError, match="the first chain failed"):
-        runner.OBSERVERS["mcmc_io"](images, labels, plan.task, plan)
+        runner.OBSERVERS["mcmc_io"](plan.task, plan)(images, labels)
     assert len(list(started.iterdir())) < len(images) // 2
 
 
@@ -1351,10 +1357,75 @@ def test_cli_evaluate_checkpoint_of_another_task_is_one_line_error(
     assert not list((tmp_path / "out").glob("*.csv"))
 
 
+def _count_scoring_calls(monkeypatch):
+    """Calls of the work an observer does when it scores: the analytic IO's
+    log-LRs, the Hotelling build, the MCMC chains and the network's forward
+    passes, each counted by a wrapper over the name the observers call."""
+    calls = {}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        calls[name] = 0
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(runner.observers, "laplacian_io_log_lrs_batch")
+    counted(runner.observers, "build_hotelling")
+    counted(runner, "mcmc_io_record")
+    counted(neuralnet, "forward_posteriors")
+    return calls
+
+
+@pytest.mark.parametrize("name, preset, work", [
+    ("analytic_io", "bke_system1", "laplacian_io_log_lrs_batch"),
+    ("hotelling", "bke_system1", "build_hotelling"),
+    ("hotelling", "lb", "build_hotelling"),
+    ("mcmc_io", "lb", "mcmc_io_record"),
+    ("cnn_io", "bke_system1", "forward_posteriors")])
+def test_observer_set_up_does_no_scoring_work(tmp_path, monkeypatch, name,
+                                              preset, work):
+    # the chains run in process, so that their calls are counted here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    plan = ExperimentPlan(preset, tmp_path, observers=[name], cov_samples=4,
+                          mcmc_iterations=20, mcmc_burn_in=5)
+    task = plan.task
+    arch = neuralnet.Architecture(1, task.grid[::-1], task.J + 1, filters=2)
+    neuralnet.save_checkpoint(tmp_path / "checkpoint.bin",
+                              neuralnet.init_state(arch, seed=60))
+    calls = _count_scoring_calls(monkeypatch)
+    score = runner.OBSERVERS[name](task, plan)
+    assert set(calls.values()) == {0}
+    records = score(np.zeros((2, *task.grid[::-1]), dtype=np.float32),
+                    np.array([0, 1]))
+    assert len(records) == 2
+    assert calls[work] >= 1  # the wrappers see the work when it scores
+
+
+def test_observers_are_set_up_before_any_scores(tmp_path, monkeypatch):
+    # perfbench reassigns a plan's observers after construction, past the
+    # plan's preset check: the analytic IO's set-up then fails before the
+    # Hotelling observer listed ahead of it draws or solves anything
+    plan = ExperimentPlan("lb", tmp_path / "out", observers=["hotelling"],
+                          n_val_per_class=0, n_test_per_class=1,
+                          cov_samples=4)
+    generate_dataset(plan)
+    plan.observers = ["hotelling", "analytic_io"]
+    calls = _count_scoring_calls(monkeypatch)
+    with pytest.raises(ValueError, match="analytic IO is available only"):
+        run_observers(plan)
+    assert set(calls.values()) == {0}
+    assert not list(plan.out_dir.glob("*.csv"))
+
+
 @pytest.mark.parametrize("n_classes", [None, 5])
 def test_cli_checkpoint_is_checked_before_any_observer_runs(tmp_path, capsys,
+                                                            monkeypatch,
                                                             n_classes):
-    cfg = _write_config(tmp_path, observers=["hotelling", "cnn_io"],
+    cfg = _write_config(tmp_path,
+                        observers=["analytic_io", "hotelling", "cnn_io"],
                         n_val_per_class=1, n_test_per_class=1)
     assert main(["generate", "--config", str(cfg)]) == 0
     out = tmp_path / "out"
@@ -1363,7 +1434,9 @@ def test_cli_checkpoint_is_checked_before_any_observer_runs(tmp_path, capsys,
         neuralnet.save_checkpoint(out / "checkpoint.bin",
                                   neuralnet.init_state(arch, seed=58))
     capsys.readouterr()
+    calls = _count_scoring_calls(monkeypatch)
     assert main(["evaluate", "--config", str(cfg)]) == 1
+    assert calls["laplacian_io_log_lrs_batch"] == calls["build_hotelling"] == 0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(out / "checkpoint.bin") in err
