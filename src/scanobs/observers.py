@@ -10,9 +10,6 @@ import csv
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import dsyrk
-from scipy.special import logsumexp
 
 from . import workers
 
@@ -68,7 +65,10 @@ def posteriors_from_lrs(log_lrs, priors) -> np.ndarray:
 
     priors has length J+1 (signal-absent first); each row of log_lrs gives
     one row of J+1 posteriors that sums to 1, computed stably in the log
-    domain.
+    domain.  The log normaliser of a row of numerators a is
+    log1p(r / k) + log(k) + max(a), where k is the number of entries tied
+    at the maximum and r the sum of exp(a - max(a)) over the others, so a
+    row has the same bits alone as in a stack.
     """
     log_lrs = np.asarray(log_lrs, dtype=np.float64)
     priors = np.asarray(priors, dtype=np.float64)
@@ -79,7 +79,12 @@ def posteriors_from_lrs(log_lrs, priors) -> np.ndarray:
     log_num = np.concatenate(
         (np.broadcast_to(np.log(priors[0]), log_lrs.shape[:-1] + (1,)),
          np.log(priors[1:]) + log_lrs), axis=-1)
-    return np.exp(log_num - logsumexp(log_num, axis=-1, keepdims=True))
+    top = log_num.max(axis=-1, keepdims=True)
+    tied = log_num == top
+    count = tied.sum(axis=-1, keepdims=True, dtype=np.float64)
+    rest = np.exp(np.where(tied, -np.inf, log_num - top)).sum(axis=-1,
+                                                                keepdims=True)
+    return np.exp(log_num - (np.log1p(rest / count) + np.log(count) + top))
 
 
 def records_from_log_lrs(log_lrs, priors, labels) -> Records:
@@ -152,9 +157,11 @@ def build_hotelling(backgrounds, signals,
 
     By the matrix-inversion (Woodbury) identity,
     K^-1 s = (s - C^T A^-1 C s) / noise_var with the n x n system
-    A = C C^T + (n - 1) noise_var I, solved by one Cholesky factorisation.
-    C is centred in float64 a block of _GRAM_COLUMNS pixels at a time, so
-    no float64 copy of the stack is held.  Like every product in scanobs,
+    A = C C^T + (n - 1) noise_var I, solved by one LU factorisation
+    (numpy.linalg.solve).  C is centred in float64 a block of
+    _GRAM_COLUMNS pixels at a time, so no float64 copy of the stack is
+    held; A sums the blocks' products, each of which numpy forms by one
+    symmetric rank-k update.  Like every product in scanobs,
     the algebra runs at the one BLAS thread that ``scanobs.workers`` sets
     at import, so the templates do not depend on the OPENBLAS_NUM_THREADS
     a process starts with.
@@ -186,15 +193,13 @@ def build_hotelling(backgrounds, signals,
             np.subtract(x[:, cols], mean_bg[cols], out=block)
             yield cols, block
 
-    # the upper triangle of A, which is all that dsyrk and the
-    # factorisation touch; in Fortran order, so both work in place
-    gram = np.zeros((n, n), order="F")
+    gram = np.zeros((n, n))
     c_s = np.zeros((n, j_count))  # C S^T
     for cols, block in centred_blocks():
-        dsyrk(1.0, block.T, beta=1.0, c=gram, trans=1, overwrite_c=True)
+        gram += block @ block.T
         c_s += block @ signals[:, cols].T
     gram.flat[::n + 1] += (n - 1) * noise_var
-    coef = cho_solve(cho_factor(gram, overwrite_a=True), c_s)
+    coef = np.linalg.solve(gram, c_s)
     templates = signals.copy()
     for cols, block in centred_blocks():
         templates[:, cols] -= coef.T @ block

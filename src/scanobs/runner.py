@@ -45,6 +45,21 @@ class ConfigError(ValueError):
     pass
 
 
+def _check_observers(plan):
+    """Each of the plan's observers is a known name, listed once, whose
+    presets include the plan's; ConfigError otherwise."""
+    names, preset = plan.observers, plan.preset
+    for i, obs in enumerate(names):
+        if not isinstance(obs, str) or obs not in OBSERVERS:
+            raise ConfigError(f"observers: unknown observer {obs!r}")
+        if obs in names[:i]:
+            raise ConfigError(f"observers: {obs!r} is listed twice")
+        if preset not in _OBSERVER_PRESETS.get(obs, PRESETS):
+            raise ConfigError(f"observers: {obs} needs preset "
+                              f"{' or '.join(_OBSERVER_PRESETS[obs])}, "
+                              f"not {preset!r}")
+
+
 @dataclass
 class ExperimentPlan:
     preset: str
@@ -68,15 +83,7 @@ class ExperimentPlan:
         if self.preset not in PRESETS:
             raise ConfigError(f"preset: unknown preset {self.preset!r}; "
                               f"expected one of {PRESETS}")
-        for i, obs in enumerate(self.observers):
-            if not isinstance(obs, str) or obs not in OBSERVERS:
-                raise ConfigError(f"observers: unknown observer {obs!r}")
-            if obs in self.observers[:i]:
-                raise ConfigError(f"observers: {obs!r} is listed twice")
-            if self.preset not in _OBSERVER_PRESETS.get(obs, PRESETS):
-                raise ConfigError(f"observers: {obs} needs preset "
-                                  f"{' or '.join(_OBSERVER_PRESETS[obs])}, "
-                                  f"not {self.preset!r}")
+        _check_observers(self)
         for key, least in _LEAST.items():
             if getattr(self, key) < least:
                 raise ConfigError(f"{key}: must be at least {least}, got "
@@ -234,9 +241,6 @@ def _read_split(path, task):
 
 
 def _analytic_io(task, plan):
-    if task.kind != "bke_laplacian":
-        raise ValueError("analytic IO is available only for the Laplacian "
-                         "BKE task")
     background = np.zeros(task.grid[::-1], dtype=np.float32)
     return lambda images, labels: observers.records_from_log_lrs(
         observers.laplacian_io_log_lrs_batch(
@@ -333,12 +337,15 @@ def run_observers(plan: ExperimentPlan) -> list[dict]:
     """Run the configured observers on the test split; write records,
     curves, and the figure-of-merit report.
 
-    Every observer is set up first, in plan order, so a failed check (a
-    missing or mismatched checkpoint) raises before any observer scores;
-    then each observer's files and figures of merit are one task of a
-    workers.task_map, and the report lists the rows in observer order."""
+    The observer list is checked again first, since a plan's observers
+    can be reassigned after construction.  Every observer is set up next,
+    in plan order, so a failed check (a missing or mismatched checkpoint)
+    raises before any observer scores; then each observer's files and
+    figures of merit are one task of a workers.task_map, and the report
+    lists the rows in observer order."""
     if not plan.observers:
         raise ConfigError("observers: empty observer list")
+    _check_observers(plan)
     task = plan.task
     test_path = plan.out_dir / "test.bin"
     images, labels = _read_split(test_path, task)

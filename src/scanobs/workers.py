@@ -17,13 +17,13 @@ to forked workers through ``task_map``: the MCMC chains, the network's
 micro-batches and each observer's report (``runner.run_observers``).
 All three are built on ``concurrent.futures``.
 
-Importing this module sets every loaded OpenBLAS, numpy's and scipy's, to
-one thread, once, before anything can fork, and nothing sets it again.  So
-BLAS never takes the second core: no BLAS thread spins beside
-``two_threads`` or a pool's workers, and every product has the bits of
-one thread.  (OpenBLAS 0.3.31 shuts its threads down at each fork, and a
-thread count set after that, even to one, starts them again; each then
-busy-waits for a while before it sleeps.)
+Importing this module sets every loaded OpenBLAS to one thread, once,
+before anything can fork, and nothing sets it again.  So BLAS never takes
+the second core: no BLAS thread spins beside ``two_threads`` or a pool's
+workers, and every product has the bits of one thread.  (OpenBLAS 0.3.31
+shuts its threads down at each fork, and a thread count set after that,
+even to one, starts them again; each then busy-waits for a while before
+it sleeps.)
 
 Results of a pool come back in task order, so what a caller computes from
 them does not depend on the worker count.  Workers are forked at the
@@ -44,12 +44,11 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS before the pin)
 
 
 # (prefix, suffix) of the thread-count functions of an OpenBLAS: the
-# ILP64 scipy-openblas in numpy's wheels, a system OpenBLAS, and the LP64
-# scipy-openblas in scipy's wheels
+# ILP64 build in numpy's wheels, a system OpenBLAS, and the LP64 build
+# that a module imported before this one may have loaded
 _BLAS_NAMES = (("scipy_openblas_", "64_"), ("openblas_", ""),
                ("scipy_openblas_", ""))
 

@@ -527,12 +527,31 @@ def test_analytic_io_records_match_per_row_reference():
     log_lrs = laplacian_io_log_lrs_batch(imgs, task.signal_images,
                                          np.zeros((64, 64), np.float32),
                                          task.noise.scale)
+    # rows the log-sum-exp must count ties in (the priors are uniform, so
+    # equal log-LRs give equal log numerators): whole-number rows, many
+    # with tied maxima, and rows near +-700
+    extreme = np.concatenate((rng.normal(size=(8, 9)),
+                              np.round(rng.normal(size=(40, 9)) * 2)))
+    extreme[0, [2, 5]] = 4.0          # two tied maxima
+    extreme[1, [0, 3, 8]] = 2.5       # three
+    extreme[2] = 0.0                  # all ten numerators equal, H0's too
+    extreme[3] = 1.5                  # nine equal, above H0's
+    extreme[4] += 700.0
+    extreme[5] = extreme[4]
+    extreme[5, [1, 7]] = 701.0        # tied maxima near 700
+    extreme[6] -= 700.0               # H0 the maximum by far
+    extreme[7] = -700.0
+    log_lrs = np.concatenate((log_lrs, extreme))
+    labels = np.arange(len(log_lrs)) % 10
+    assert np.all(task.priors == task.priors[0])
     _assert_records_equal(records_from_log_lrs(log_lrs, task.priors, labels),
                           _reference_io_rows(log_lrs, task.priors, labels))
     post = posteriors_from_lrs(log_lrs, task.priors)
-    for i in range(len(labels)):
+    for i, row in enumerate(log_lrs):
+        assert np.array_equal(post[i], posteriors_from_lrs(row, task.priors))
+        log_num = np.log(task.priors) + np.concatenate(([0.0], row))
         assert np.array_equal(post[i],
-                              posteriors_from_lrs(log_lrs[i], task.priors))
+                              np.exp(log_num - logsumexp(log_num))), i
 
 
 def test_hotelling_records_match_per_row_reference():

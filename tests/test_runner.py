@@ -1063,6 +1063,22 @@ def test_mcmc_records_do_not_depend_on_blas_threads(tmp_path):
     assert found[0] == found[1]
 
 
+def test_scanobs_imports_no_scipy():
+    # numpy is the one run-time dependency: scipy serves only the tests
+    src = str(Path(runner.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    code = dedent("""
+        import sys
+        import scanobs.cli, scanobs.runner
+        print(sorted(m for m in sys.modules
+                     if m == "scipy" or m.startswith("scipy.")))
+        """)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    assert out == "[]\n"
+
+
 def test_every_openblas_runs_one_thread_from_import():
     # a process started at two BLAS threads: importing scanobs sets every
     # OpenBLAS it loaded to one, and no later pool, Hotelling build or
@@ -1406,16 +1422,38 @@ def test_observer_set_up_does_no_scoring_work(tmp_path, monkeypatch, name,
 
 def test_observers_are_set_up_before_any_scores(tmp_path, monkeypatch):
     # perfbench reassigns a plan's observers after construction, past the
-    # plan's preset check: the analytic IO's set-up then fails before the
-    # Hotelling observer listed ahead of it draws or solves anything
+    # plan's own checks: run_observers checks the list again, so the
+    # analytic IO's preset fails before the Hotelling observer listed ahead
+    # of it draws or solves anything
     plan = ExperimentPlan("lb", tmp_path / "out", observers=["hotelling"],
                           n_val_per_class=0, n_test_per_class=1,
                           cov_samples=4)
     generate_dataset(plan)
     plan.observers = ["hotelling", "analytic_io"]
     calls = _count_scoring_calls(monkeypatch)
-    with pytest.raises(ValueError, match="analytic IO is available only"):
+    with pytest.raises(ValueError, match="observers: analytic_io needs preset"):
         run_observers(plan)
+    assert set(calls.values()) == {0}
+    assert not list(plan.out_dir.glob("*.csv"))
+
+
+@pytest.mark.parametrize("reassigned, message", [
+    (["hotelling", "hotelling"], "observers: 'hotelling' is listed twice"),
+    (["mcmc_io"], "observers: mcmc_io needs preset lb, not 'bke_system1'")],
+    ids=["twice", "preset"])
+def test_reassigned_observers_are_checked_before_any_scores(
+        tmp_path, monkeypatch, reassigned, message):
+    # the plan's checks of a list given at construction, made again by
+    # run_observers on a list assigned after it
+    plan = ExperimentPlan("bke_system1", tmp_path / "out",
+                          observers=["hotelling"], n_val_per_class=0,
+                          n_test_per_class=1)
+    generate_dataset(plan)
+    plan.observers = reassigned
+    calls = _count_scoring_calls(monkeypatch)
+    with pytest.raises(ConfigError) as caught:
+        run_observers(plan)
+    assert str(caught.value) == message
     assert set(calls.values()) == {0}
     assert not list(plan.out_dir.glob("*.csv"))
 
