@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observers import Records
+from .observers import Records, columns_to_csv
 
 
 @dataclass
@@ -75,18 +75,30 @@ def _two_afc(records: Records, binary: bool, n_bootstrap: int,
     1{t_i > t_k, correct localization} with half credit on ties.  Each
     bootstrap replicate resamples the absent and the present scores (in that
     order) and counts the resampled absent scores below and tied with each
-    present score from their ranks in one sort of the originals.  Every
-    term is a multiple of 0.5 below 2**53, so each replicate equals the
-    estimator on the resampled scores exactly.
+    present score from their ranks in one sort of the originals.
+
+    A correctly localized present score earns (n_lt + n_le) / 2 pairs from
+    the absent scores below (n_lt) and at or below (n_le) it, so the present
+    records are grouped once by their (n_lt, n_le) pair; an incorrect one
+    earns nothing and joins the (0, 0) group, which below[0] = 0 weighs 0.
+    A replicate's doubled numerator is then the integer dot product of each
+    group's below[n_lt] + below[n_le] with the number of its records drawn.
+    That integer is at most 2 * na * ns, below 2**53, so dividing it by 2
+    and by ns * na gives the bits of the float sum over the drawn records,
+    whose terms and partial sums are multiples of 0.5 and exact.
     """
+    if n_bootstrap < 2:
+        raise ValueError(f"n_bootstrap must be at least 2 for a standard "
+                         f"error, got {n_bootstrap}")
     t_abs, t_sig, correct = _split_records(records, binary)
     na, ns = len(t_abs), len(t_sig)
     order = np.sort(t_abs)
     rank = np.searchsorted(order, t_abs, side="left")
-    n_lt = np.searchsorted(order, t_sig, side="left")
-    n_le = np.searchsorted(order, t_sig, side="right")
-    score = (n_lt + 0.5 * (n_le - n_lt)) * correct
-    value = float(score.sum() / (ns * na))
+    n_lt = np.searchsorted(order, t_sig, side="left") * correct
+    n_le = np.searchsorted(order, t_sig, side="right") * correct
+    pairs, group = np.unique(n_lt * (na + 1) + n_le, return_inverse=True)
+    lt, le = np.divmod(pairs, na + 1)
+    value = int((n_lt + n_le).sum()) / 2 / (ns * na)
     rng = rng if rng is not None else np.random.default_rng(0)
     below = np.zeros(na + 1, dtype=np.int64)  # below[k]: draws with rank < k
     vals = np.empty(n_bootstrap)
@@ -94,9 +106,8 @@ def _two_afc(records: Records, binary: bool, n_bootstrap: int,
         ia = rng.integers(na, size=na)
         isg = rng.integers(ns, size=ns)
         np.cumsum(np.bincount(rank[ia], minlength=na), out=below[1:])
-        lt = below[n_lt]
-        score = (lt + 0.5 * (below[n_le] - lt)) * correct
-        vals[i] = (score * np.bincount(isg, minlength=ns)).sum() / (ns * na)
+        drawn = np.bincount(group[isg], minlength=len(pairs))
+        vals[i] = int((below[lt] + below[le]) @ drawn) / 2 / (ns * na)
     return FomEstimate(value, float(vals.std(ddof=1)))
 
 
@@ -145,12 +156,9 @@ def compare_systems(
 
 
 def curve_to_csv(path, curve: LrocCurve):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau", "fpf", "pcl"])
-        # csv writes each float as its repr
-        writer.writerows(zip(curve.thresholds.tolist(), curve.fpf.tolist(),
-                             curve.pcl.tolist()))
+    columns_to_csv(path, ["tau", "fpf", "pcl"],
+                   [curve.thresholds.tolist(), curve.fpf.tolist(),
+                    curve.pcl.tolist()])
 
 
 def report_to_csv(path, rows: list[dict]):

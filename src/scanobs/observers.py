@@ -6,7 +6,6 @@ All likelihood ratios are carried in the log domain throughout.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -237,19 +236,27 @@ def scanning_ho_records(images, labels,
     return records_from_statistics(lams, labels, lams.max(axis=1))
 
 
+def columns_to_csv(path, header, columns):
+    """Write equal-length columns of Python numbers (as from tolist) under a
+    header, in the bytes csv.writer gives: each value as its repr (a
+    float's shortest round trip), comma separated and unquoted, each line
+    ended by "\\r\\n"."""
+    lines = [",".join(header)]
+    lines += map(",".join, zip(*[list(map(repr, c)) for c in columns]))
+    lines.append("")
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join(lines))
+
+
 def records_to_csv(path, records: Records):
     """Write records as CSV: image_id, true_label, t, j_star,
     binary_statistic, lambda_1..J."""
     j_count = records.per_location.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["image_id", "true_label", "t", "j_star",
-                         "binary_statistic"]
-                        + [f"lambda_{j + 1}" for j in range(j_count)])
-        # csv writes each float as its repr
-        writer.writerows(zip(range(len(records)),
-                             records.true_label.tolist(),
-                             records.statistic.tolist(),
-                             records.chosen_location.tolist(),
-                             records.binary_statistic.tolist(),
-                             *records.per_location.T.tolist()))
+    columns_to_csv(path, ["image_id", "true_label", "t", "j_star",
+                          "binary_statistic"]
+                   + [f"lambda_{j + 1}" for j in range(j_count)],
+                   [range(len(records)), records.true_label.tolist(),
+                    records.statistic.tolist(),
+                    records.chosen_location.tolist(),
+                    records.binary_statistic.tolist(),
+                    *records.per_location.T.tolist()])

@@ -1,17 +1,18 @@
 """Test-only dataset writers (among them the per-block split and store
 reference), readers of evaluation and observer outputs, the
-comparison-matrix LROC/ROC sweep, a malformed checkpoint writer, the
+comparison-matrix LROC/ROC sweep, the per-record-score bootstrap, the
+``csv.writer`` records and curve writers, a malformed checkpoint writer, the
 whole-stack scanning Hotelling observer, the im2col einsum network that the
 channels-last convolution is checked against, the band-copy convolutions,
 the channels-last network with those convolutions, ``np.where``
 activations and an argmax pool, and the ``rng.uniform`` samplers and the
 per-lump, whole-image (with its own ``hypot`` blob evaluator) and
 per-iteration lumpy-background references; the splits, the curves, the
-Hotelling records, the network passes, the sampling and the rendering must
-equal these bit for bit, and the MCMC chain must take the reference
-chain's path with its statistics within 1e-10.  Also the traced
-allocation peak of a call, and a Python snippet's output at one and two
-OpenBLAS threads."""
+Hotelling records, the figures of merit, the CSV bytes, the network
+passes, the sampling and the rendering must equal these bit for bit, and
+the MCMC chain must take the reference chain's path with its statistics
+within 1e-10.  Also the traced allocation peak of a call, and a Python
+snippet's output at one and two OpenBLAS threads."""
 
 import csv
 import math
@@ -27,7 +28,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from scanobs import neuralnet
 from scanobs.dataset import DatasetWriter
-from scanobs.evaluation import LrocCurve, _split_records
+from scanobs.evaluation import FomEstimate, LrocCurve, _split_records
 from scanobs.imaging import pixel_grid
 from scanobs.mcmc import BIRTH_PROB, MOVE_PROB, MOVE_STD, _reflect
 from scanobs.observers import (
@@ -141,6 +142,56 @@ def reference_curve(records: Records, binary: bool) -> LrocCurve:
     hit = t_sig[None, :] > taus[:, None]
     hit &= correct
     return LrocCurve(taus, fpf, hit.mean(axis=1))
+
+
+def reference_two_afc(records: Records, binary: bool, n_bootstrap: int,
+                      rng: np.random.Generator) -> FomEstimate:
+    """The 2AFC estimate and its within-class bootstrap SE, each replicate
+    summing every present record's half-credit score as a float times the
+    number of times it was drawn."""
+    t_abs, t_sig, correct = _split_records(records, binary)
+    na, ns = len(t_abs), len(t_sig)
+    order = np.sort(t_abs)
+    rank = np.searchsorted(order, t_abs, side="left")
+    n_lt = np.searchsorted(order, t_sig, side="left")
+    n_le = np.searchsorted(order, t_sig, side="right")
+    score = (n_lt + 0.5 * (n_le - n_lt)) * correct
+    value = float(score.sum() / (ns * na))
+    below = np.zeros(na + 1, dtype=np.int64)  # below[k]: draws with rank < k
+    vals = np.empty(n_bootstrap)
+    for i in range(n_bootstrap):
+        ia = rng.integers(na, size=na)
+        isg = rng.integers(ns, size=ns)
+        np.cumsum(np.bincount(rank[ia], minlength=na), out=below[1:])
+        lt = below[n_lt]
+        score = (lt + 0.5 * (below[n_le] - lt)) * correct
+        vals[i] = (score * np.bincount(isg, minlength=ns)).sum() / (ns * na)
+    return FomEstimate(value, float(vals.std(ddof=1)))
+
+
+def reference_records_to_csv(path, records: Records):
+    """observers.records_to_csv through csv.writer."""
+    j_count = records.per_location.shape[1]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["image_id", "true_label", "t", "j_star",
+                         "binary_statistic"]
+                        + [f"lambda_{j + 1}" for j in range(j_count)])
+        writer.writerows(zip(range(len(records)),
+                             records.true_label.tolist(),
+                             records.statistic.tolist(),
+                             records.chosen_location.tolist(),
+                             records.binary_statistic.tolist(),
+                             *records.per_location.T.tolist()))
+
+
+def reference_curve_to_csv(path, curve: LrocCurve):
+    """evaluation.curve_to_csv through csv.writer."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["tau", "fpf", "pcl"])
+        writer.writerows(zip(curve.thresholds.tolist(), curve.fpf.tolist(),
+                             curve.pcl.tolist()))
 
 
 def records_from_csv(path) -> Records:

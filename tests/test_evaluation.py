@@ -1,10 +1,18 @@
 import csv
 import math
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from helpers import lroc_trapezoid_area, reference_curve
+from helpers import (
+    lroc_trapezoid_area,
+    reference_curve,
+    reference_curve_to_csv,
+    reference_records_to_csv,
+    reference_two_afc,
+)
 from scanobs.evaluation import (
     FomEstimate,
     LrocCurve,
@@ -141,17 +149,30 @@ def test_bootstrap_se_tracks_monte_carlo_se():
 def test_bootstrap_reproducible_and_counted():
     rng = np.random.default_rng(7)
     records = _synthetic(rng, 80, 80)
-    drawn = np.random.default_rng(8)
-    a = alroc(records, n_bootstrap=200, rng=drawn)
-    b = alroc(records, n_bootstrap=200, rng=np.random.default_rng(8))
-    assert a.std_error == b.std_error
-    assert a.std_error > 0
-    # 200 replicates, each one absent and one present resample
-    counted = np.random.default_rng(8)
-    for _ in range(200):
-        counted.integers(80, size=80)
-        counted.integers(80, size=80)
-    assert drawn.bit_generator.state == counted.bit_generator.state
+    for fom in (alroc, auc):
+        drawn = np.random.default_rng(8)
+        a = fom(records, n_bootstrap=200, rng=drawn)
+        b = fom(records, n_bootstrap=200, rng=np.random.default_rng(8))
+        assert a.std_error == b.std_error
+        assert a.std_error > 0
+        # 200 replicates, each one absent and one present resample
+        counted = np.random.default_rng(8)
+        for _ in range(200):
+            counted.integers(80, size=80)
+            counted.integers(80, size=80)
+        assert drawn.bit_generator.state == counted.bit_generator.state
+
+
+@pytest.mark.parametrize("n_bootstrap", [-1, 0, 1])
+def test_fewer_than_two_replicates_are_rejected(n_bootstrap):
+    records = _synthetic(np.random.default_rng(13), 20, 20)
+    for fom in (alroc, auc):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                fom(records, n_bootstrap=n_bootstrap)
+        assert str(err.value) == (f"n_bootstrap must be at least 2 for a "
+                                  f"standard error, got {n_bootstrap}")
 
 
 def _sorting_bootstrap_se(t_abs, t_sig, correct, n_bootstrap, rng):
@@ -198,6 +219,55 @@ def test_bootstrap_se_equals_sorting_reference(n_abs, n_sig):
     assert got.std_error == _sorting_bootstrap_se(
         b[absent], b[~absent], np.ones(n_sig, dtype=bool), 300,
         np.random.default_rng(12))
+
+
+def _scored(case, rng):
+    """Records for one bootstrap case: absent records first, labels 1..3,
+    and a mix of correct and incorrect localizations unless the case
+    names one."""
+    n_abs, n_sig = {"one_absent": (1, 60), "one_present": (60, 1)}.get(
+        case, (150, 400))
+    if case == "tied":
+        return _tied_records(rng, n_abs, n_sig)
+    t = np.concatenate((rng.normal(size=n_abs), rng.normal(0.8, size=n_sig)))
+    binary = t + rng.normal(size=len(t))
+    if case == "signed_zero_inf":
+        for col in (t, binary):
+            col[rng.random(len(col)) < 0.2] = -0.0
+            col[rng.random(len(col)) < 0.2] = 0.0
+            col[rng.random(len(col)) < 0.1] = np.inf
+            col[rng.random(len(col)) < 0.1] = -np.inf
+    labels = np.concatenate((np.zeros(n_abs, int),
+                             rng.integers(1, 4, size=n_sig)))
+    right = {"none_correct": 0.0, "all_correct": 1.0}.get(case, 0.6)
+    j_star = np.where(rng.random(len(t)) < right, labels, labels % 3 + 1)
+    j_star[:n_abs] = 1
+    return _records(t, j_star, labels, binary)
+
+
+def _bits(estimate):
+    return estimate.value.hex(), estimate.std_error.hex()
+
+
+@pytest.mark.parametrize("case", ["continuous", "tied", "none_correct",
+                                  "all_correct", "one_absent", "one_present",
+                                  "signed_zero_inf"])
+def test_bootstrap_equals_per_record_score_reference(case):
+    records = _scored(case, np.random.default_rng(17))
+    for fom, binary in ((alroc, False), (auc, True)):
+        drawn, ref_drawn = (np.random.default_rng(19) for _ in range(2))
+        got = fom(records, n_bootstrap=300, rng=drawn)
+        ref = reference_two_afc(records, binary, 300, ref_drawn)
+        assert _bits(got) == _bits(ref)
+        assert drawn.bit_generator.state == ref_drawn.bit_generator.state
+    if case == "none_correct":
+        assert _bits(alroc(records, 300)) == ((0.0).hex(), (0.0).hex())
+        assert auc(records, 300).std_error > 0
+    if case == "all_correct":
+        assert _bits(alroc(records, 300)) == _bits(auc(
+            Records(records.statistic, records.chosen_location,
+                    records.true_label, records.per_location,
+                    records.statistic), 300))
 
 
 @pytest.mark.parametrize("n_abs,n_sig", [(300, 900), (1, 50), (40, 1),
@@ -309,3 +379,36 @@ def test_csv_writers_write_each_float_as_its_repr(tmp_path, lam_dtype):
     assert rows[1:] == [[repr(float(v)) for v in row] for row in zip(
         curve.thresholds, curve.fpf, curve.pcl)]
     assert rows[1][0] == "inf" and rows[-1][0] == "-inf"
+
+
+@pytest.mark.parametrize("lam_dtype", [np.float64, np.float32])
+def test_csv_writers_equal_csv_writer_reference(tmp_path, lam_dtype):
+    rng = np.random.default_rng(23)
+    n = 5000
+    odd = np.array([-0.0, 1e-300, 0.1 + 0.2, -1e-300, 0.0])
+    t = rng.normal(size=n)
+    binary = rng.standard_cauchy(size=n)
+    lams = rng.normal(size=(n, 9)) * 10.0 ** rng.integers(-8, 9, size=(n, 9))
+    for col in (t, binary, lams.reshape(-1)):
+        pick = rng.random(len(col)) < 0.05
+        col[pick] = rng.choice(odd, size=pick.sum())
+    labels = rng.integers(0, 10, size=n)
+    records = Records(t, rng.integers(1, 10, size=n), labels,
+                      lams.astype(lam_dtype), binary)
+    empty = Records(*(getattr(records, f.name)[:0] for f in fields(Records)))
+    for rows in (records, empty):
+        records_to_csv(tmp_path / "records.csv", rows)
+        reference_records_to_csv(tmp_path / "reference.csv", rows)
+        assert (tmp_path / "records.csv").read_bytes() == (
+            tmp_path / "reference.csv").read_bytes()
+
+    for curve in (empirical_lroc(records), empirical_roc(records),
+                  LrocCurve(np.array([np.inf, 1e-300, -0.0, -np.inf]),
+                            np.array([0.0, 0.1 + 0.2, 0.5, 1.0]),
+                            np.array([-0.0, 1e-300, 2.0 / 3.0, 1.0]))):
+        assert curve.thresholds[0] == np.inf
+        assert curve.thresholds[-1] == -np.inf
+        curve_to_csv(tmp_path / "curve.csv", curve)
+        reference_curve_to_csv(tmp_path / "reference.csv", curve)
+        assert (tmp_path / "curve.csv").read_bytes() == (
+            tmp_path / "reference.csv").read_bytes()
