@@ -104,11 +104,16 @@ class DatasetWriter:
             self._fh.close()
 
 
-def read_dataset(path):
-    """Read a dataset file; returns (images (N,H,W) float32, labels (N,) uint8, meta).
+def read_dataset(path, start: int = 0, stop: int | None = None):
+    """Read records start..stop of a dataset file (all by default); returns
+    (images (n,H,W) float32, labels (n,) uint8, meta), meta["count"] being
+    the file's record count.
 
-    The records are read HO_BLOCK_ROWS at a time through one buffer into
-    the returned arrays, so the images are held once."""
+    The header and the file's size are checked before anything is
+    allocated, and a range outside 0..count is rejected.  The records are
+    read HO_BLOCK_ROWS at a time through one buffer into the returned
+    arrays, so the images are held once; a label above J is named by its
+    record's index in the file."""
     with open(path, "rb") as fh:
         head = fh.read(HEADER_SIZE)
         if len(head) < HEADER_SIZE:
@@ -122,18 +127,24 @@ def read_dataset(path):
         size = os.fstat(fh.fileno()).st_size
         if size != HEADER_SIZE + count * record.itemsize:
             raise ValueError(f"{path}: truncated file")
-        labels = np.empty(count, dtype=np.uint8)
-        images = np.empty((count, height, width), dtype=np.float32)
-        chunk = np.empty(min(count, HO_BLOCK_ROWS), dtype=record)
-        for lo in range(0, count, HO_BLOCK_ROWS):
-            part = chunk[:min(count - lo, HO_BLOCK_ROWS)]
+        stop = count if stop is None else stop
+        if not 0 <= start <= stop <= count:
+            raise ValueError(f"{path}: records {start}..{stop} are outside "
+                             f"the file's 0..{count}")
+        n = stop - start
+        fh.seek(HEADER_SIZE + start * record.itemsize)
+        labels = np.empty(n, dtype=np.uint8)
+        images = np.empty((n, height, width), dtype=np.float32)
+        chunk = np.empty(min(n, HO_BLOCK_ROWS), dtype=record)
+        for lo in range(0, n, HO_BLOCK_ROWS):
+            part = chunk[:min(n - lo, HO_BLOCK_ROWS)]
             if fh.readinto(part) != part.nbytes:
                 raise ValueError(f"{path}: truncated file")
             labels[lo:lo + len(part)] = part["label"]
             images[lo:lo + len(part)] = part["image"]
     bad = np.flatnonzero(labels > n_loc)
     if len(bad):
-        raise ValueError(f"{path}: record {bad[0]} has label "
+        raise ValueError(f"{path}: record {start + bad[0]} has label "
                          f"{labels[bad[0]]}, above J = {n_loc}")
     meta = {"count": count, "width": width, "height": height,
             "n_locations": n_loc}

@@ -140,11 +140,17 @@ def init_state(arch: Architecture, seed: int = 0,
 _PIXELS = 16384
 
 
+def _micro_batch_images(shape):
+    """Images of shape (h, w) per micro-batch: as many as _PIXELS pixels
+    hold, and at least one."""
+    return max(1, _PIXELS // math.prod(shape))
+
+
 def _micro_batches(n, shape):
     """Slices of n images of shape (h, w), of at most _PIXELS pixels (or one
     image) each: the micro-batches of a call, which the convolutions take
     whole."""
-    nb = max(1, _PIXELS // math.prod(shape))
+    nb = _micro_batch_images(shape)
     return [slice(i, i + nb) for i in range(0, n, nb)]
 
 

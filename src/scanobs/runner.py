@@ -174,11 +174,17 @@ def generate_dataset(plan: ExperimentPlan, force: bool = False) -> dict:
     block order on the caller's thread, and each file's sha256 in the
     manifest is the one computed while writing it; no file is read back.
     Every file is written under a temporary name in the output
-    directory and renamed into place only once all are complete, the
-    manifest last; if anything raises, an interrupt included, the
-    temporaries are removed and the files already there keep their bytes.
-    Nothing is fsynced: this guards against a failing or interrupted
-    process, not against power loss.  Returns the manifest entries.
+    directory.  Once all are complete, each file already there is set
+    aside as .NAME.old, each temporary is renamed into place, the manifest
+    last, and the set-aside files are removed.  So no rename lands on an
+    existing file, which would make ext4 (auto_da_alloc) start writing the
+    new file out at once, and a later unlink of the old one wait for that.
+    If anything raises before every temporary is in place, an interrupt
+    included, the new files and the temporaries are removed and the
+    set-aside files renamed back, so the files already there keep their
+    bytes and no other file is left.  Nothing is fsynced: this guards
+    against a failing or interrupted process, not against power loss.
+    Returns the manifest entries.
     """
     task = plan.task
     out = plan.out_dir
@@ -203,6 +209,8 @@ def generate_dataset(plan: ExperimentPlan, force: bool = False) -> dict:
     # file name -> temporary path, in renaming order: the manifest last
     temps = {f: out / f".{f}.partial"
              for f in [f"{n}.bin" for n in files] + ["manifest.txt"]}
+    aside = {}  # file name -> the name its old file is set aside under
+    placed = []  # the file names whose temporary is in place
     try:
         digests = {n: _write_blocks(temps[f"{n}.bin"], task, labels,
                                     plan.seed, name, draw)
@@ -220,24 +228,51 @@ def generate_dataset(plan: ExperimentPlan, force: bool = False) -> dict:
         with open(temps["manifest.txt"], "w") as fh:
             for key, val in manifest.items():
                 fh.write(f"{key}={val}\n")
+        for name in temps:
+            if (out / name).exists():
+                os.replace(out / name, out / f".{name}.old")
+                aside[name] = out / f".{name}.old"
         for name, tmp in temps.items():
             os.replace(tmp, out / name)
+            placed.append(name)
     finally:
-        for tmp in temps.values():
-            tmp.unlink(missing_ok=True)
+        if len(placed) < len(temps):  # put the old files back
+            for name in placed:
+                (out / name).unlink()
+            for name, old in aside.items():
+                os.replace(old, out / name)
+        for path in [*temps.values(), *aside.values()]:
+            path.unlink(missing_ok=True)
     return manifest
 
 
-def _read_split(path, task):
-    """Images and labels of a dataset file made for the task's grid and J."""
+def _read_split(path, task, start=0, stop=None):
+    """Images and labels of records start..stop (all by default) of a
+    dataset file made for the task's grid and J, and the file's record
+    count."""
     if not path.exists():
         raise FileNotFoundError(f"missing {path}; run generate first")
-    images, labels, meta = read_dataset(path)
+    images, labels, meta = read_dataset(path, start, stop)
     found = (meta["width"], meta["height"], meta["n_locations"])
     if found != (*task.grid, task.J):
         raise ValueError(f"{path}: (width, height, J) is {found}, but the "
                          f"plan's task has {(*task.grid, task.J)}")
-    return images, labels
+    return images, labels, meta["count"]
+
+
+def _chunk_edges(n, shape):
+    """Edges of the chunks in which run_observers reads a split of n images
+    of shape (h, w): HO_BLOCK_ROWS network micro-batches each (1024 images
+    at 64x64), the last also taking a remainder below HO_BLOCK_ROWS.  So
+    every Hotelling block (observers.scanning_ho_records) and every network
+    micro-batch (neuralnet.forward_posteriors) of a chunk is one that a
+    call on the whole split makes, and a split of one chunk or less is one
+    piece."""
+    size = observers.HO_BLOCK_ROWS * neuralnet._micro_batch_images(shape)
+    edges = [*range(0, n, size), n]
+    if len(edges) > 2 and n - edges[-2] < observers.HO_BLOCK_ROWS:
+        del edges[-2]
+    return edges
 
 
 def _analytic_io(task, plan):
@@ -249,17 +284,24 @@ def _analytic_io(task, plan):
 
 
 def _hotelling(task, plan):
+    """Scores with templates built at the first call, from covariance
+    samples drawn from the plan's "hotelling-covariance" stream (none on
+    the BKE tasks), and kept for the later calls, the split's later
+    chunks."""
+    state = None
+
     def score(images, labels):
-        if task.kind == "bke_laplacian":
+        nonlocal state
+        if state is None:
             backgrounds = None
-        else:
-            rng = stream(plan.seed, "hotelling-covariance")
-            backgrounds = np.empty((plan.cov_samples, *task.grid[::-1]),
-                                   dtype=np.float32)
-            for sample in backgrounds:  # drawn in place, one stack held
-                sample[...] = task.sample_background(rng)
-        state = observers.build_hotelling(backgrounds, task.signal_images,
-                                          task.noise.std ** 2)
+            if task.kind != "bke_laplacian":
+                rng = stream(plan.seed, "hotelling-covariance")
+                backgrounds = np.empty((plan.cov_samples, *task.grid[::-1]),
+                                       dtype=np.float32)
+                for sample in backgrounds:  # drawn in place, one stack held
+                    sample[...] = task.sample_background(rng)
+            state = observers.build_hotelling(
+                backgrounds, task.signal_images, task.noise.std ** 2)
         return observers.scanning_ho_records(images, labels, state)
     return score
 
@@ -272,17 +314,23 @@ def _mcmc_chain(g, task, cfg, rng, label):
 
 
 def _mcmc_io(task, plan):
-    """Scores with one chain per image, each from its own substream, mapped
-    by workers.task_map (in process on one usable CPU); the rows are
-    concatenated in image order, so the records do not depend on the worker
-    count.  If a chain raises, the chains not yet started do not run."""
+    """Scores with one chain per image, the chain of the split's image i
+    drawing from substream(seed, "mcmc-chain", i), where i counts the
+    images of earlier calls (the split's earlier chunks) too.  The chains
+    of a call are mapped by workers.task_map (in process on one usable
+    CPU) and their rows concatenated in image order, so the records do not
+    depend on the worker count.  If a chain raises, the chains not yet
+    started do not run."""
     cfg = McmcConfig(
         iterations=plan.mcmc_iterations,
         burn_in=None if plan.mcmc_burn_in < 0 else plan.mcmc_burn_in)
+    scored = 0  # images of the earlier calls
 
     def score(images, labels):
+        nonlocal scored
+        first, scored = scored, scored + len(images)
         rngs = (substream(plan.seed, "mcmc-chain", i)
-                for i in range(len(images)))
+                for i in range(first, scored))
         with workers.task_map(len(images)) as tasks:
             return observers.Records.concatenate(list(tasks(
                 _mcmc_chain, images, repeat(task), repeat(cfg), rngs,
@@ -306,7 +354,8 @@ def _cnn_io(task, plan):
 
 
 # Each observer's set-up maps (task, plan) to score(images, labels) ->
-# Records; it only checks and loads, and the expensive work runs in score
+# Records; it only checks and loads, and the expensive work runs in score,
+# which is called on the chunks of one test split in order
 OBSERVERS = {"analytic_io": _analytic_io,
              "hotelling": _hotelling,
              "mcmc_io": _mcmc_io,
@@ -338,22 +387,35 @@ def run_observers(plan: ExperimentPlan) -> list[dict]:
     curves, and the figure-of-merit report.
 
     The observer list is checked again first, since a plan's observers
-    can be reassigned after construction.  Every observer is set up next,
-    in plan order, so a failed check (a missing or mismatched checkpoint)
-    raises before any observer scores; then each observer's files and
-    figures of merit are one task of a workers.task_map, and the report
-    lists the rows in observer order."""
+    can be reassigned after construction, then the split's header.  Every
+    observer is set up next, in plan order, so a failed check (a missing
+    or mismatched checkpoint) raises before any observer scores.  The
+    split is then read a chunk at a time (_chunk_edges), one read_dataset
+    call each, and each chunk is scored by every observer in plan order,
+    so one chunk of images is held, not the split; each observer's records
+    are its chunks' rows in image order, the bytes a call on the whole
+    split gives.  A bad record fails its chunk's read, before any file is
+    written.  Then each observer's files and figures of merit are one task
+    of a workers.task_map, and the report lists the rows in observer
+    order."""
     if not plan.observers:
         raise ConfigError("observers: empty observer list")
     _check_observers(plan)
     task = plan.task
     test_path = plan.out_dir / "test.bin"
-    images, labels = _read_split(test_path, task)
-    if len(images) == 0:
+    n = _read_split(test_path, task, 0, 0)[2]
+    if n == 0:
         raise ConfigError(f"n_test_per_class: the observers need test "
                           f"images, and {test_path} has none")
     scorers = [OBSERVERS[name](task, plan) for name in plan.observers]
-    records = [score(images, labels) for score in scorers]
+    chunks = [[] for _ in scorers]  # each observer's records, per chunk
+    edges = _chunk_edges(n, task.grid[::-1])
+    for lo, hi in zip(edges, edges[1:]):
+        images, labels, _ = _read_split(test_path, task, lo, hi)
+        for score, done in zip(scorers, chunks):
+            done.append(score(images, labels))
+        del images, labels  # so that the next read holds one chunk
+    records = [observers.Records.concatenate(c) for c in chunks]
     with workers.task_map(len(records)) as tasks:
         rows = list(tasks(_report, plan.observers, records, repeat(plan)))
     evaluation.report_to_csv(plan.out_dir / "report.csv", rows)
@@ -366,12 +428,12 @@ def run_training(plan: ExperimentPlan):
     out = plan.out_dir
     backgrounds = None
     if plan.n_train_backgrounds > 0:
-        backgrounds, _ = _read_split(out / "train_backgrounds.bin", task)
+        backgrounds = _read_split(out / "train_backgrounds.bin", task)[0]
     elif task.kind != "bke_laplacian":
         raise ConfigError(f"n_train_backgrounds: training on the {task.kind} "
                           "task needs stored backgrounds, and the plan has "
                           "none")
-    val_images, val_labels = _read_split(out / "val.bin", task)
+    val_images, val_labels, _ = _read_split(out / "val.bin", task)
     if len(val_images) == 0:
         raise ConfigError(f"n_val_per_class: training needs validation "
                           f"images, and {out / 'val.bin'} has none")

@@ -191,6 +191,50 @@ def test_read_names_the_first_bad_label_past_the_first_chunk(tmp_path):
                               f"label 5, above J = 2")
 
 
+@pytest.mark.parametrize("start, stop", [
+    (0, 0), (3, 3), (0, 7), (5, HO_BLOCK_ROWS + 9), (HO_BLOCK_ROWS - 1, None),
+    (HO_BLOCK_ROWS + 9, HO_BLOCK_ROWS + 10)])
+def test_read_a_record_range(tmp_path, start, stop):
+    n = HO_BLOCK_ROWS + 10
+    rng = np.random.default_rng(start)
+    images = rng.normal(size=(n, 3, 2)).astype(np.float32)
+    labels = rng.integers(0, 10, size=n)
+    path = tmp_path / "data.bin"
+    write_dataset(path, images, labels)
+    loaded, got_labels, meta = read_dataset(path, start, stop)
+    assert np.array_equal(loaded, images[start:stop])
+    assert np.array_equal(got_labels, labels[start:stop])
+    assert meta == {"count": n, "width": 2, "height": 3, "n_locations": 9}
+
+
+@pytest.mark.parametrize("start, stop, shown", [
+    (-1, 2, "-1..2"), (3, 2, "3..2"), (0, 5, "0..5"), (5, None, "5..4")])
+def test_read_rejects_a_range_outside_the_file(tmp_path, start, stop, shown):
+    path = tmp_path / "data.bin"
+    write_dataset(path, np.zeros((4, 2, 2), dtype=np.float32), [0, 1, 2, 2])
+    with pytest.raises(ValueError) as exc:
+        read_dataset(path, start, stop)
+    assert str(exc.value) == (f"{path}: records {shown} are outside the "
+                              f"file's 0..4")
+
+
+def test_read_of_a_range_names_a_bad_label_by_its_index_in_the_file(
+        tmp_path):
+    n = HO_BLOCK_ROWS + 50
+    path = tmp_path / "labels.bin"
+    write_dataset(path, np.zeros((n, 2, 2), dtype=np.float32),
+                  np.arange(n) % 3)
+    raw = bytearray(path.read_bytes())
+    raw[HEADER_SIZE + (HO_BLOCK_ROWS + 7) * (1 + 4 * 4)] = 5
+    path.write_bytes(raw)
+    assert len(read_dataset(path, 0, HO_BLOCK_ROWS + 7)[1]) == (
+        HO_BLOCK_ROWS + 7)
+    with pytest.raises(ValueError) as exc:
+        read_dataset(path, HO_BLOCK_ROWS, n)
+    assert str(exc.value) == (f"{path}: record {HO_BLOCK_ROWS + 7} has "
+                              f"label 5, above J = 2")
+
+
 def test_image_csv_export(tmp_path):
     img = np.arange(12, dtype=np.float32).reshape(3, 4) / 7.0
     path = tmp_path / "img.csv"

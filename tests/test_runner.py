@@ -19,6 +19,7 @@ import pytest
 from helpers import (
     records_from_csv,
     reference_write_blocks,
+    traced_peak,
     write_dataset,
     write_malformed_checkpoint,
 )
@@ -475,6 +476,56 @@ def test_failed_draw_keeps_the_old_files(tmp_path, monkeypatch):
         # the barrier needs two drawing threads; neither is the caller's
         assert all(main not in run for run in threads)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("failing", ["test.bin", "manifest.txt"])
+def test_failed_rename_keeps_the_old_files(tmp_path, monkeypatch, failing):
+    # the renames into place fail at the second file, or at the last: every
+    # old file keeps its bytes, and no temporary, set-aside or new file is
+    # left, in a directory of old files and in an empty one
+    out = tmp_path / "o"
+    plan = ExperimentPlan("bke_system1", out, n_val_per_class=1,
+                          n_test_per_class=2, seed=1)
+    generate_dataset(plan)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        if Path(src).name == f".{failing}.partial":
+            raise OSError(f"cannot rename {src}")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    plan.seed = 2
+    with pytest.raises(OSError, match="cannot rename"):
+        generate_dataset(plan, force=True)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    plan.out_dir = tmp_path / "new"
+    with pytest.raises(OSError, match="cannot rename"):
+        generate_dataset(plan)
+    assert list(plan.out_dir.iterdir()) == []
+
+
+def test_generate_renames_onto_free_names(tmp_path, monkeypatch):
+    # over old files, each is set aside and each new file renamed in, and
+    # no rename lands on an existing path
+    plan = ExperimentPlan("lb", tmp_path / "o", n_train_backgrounds=3,
+                          n_val_per_class=1, n_test_per_class=1, seed=1)
+    generate_dataset(plan)
+    renames = []
+    replace = os.replace
+
+    def checked_replace(src, dst):
+        assert not os.path.lexists(dst), dst
+        renames.append(Path(dst).name)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", checked_replace)
+    plan.seed = 2
+    generate_dataset(plan, force=True)
+    names = ["train_backgrounds.bin", "val.bin", "test.bin", "manifest.txt"]
+    assert renames == [f".{n}.old" for n in names] + names
+    assert sorted(p.name for p in plan.out_dir.iterdir()) == sorted(names)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -945,6 +996,121 @@ def test_run_observers_hotelling_and_mcmc_on_lb(tmp_path):
     for row in rows:
         assert row["n_records"] == 20
         assert np.isfinite(row["alroc"])
+
+
+def _observe_in_chunks(monkeypatch, plan):
+    """run_observers on the plan's test split: the (start, stop) of each
+    read of the split, the build_hotelling calls, the indices i of the
+    "mcmc-chain" substreams drawn, and every CSV's bytes."""
+    reads, chains, builds = [], [], []
+    read, draw, build = (runner.read_dataset, runner.substream,
+                         runner.observers.build_hotelling)
+
+    def counted_read(path, start=0, stop=None):
+        reads.append((start, stop))
+        return read(path, start, stop)
+
+    def counted_draw(seed, name, i):
+        if name == "mcmc-chain":
+            chains.append(i)
+        return draw(seed, name, i)
+
+    def counted_build(*args):
+        builds.append(args)
+        return build(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(runner, "read_dataset", counted_read)
+        patch.setattr(runner, "substream", counted_draw)
+        patch.setattr(runner.observers, "build_hotelling", counted_build)
+        run_observers(plan)
+    return reads, len(builds), chains, {
+        p.name: p.read_bytes() for p in sorted(plan.out_dir.glob("*.csv"))}
+
+
+# name -> (HO_BLOCK_ROWS, or None for the 256 in use; test images per
+# class; the chunk edges).  A chunk is HO_BLOCK_ROWS micro-batches of 4
+# images: the split below one block is one piece, a remainder of 2 joins
+# the last chunk, and one of 8 is a chunk of its own.
+_CHUNKS = {"below-block": (16, 1, [0, 10]),
+           "exact": (5, 4, [0, 20, 40]),
+           "joined": (4, 5, [0, 16, 32, 50]),
+           "own-chunk": (4, 4, [0, 16, 32, 40]),
+           "1024": (None, 130, [0, 1024, 1300])}
+
+
+@pytest.mark.parametrize("preset, observers, chunks", [
+    *[pytest.param("bke_system1", ["analytic_io", "hotelling", "cnn_io"], c,
+                   id=f"bke_system1-{c}") for c in _CHUNKS],
+    *[pytest.param("lb", ["hotelling", "mcmc_io"], c, id=f"lb-{c}")
+      for c in list(_CHUNKS)[:-1]]])
+def test_chunked_observers_equal_one_piece(tmp_path, monkeypatch, preset,
+                                           observers, chunks):
+    # the files equal those of the split read in one piece, the Hotelling
+    # templates are built once, and the chains draw from the substreams of
+    # the split's indices
+    block_rows, n_per_class, edges = _CHUNKS[chunks]
+    if block_rows is not None:
+        monkeypatch.setattr(runner.observers, "HO_BLOCK_ROWS", block_rows)
+    plan = ExperimentPlan(preset, tmp_path / "o", observers=observers,
+                          n_val_per_class=0, n_test_per_class=n_per_class,
+                          seed=31, cov_samples=30, mcmc_iterations=60,
+                          mcmc_burn_in=10, bootstrap_samples=20)
+    generate_dataset(plan)
+    task = plan.task
+    arch = neuralnet.Architecture(1, task.grid[::-1], task.J + 1, filters=2)
+    neuralnet.save_checkpoint(plan.out_dir / "checkpoint.bin",
+                              neuralnet.init_state(arch, seed=61))
+    n = edges[-1]
+    reads, builds, chains, chunked = _observe_in_chunks(monkeypatch, plan)
+    assert reads == [(0, 0), *zip(edges, edges[1:])]
+    assert builds == 1
+    assert chains == (list(range(n)) if "mcmc_io" in observers else [])
+    monkeypatch.setattr(runner, "_chunk_edges", lambda count, shape: [0, n])
+    reads, builds, chains, whole = _observe_in_chunks(monkeypatch, plan)
+    assert reads == [(0, 0), (0, n)]
+    assert len(chunked) == 3 * len(observers) + 1
+    assert chunked == whole
+
+
+def test_observers_hold_one_chunk_of_the_split(tmp_path, monkeypatch):
+    # at one usable CPU the reports run in process too; the traced peak of
+    # run_observers on a split of three chunks (1024, 1024 and 952 images)
+    # is below the split's 49 MB: at most the largest chunk, the Hotelling
+    # workspace of its largest block (440 rows in float64) and 4 MB for the
+    # rest (the per-location statistics, the records and their CSVs)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    plan = ExperimentPlan("bke_system1", tmp_path / "o",
+                          observers=["analytic_io", "hotelling"],
+                          n_val_per_class=0, n_test_per_class=300, seed=32,
+                          bootstrap_samples=20)
+    generate_dataset(plan)
+    pixels = 64 * 64
+    split = 3000 * (4 * pixels + 1)
+    bound = 1024 * (4 * pixels + 1) + 440 * pixels * 8 + 4 * 2 ** 20
+    peak = traced_peak(run_observers, plan)
+    assert peak < bound < split
+
+
+def test_bad_label_in_a_later_chunk_writes_no_file(tmp_path, monkeypatch):
+    # with 4-row blocks the chunks are records 0..16 and 16..30; record 21's
+    # label fails the second chunk's read, after the first chunk scored
+    monkeypatch.setattr(runner.observers, "HO_BLOCK_ROWS", 4)
+    plan = ExperimentPlan("bke_system1", tmp_path / "o",
+                          observers=["analytic_io", "hotelling"],
+                          n_val_per_class=0, n_test_per_class=3, seed=33,
+                          bootstrap_samples=20)
+    generate_dataset(plan)
+    path = plan.out_dir / "test.bin"
+    raw = bytearray(path.read_bytes())
+    raw[HEADER_SIZE + 21 * (1 + 4 * 64 * 64)] = 10
+    path.write_bytes(raw)
+    calls = _count_scoring_calls(monkeypatch)
+    with pytest.raises(ValueError) as caught:
+        run_observers(plan)
+    assert str(caught.value) == f"{path}: record 21 has label 10, above J = 9"
+    assert calls["laplacian_io_log_lrs_batch"] == 1
+    assert not list(plan.out_dir.glob("*.csv"))
 
 
 def test_hotelling_covariance_stack_equals_list_and_stack(tmp_path,
