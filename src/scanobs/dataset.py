@@ -17,12 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .observers import HO_BLOCK_ROWS
-
 MAGIC = b"SCANOBS1"
 VERSION = 1
 _HEADER = struct.Struct("<8sIQIII")
 HEADER_SIZE = 64
+READ_ROWS = 256  # records per read of read_dataset
 
 
 def _record(height, width):
@@ -111,9 +110,9 @@ def read_dataset(path, start: int = 0, stop: int | None = None):
 
     The header and the file's size are checked before anything is
     allocated, and a range outside 0..count is rejected.  The records are
-    read HO_BLOCK_ROWS at a time through one buffer into the returned
-    arrays, so the images are held once; a label above J is named by its
-    record's index in the file."""
+    read READ_ROWS at a time through one buffer into the returned arrays,
+    so the images are held once; a label above J is named by its record's
+    index in the file."""
     with open(path, "rb") as fh:
         head = fh.read(HEADER_SIZE)
         if len(head) < HEADER_SIZE:
@@ -135,9 +134,9 @@ def read_dataset(path, start: int = 0, stop: int | None = None):
         fh.seek(HEADER_SIZE + start * record.itemsize)
         labels = np.empty(n, dtype=np.uint8)
         images = np.empty((n, height, width), dtype=np.float32)
-        chunk = np.empty(min(n, HO_BLOCK_ROWS), dtype=record)
-        for lo in range(0, n, HO_BLOCK_ROWS):
-            part = chunk[:min(n - lo, HO_BLOCK_ROWS)]
+        chunk = np.empty(min(n, READ_ROWS), dtype=record)
+        for lo in range(0, n, READ_ROWS):
+            part = chunk[:min(n - lo, READ_ROWS)]
             if fh.readinto(part) != part.nbytes:
                 raise ValueError(f"{path}: truncated file")
             labels[lo:lo + len(part)] = part["label"]

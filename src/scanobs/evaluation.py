@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,9 +162,6 @@ def curve_to_csv(path, curve: LrocCurve):
 
 def report_to_csv(path, rows: list[dict]):
     """Write the figure-of-merit report: one row per (observer, task, system)."""
-    fields = ["observer", "task", "system", "alroc", "alroc_se",
+    header = ["observer", "task", "system", "alroc", "alroc_se",
               "auc", "auc_se", "n_records"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
+    columns_to_csv(path, header, [[r[k] for r in rows] for k in header])

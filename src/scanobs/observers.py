@@ -14,9 +14,7 @@ from . import workers
 
 _BLOCK_ROWS = 16  # images per block in laplacian_io_log_lrs_batch
 _GRAM_COLUMNS = 256  # pixel columns per block in build_hotelling
-# images per block in scanning_ho_records; dataset.read_dataset reads the
-# records in chunks of as many
-HO_BLOCK_ROWS = 256
+HO_BLOCK_ROWS = 256  # images per block in scanning_ho_records (block_edges)
 
 
 @dataclass
@@ -206,23 +204,29 @@ def build_hotelling(backgrounds, signals,
     return HotellingObserverState(templates, mean_bg, signals)
 
 
+def block_edges(n):
+    """Edges of the blocks of n images that scanning_ho_records walks:
+    HO_BLOCK_ROWS images each, the last also taking a remainder below
+    HO_BLOCK_ROWS ([0, 0] for n = 0)."""
+    edges = [i * HO_BLOCK_ROWS for i in range(max(n // HO_BLOCK_ROWS, 1))]
+    return edges + [n]
+
+
 def scanning_ho_records(images, labels,
                         state: HotellingObserverState) -> Records:
     """Scanning HO: lambda_j = w_j^T (g - mean_b - s_j / 2); the binary
     statistic is max_j lambda_j.
 
-    The stack is walked in blocks of HO_BLOCK_ROWS images, the last taking
-    the remainder, so no product has fewer than min(N, HO_BLOCK_ROWS) rows:
-    OpenBLAS rounds products of a few rows on another path, and these keep
-    the whole-stack product's bits.  The two halves of the blocks run on
-    two threads (workers.two_threads), each through its own float64
-    workspace.
+    The stack is walked in the blocks of block_edges, so no product has
+    fewer than min(N, HO_BLOCK_ROWS) rows: OpenBLAS rounds products of a
+    few rows on another path, and these keep the whole-stack product's
+    bits.  The two halves of the blocks run on two threads
+    (workers.two_threads), each through its own float64 workspace.
     """
     n = len(images)
     flat = images.reshape(n, -1)
     lams = np.empty((n, len(state.templates)))
-    edges = [i * HO_BLOCK_ROWS for i in range(max(n // HO_BLOCK_ROWS, 1))]
-    edges.append(n)
+    edges = block_edges(n)
 
     def blocks(first, last):  # the last block of a half is its largest
         work = np.empty((edges[last] - edges[last - 1], flat.shape[1]))
@@ -237,12 +241,12 @@ def scanning_ho_records(images, labels,
 
 
 def columns_to_csv(path, header, columns):
-    """Write equal-length columns of Python numbers (as from tolist) under a
-    header, in the bytes csv.writer gives: each value as its repr (a
-    float's shortest round trip), comma separated and unquoted, each line
-    ended by "\\r\\n"."""
+    """Write equal-length columns of Python numbers (as from tolist) and
+    fixed identifiers under a header, in the bytes csv.writer gives: each
+    value as its str (a float's shortest round trip), comma separated and
+    unquoted, each line ended by "\\r\\n"."""
     lines = [",".join(header)]
-    lines += map(",".join, zip(*[list(map(repr, c)) for c in columns]))
+    lines += map(",".join, zip(*[list(map(str, c)) for c in columns]))
     lines.append("")
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines))

@@ -20,9 +20,9 @@ from .neuralnet import Architecture, TrainSchedule, TrainingDiverged
 from .rng import stream, substream
 from .tasks import PRESETS, TaskConfig, simulate_measurement, task_preset
 
-# JSON types a plan key may hold, by the annotation of its ExperimentPlan
-# field; an int is accepted for a float, and a bool for nothing
-_JSON_TYPES = {"str": str, "Path": str, "list[str]": list, "int": int,
+# Types a plan key may hold, by the annotation of its ExperimentPlan field
+# (JSON gives no Path); an int is accepted for a float, and a bool for nothing
+_JSON_TYPES = {"str": str, "Path": (str, Path), "list[str]": list, "int": int,
                "float": (int, float), "int | list[int]": (int, list)}
 
 # Smallest accepted value of each bounded count
@@ -80,6 +80,10 @@ class ExperimentPlan:
     bootstrap_samples: int = 1000
 
     def __post_init__(self):
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if type(val) is bool or not isinstance(val, _JSON_TYPES[f.type]):
+                raise ConfigError(f"{f.name}: must be {f.type}, got {val!r}")
         if self.preset not in PRESETS:
             raise ConfigError(f"preset: unknown preset {self.preset!r}; "
                               f"expected one of {PRESETS}")
@@ -262,17 +266,13 @@ def _read_split(path, task, start=0, stop=None):
 
 def _chunk_edges(n, shape):
     """Edges of the chunks in which run_observers reads a split of n images
-    of shape (h, w): HO_BLOCK_ROWS network micro-batches each (1024 images
-    at 64x64), the last also taking a remainder below HO_BLOCK_ROWS.  So
-    every Hotelling block (observers.scanning_ho_records) and every network
-    micro-batch (neuralnet.forward_posteriors) of a chunk is one that a
-    call on the whole split makes, and a split of one chunk or less is one
-    piece."""
-    size = observers.HO_BLOCK_ROWS * neuralnet._micro_batch_images(shape)
-    edges = [*range(0, n, size), n]
-    if len(edges) > 2 and n - edges[-2] < observers.HO_BLOCK_ROWS:
-        del edges[-2]
-    return edges
+    of shape (h, w): every k-th edge of observers.block_edges(n), k being
+    the images of a network micro-batch (chunks of 1024 images at 64x64).
+    So every Hotelling block and network micro-batch of a chunk is one
+    that a call on the whole split makes, and a split of one chunk or less
+    is one piece."""
+    edges = observers.block_edges(n)
+    return edges[:-1:neuralnet._micro_batch_images(shape)] + [n]
 
 
 def _analytic_io(task, plan):

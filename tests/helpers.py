@@ -1,18 +1,20 @@
 """Test-only dataset writers (among them the per-block split and store
 reference), readers of evaluation and observer outputs, the
 comparison-matrix LROC/ROC sweep, the per-record-score bootstrap, the
-``csv.writer`` records and curve writers, a malformed checkpoint writer, the
-whole-stack scanning Hotelling observer, the im2col einsum network that the
-channels-last convolution is checked against, the band-copy convolutions,
-the channels-last network with those convolutions, ``np.where``
-activations and an argmax pool, and the ``rng.uniform`` samplers and the
-per-lump, whole-image (with its own ``hypot`` blob evaluator) and
-per-iteration lumpy-background references; the splits, the curves, the
-Hotelling records, the figures of merit, the CSV bytes, the network
-passes, the sampling and the rendering must equal these bit for bit, and
-the MCMC chain must take the reference chain's path with its statistics
-within 1e-10.  Also the traced allocation peak of a call, and a Python
-snippet's output at one and two OpenBLAS threads."""
+``csv.writer`` records and curve writers and the ``csv.DictWriter`` report
+writer, a malformed checkpoint writer, the remainder rule of the
+observers' chunks, the whole-stack scanning Hotelling observer, the im2col
+einsum network that the channels-last convolution is checked against, the
+band-copy convolutions, the channels-last network with those
+convolutions, ``np.where`` activations and an argmax pool, and the
+``rng.uniform`` samplers and the per-lump, whole-image (with its own
+``hypot`` blob evaluator) and per-iteration lumpy-background references;
+the splits, the curves, the chunk edges, the Hotelling records, the
+figures of merit, the CSV bytes, the network passes, the sampling and the
+rendering must equal these bit for bit, and the MCMC chain must take the
+reference chain's path with its statistics within 1e-10.  Also the traced
+allocation peak of a call, and a Python snippet's output at one and two
+OpenBLAS threads."""
 
 import csv
 import math
@@ -26,7 +28,7 @@ from textwrap import dedent
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from scanobs import neuralnet
+from scanobs import neuralnet, observers
 from scanobs.dataset import DatasetWriter
 from scanobs.evaluation import FomEstimate, LrocCurve, _split_records
 from scanobs.imaging import pixel_grid
@@ -116,6 +118,17 @@ def stdout_at_blas_threads(code):
     return found
 
 
+def reference_chunk_edges(n, shape):
+    """runner._chunk_edges as a rule of its own: chunks of HO_BLOCK_ROWS
+    network micro-batches each, the last also taking a remainder below
+    HO_BLOCK_ROWS."""
+    size = observers.HO_BLOCK_ROWS * neuralnet._micro_batch_images(shape)
+    edges = [*range(0, n, size), n]
+    if len(edges) > 2 and n - edges[-2] < observers.HO_BLOCK_ROWS:
+        del edges[-2]
+    return edges
+
+
 def reference_scanning_ho_records(images, labels, state):
     """The scanning HO with the whole stack in one float64 copy and one
     product."""
@@ -183,6 +196,16 @@ def reference_records_to_csv(path, records: Records):
                              records.chosen_location.tolist(),
                              records.binary_statistic.tolist(),
                              *records.per_location.T.tolist()))
+
+
+def reference_report_to_csv(path, rows: list[dict]):
+    """evaluation.report_to_csv through csv.DictWriter."""
+    fields = ["observer", "task", "system", "alroc", "alroc_se",
+              "auc", "auc_se", "n_records"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def reference_curve_to_csv(path, curve: LrocCurve):

@@ -1,12 +1,21 @@
 import hashlib
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import image_to_csv, traced_peak, write_dataset
-from scanobs.dataset import HEADER_SIZE, DatasetWriter, read_dataset
-from scanobs.observers import HO_BLOCK_ROWS
+from scanobs import dataset
+from scanobs.dataset import (
+    HEADER_SIZE,
+    READ_ROWS,
+    DatasetWriter,
+    read_dataset,
+)
 
 
 def test_round_trip(tmp_path):
@@ -22,8 +31,8 @@ def test_round_trip(tmp_path):
     assert meta["width"] == 6 and meta["height"] == 4
 
 
-@pytest.mark.parametrize("n", [HO_BLOCK_ROWS - 1, HO_BLOCK_ROWS,
-                               HO_BLOCK_ROWS + 1, 2 * HO_BLOCK_ROWS + 3])
+@pytest.mark.parametrize("n", [READ_ROWS - 1, READ_ROWS, READ_ROWS + 1,
+                               2 * READ_ROWS + 3])
 def test_round_trip_across_chunks(tmp_path, n):
     rng = np.random.default_rng(n)
     images = rng.normal(size=(n, 3, 5)).astype(np.float32)
@@ -45,7 +54,7 @@ def test_read_holds_the_images_once(tmp_path):
     write_dataset(path, np.zeros((n, 64, 64), dtype=np.float32),
                   np.arange(n) % 10)
     arrays = n * 64 * 64 * 4 + n
-    chunk = HO_BLOCK_ROWS * (1 + 64 * 64 * 4)
+    chunk = READ_ROWS * (1 + 64 * 64 * 4)
     assert traced_peak(read_dataset, path) <= arrays + chunk + 64 * 1024
 
 
@@ -177,25 +186,25 @@ def test_read_rejects_label_above_j(tmp_path):
 
 
 def test_read_names_the_first_bad_label_past_the_first_chunk(tmp_path):
-    n = HO_BLOCK_ROWS + 50
+    n = READ_ROWS + 50
     path = tmp_path / "labels.bin"
     write_dataset(path, np.zeros((n, 2, 2), dtype=np.float32),
                   np.arange(n) % 3)
     raw = bytearray(path.read_bytes())
-    for i in (HO_BLOCK_ROWS + 7, HO_BLOCK_ROWS + 9):
+    for i in (READ_ROWS + 7, READ_ROWS + 9):
         raw[HEADER_SIZE + i * (1 + 4 * 4)] = 5
     path.write_bytes(raw)
     with pytest.raises(ValueError) as exc:
         read_dataset(path)
-    assert str(exc.value) == (f"{path}: record {HO_BLOCK_ROWS + 7} has "
+    assert str(exc.value) == (f"{path}: record {READ_ROWS + 7} has "
                               f"label 5, above J = 2")
 
 
 @pytest.mark.parametrize("start, stop", [
-    (0, 0), (3, 3), (0, 7), (5, HO_BLOCK_ROWS + 9), (HO_BLOCK_ROWS - 1, None),
-    (HO_BLOCK_ROWS + 9, HO_BLOCK_ROWS + 10)])
+    (0, 0), (3, 3), (0, 7), (5, READ_ROWS + 9), (READ_ROWS - 1, None),
+    (READ_ROWS + 9, READ_ROWS + 10)])
 def test_read_a_record_range(tmp_path, start, stop):
-    n = HO_BLOCK_ROWS + 10
+    n = READ_ROWS + 10
     rng = np.random.default_rng(start)
     images = rng.normal(size=(n, 3, 2)).astype(np.float32)
     labels = rng.integers(0, 10, size=n)
@@ -220,18 +229,17 @@ def test_read_rejects_a_range_outside_the_file(tmp_path, start, stop, shown):
 
 def test_read_of_a_range_names_a_bad_label_by_its_index_in_the_file(
         tmp_path):
-    n = HO_BLOCK_ROWS + 50
+    n = READ_ROWS + 50
     path = tmp_path / "labels.bin"
     write_dataset(path, np.zeros((n, 2, 2), dtype=np.float32),
                   np.arange(n) % 3)
     raw = bytearray(path.read_bytes())
-    raw[HEADER_SIZE + (HO_BLOCK_ROWS + 7) * (1 + 4 * 4)] = 5
+    raw[HEADER_SIZE + (READ_ROWS + 7) * (1 + 4 * 4)] = 5
     path.write_bytes(raw)
-    assert len(read_dataset(path, 0, HO_BLOCK_ROWS + 7)[1]) == (
-        HO_BLOCK_ROWS + 7)
+    assert len(read_dataset(path, 0, READ_ROWS + 7)[1]) == READ_ROWS + 7
     with pytest.raises(ValueError) as exc:
-        read_dataset(path, HO_BLOCK_ROWS, n)
-    assert str(exc.value) == (f"{path}: record {HO_BLOCK_ROWS + 7} has "
+        read_dataset(path, READ_ROWS, n)
+    assert str(exc.value) == (f"{path}: record {READ_ROWS + 7} has "
                               f"label 5, above J = 2")
 
 
@@ -241,3 +249,16 @@ def test_image_csv_export(tmp_path):
     image_to_csv(path, img)
     back = np.loadtxt(path, delimiter=",")
     np.testing.assert_allclose(back, img, rtol=1e-6)
+
+
+def test_dataset_imports_no_scanobs_module():
+    # the file format is a leaf: the reader sizes its buffer by its own
+    # READ_ROWS, and importing it loads no observer, network or runner
+    src = str(Path(dataset.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, scanobs.dataset; "
+            "print(sorted(m for m in sys.modules if m.startswith('scanobs')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    assert out == "['scanobs', 'scanobs.dataset']\n"

@@ -11,6 +11,7 @@ from helpers import (
     reference_curve,
     reference_curve_to_csv,
     reference_records_to_csv,
+    reference_report_to_csv,
     reference_two_afc,
 )
 from scanobs.evaluation import (
@@ -349,6 +350,22 @@ def test_records_and_report_writers_emit_exact_text(tmp_path):
         b"hotelling,lb_gaussian,lb,0.625,0.30000000000000004,0.75,0.001,90"
         b"\r\n"
         b"mcmc_io,lb_gaussian,lb,1.0,0.0,1.0,0.0,10\r\n")
+
+
+def test_report_writer_equals_dict_writer_reference(tmp_path):
+    # the report's names, floats and ints in the bytes of csv.DictWriter
+    row = {"observer": "analytic_io", "task": "bke_laplacian",
+           "system": "bke_system1", "alroc": 0.5, "alroc_se": 0.0,
+           "auc": 1.0, "auc_se": 0.25, "n_records": 10}
+    odd = [{**row, "alroc": math.nan, "alroc_se": -0.0, "auc": 1e-300,
+            "auc_se": 0.1 + 0.2, "n_records": 10 ** 30},
+           {**row, "observer": "cnn_io", "alroc": -1.25e-7,
+            "alroc_se": math.inf, "auc": 2.0 / 3.0, "n_records": 0}]
+    for rows in (odd, [row], []):
+        report_to_csv(tmp_path / "report.csv", rows)
+        reference_report_to_csv(tmp_path / "reference.csv", rows)
+        assert (tmp_path / "report.csv").read_bytes() == (
+            tmp_path / "reference.csv").read_bytes()
 
 
 @pytest.mark.parametrize("lam_dtype", [np.float64, np.float32])

@@ -18,12 +18,13 @@ import pytest
 
 from helpers import (
     records_from_csv,
+    reference_chunk_edges,
     reference_write_blocks,
     traced_peak,
     write_dataset,
     write_malformed_checkpoint,
 )
-from scanobs import neuralnet, runner, workers
+from scanobs import neuralnet, observers, runner, workers
 from scanobs.cli import main
 from scanobs.dataset import HEADER_SIZE, DatasetWriter, read_dataset
 from scanobs.mcmc import McmcConfig, mcmc_io_record
@@ -152,6 +153,18 @@ def test_plan_rejects_out_of_range_settings(tmp_path, overrides):
     key = next(iter(overrides))
     with pytest.raises(ConfigError, match=f"^{key}: "):
         ExperimentPlan("bke_system1", tmp_path, **overrides)
+
+
+@pytest.mark.parametrize("key, value, annotation", [
+    ("n_test_per_class", "5", "int"), ("seed", None, "int"),
+    ("learning_rate", "x", "float"), ("observers", "hotelling", "list[str]")])
+def test_plan_rejects_a_wrong_typed_field(tmp_path, key, value, annotation):
+    # a plan built directly, not from JSON: a one-line error naming the key,
+    # not a TypeError from comparing a string or None with a bound, nor a
+    # string of observers read letter by letter
+    with pytest.raises(ConfigError) as exc:
+        ExperimentPlan("bke_system1", tmp_path, **{key: value})
+    assert str(exc.value) == f"{key}: must be {annotation}, got {value!r}"
 
 
 def test_plan_accepts_smallest_settings(tmp_path):
@@ -1026,6 +1039,19 @@ def _observe_in_chunks(monkeypatch, plan):
         run_observers(plan)
     return reads, len(builds), chains, {
         p.name: p.read_bytes() for p in sorted(plan.out_dir.glob("*.csv"))}
+
+
+@pytest.mark.parametrize("block_rows", [None, 2, 4, 5])
+def test_chunk_edges_equal_the_remainder_rule(monkeypatch, block_rows):
+    # every k-th Hotelling block edge gives the chunks of k micro-batches,
+    # the last taking a remainder below one block, and no other edge
+    if block_rows is not None:
+        monkeypatch.setattr(observers, "HO_BLOCK_ROWS", block_rows)
+    for shape in ((64, 64), (128, 128), (16, 16)):
+        for n in range(1, 2500):
+            edges = runner._chunk_edges(n, shape)
+            assert edges == reference_chunk_edges(n, shape)
+            assert set(edges) <= set(observers.block_edges(n))
 
 
 # name -> (HO_BLOCK_ROWS, or None for the 256 in use; test images per
