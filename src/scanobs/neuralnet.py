@@ -21,11 +21,13 @@ from the cached output, as out > 0 exactly where y > 0; and the 2x2 max-pool
 of four strided views, with argmax's first-occurrence gradient routing.
 
 Each call runs as micro-batches of 16384 pixels (4 images at 64x64), which
-every convolution takes whole, mapped over forked single-BLAS-thread workers
+every convolution takes whole, and the dense head zero-padded to a whole
+one's rows, so an image's posteriors have the same bits alone as in any
+batch; they are mapped over forked single-BLAS-thread workers
 (``workers``).  An inference micro-batch returns its images' posteriors.  A
 training micro-batch returns their cross-entropies and its gradient, with
-the logit gradient scaled by 1/B of the whole batch, and the gradients are
-summed in micro-batch order.  Inference is the training pass without the
+the logit gradient scaled by 1/B of the whole batch, the gradients summed
+in micro-batch order.  Inference is the training pass without the
 backward, on the same micro-batches, so a set's validation loss is its
 training loss.
 """
@@ -250,8 +252,13 @@ def _forward_batch(x, state: NetworkState, keep_cache: bool):
 
 
 def _head(flat, state: NetworkState):
-    """Dense-layer logits of the flattened pooled features."""
-    return flat @ state.params[-2].T + state.params[-1]
+    """Dense-layer logits of the flattened pooled features, from a product
+    of at least a micro-batch's rows, fewer images zero-padded to that
+    count: OpenBLAS rounds a product of a few rows on another path."""
+    n = len(flat)
+    rows = max(n, _micro_batch_images(state.arch.input_shape))
+    logits = np.pad(flat, ((0, rows - n), (0, 0))) @ state.params[-2].T
+    return logits[:n] + state.params[-1]
 
 
 def _backward_batch(dlogits, cache, state: NetworkState):

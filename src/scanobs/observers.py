@@ -14,7 +14,7 @@ from . import workers
 
 _BLOCK_ROWS = 16  # images per block in laplacian_io_log_lrs_batch
 _GRAM_COLUMNS = 256  # pixel columns per block in build_hotelling
-HO_BLOCK_ROWS = 256  # images per block in scanning_ho_records (block_edges)
+HO_BLOCK_ROWS = 256  # rows of every block product in scanning_ho_records
 
 
 @dataclass
@@ -204,38 +204,33 @@ def build_hotelling(backgrounds, signals,
     return HotellingObserverState(templates, mean_bg, signals)
 
 
-def block_edges(n):
-    """Edges of the blocks of n images that scanning_ho_records walks:
-    HO_BLOCK_ROWS images each, the last also taking a remainder below
-    HO_BLOCK_ROWS ([0, 0] for n = 0)."""
-    edges = [i * HO_BLOCK_ROWS for i in range(max(n // HO_BLOCK_ROWS, 1))]
-    return edges + [n]
-
-
 def scanning_ho_records(images, labels,
                         state: HotellingObserverState) -> Records:
     """Scanning HO: lambda_j = w_j^T (g - mean_b - s_j / 2); the binary
     statistic is max_j lambda_j.
 
-    The stack is walked in the blocks of block_edges, so no product has
-    fewer than min(N, HO_BLOCK_ROWS) rows: OpenBLAS rounds products of a
-    few rows on another path, and these keep the whole-stack product's
-    bits.  The two halves of the blocks run on two threads
-    (workers.two_threads), each through its own float64 workspace.
+    The stack is walked in blocks of HO_BLOCK_ROWS images, and every
+    product has HO_BLOCK_ROWS rows, a short block's padding rows dropped:
+    OpenBLAS rounds a product of a few rows on another path, so an image's
+    record has the same bits in any stack.  The two halves of the blocks
+    run on two threads (workers.two_threads), each through its own
+    HO_BLOCK_ROWS-row float64 workspace.
     """
     n = len(images)
     flat = images.reshape(n, -1)
     lams = np.empty((n, len(state.templates)))
-    edges = block_edges(n)
 
-    def blocks(first, last):  # the last block of a half is its largest
-        work = np.empty((edges[last] - edges[last - 1], flat.shape[1]))
-        for lo, hi in zip(edges[first:last], edges[first + 1:last + 1]):
-            np.subtract(flat[lo:hi], state.mean_background,
-                        out=work[:hi - lo])
-            np.matmul(work[:hi - lo], state.templates.T, out=lams[lo:hi])
+    def blocks(first, last):
+        # zeroed once: a padding row holds zeros or an earlier block's row,
+        # never uninitialised memory, whose denormals slow the product
+        work = np.zeros((HO_BLOCK_ROWS, flat.shape[1]))
+        for lo in range(first, last, HO_BLOCK_ROWS):
+            rows = min(last - lo, HO_BLOCK_ROWS)
+            np.subtract(flat[lo:lo + rows], state.mean_background,
+                        out=work[:rows])
+            lams[lo:lo + rows] = (work @ state.templates.T)[:rows]
 
-    workers.two_threads(blocks, len(edges) - 1, 1)
+    workers.two_threads(blocks, n, HO_BLOCK_ROWS)
     lams -= 0.5 * (state.templates * state.signals).sum(axis=1)
     return records_from_statistics(lams, labels, lams.max(axis=1))
 

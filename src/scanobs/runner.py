@@ -7,7 +7,7 @@ import csv
 import json
 import os
 import time
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import repeat
 from pathlib import Path
 
@@ -40,24 +40,12 @@ _OBSERVER_PRESETS = {"analytic_io": ("bke_system1", "bke_system2"),
 # from its own substream, a split block's noise in one apply_noise call
 _NOISE_BLOCK = 64
 
+# Pixels per chunk that run_observers reads: 1024 images at 64x64
+_CHUNK_PIXELS = 1024 * 64 * 64
+
 
 class ConfigError(ValueError):
     pass
-
-
-def _check_observers(plan):
-    """Each of the plan's observers is a known name, listed once, whose
-    presets include the plan's; ConfigError otherwise."""
-    names, preset = plan.observers, plan.preset
-    for i, obs in enumerate(names):
-        if not isinstance(obs, str) or obs not in OBSERVERS:
-            raise ConfigError(f"observers: unknown observer {obs!r}")
-        if obs in names[:i]:
-            raise ConfigError(f"observers: {obs!r} is listed twice")
-        if preset not in _OBSERVER_PRESETS.get(obs, PRESETS):
-            raise ConfigError(f"observers: {obs} needs preset "
-                              f"{' or '.join(_OBSERVER_PRESETS[obs])}, "
-                              f"not {preset!r}")
 
 
 @dataclass
@@ -87,7 +75,15 @@ class ExperimentPlan:
         if self.preset not in PRESETS:
             raise ConfigError(f"preset: unknown preset {self.preset!r}; "
                               f"expected one of {PRESETS}")
-        _check_observers(self)
+        for i, obs in enumerate(self.observers):
+            if not isinstance(obs, str) or obs not in OBSERVERS:
+                raise ConfigError(f"observers: unknown observer {obs!r}")
+            if obs in self.observers[:i]:
+                raise ConfigError(f"observers: {obs!r} is listed twice")
+            if self.preset not in _OBSERVER_PRESETS.get(obs, PRESETS):
+                raise ConfigError(f"observers: {obs} needs preset "
+                                  f"{' or '.join(_OBSERVER_PRESETS[obs])}, "
+                                  f"not {self.preset!r}")
         for key, least in _LEAST.items():
             if getattr(self, key) < least:
                 raise ConfigError(f"{key}: must be at least {least}, got "
@@ -190,6 +186,7 @@ def generate_dataset(plan: ExperimentPlan, force: bool = False) -> dict:
     against a failing or interrupted process, not against power loss.
     Returns the manifest entries.
     """
+    plan = replace(plan)  # checked again, as in run_observers
     task = plan.task
     out = plan.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -266,13 +263,11 @@ def _read_split(path, task, start=0, stop=None):
 
 def _chunk_edges(n, shape):
     """Edges of the chunks in which run_observers reads a split of n images
-    of shape (h, w): every k-th edge of observers.block_edges(n), k being
-    the images of a network micro-batch (chunks of 1024 images at 64x64).
-    So every Hotelling block and network micro-batch of a chunk is one
-    that a call on the whole split makes, and a split of one chunk or less
-    is one piece."""
-    edges = observers.block_edges(n)
-    return edges[:-1:neuralnet._micro_batch_images(shape)] + [n]
+    of shape (h, w): _CHUNK_PIXELS pixels of images each (at least one),
+    the last taking the rest.  An observer's record of an image depends on
+    that image alone, so any cut gives the records of the whole split."""
+    k = max(1, _CHUNK_PIXELS // (shape[0] * shape[1]))
+    return [*range(0, n, k), n]
 
 
 def _analytic_io(task, plan):
@@ -386,8 +381,9 @@ def run_observers(plan: ExperimentPlan) -> list[dict]:
     """Run the configured observers on the test split; write records,
     curves, and the figure-of-merit report.
 
-    The observer list is checked again first, since a plan's observers
-    can be reassigned after construction, then the split's header.  Every
+    A copy of the plan is checked first (replace runs __post_init__), as
+    a field can be reassigned after construction; then the observer list
+    must not be empty, and the split's header is read.  Every
     observer is set up next, in plan order, so a failed check (a missing
     or mismatched checkpoint) raises before any observer scores.  The
     split is then read a chunk at a time (_chunk_edges), one read_dataset
@@ -398,9 +394,9 @@ def run_observers(plan: ExperimentPlan) -> list[dict]:
     written.  Then each observer's files and figures of merit are one task
     of a workers.task_map, and the report lists the rows in observer
     order."""
+    plan = replace(plan)
     if not plan.observers:
         raise ConfigError("observers: empty observer list")
-    _check_observers(plan)
     task = plan.task
     test_path = plan.out_dir / "test.bin"
     n = _read_split(test_path, task, 0, 0)[2]
@@ -424,6 +420,7 @@ def run_observers(plan: ExperimentPlan) -> list[dict]:
 
 def run_training(plan: ExperimentPlan):
     """Train the posterior network per plan; writes checkpoint + log CSV."""
+    plan = replace(plan)  # checked again, as in run_observers
     task = plan.task
     out = plan.out_dir
     backgrounds = None

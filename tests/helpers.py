@@ -2,19 +2,19 @@
 reference), readers of evaluation and observer outputs, the
 comparison-matrix LROC/ROC sweep, the per-record-score bootstrap, the
 ``csv.writer`` records and curve writers and the ``csv.DictWriter`` report
-writer, a malformed checkpoint writer, the remainder rule of the
-observers' chunks, the whole-stack scanning Hotelling observer, the im2col
+writer, a malformed checkpoint writer, the whole-stack scanning Hotelling
+observer (its one product padded to at least a block's rows), the im2col
 einsum network that the channels-last convolution is checked against, the
 band-copy convolutions, the channels-last network with those
-convolutions, ``np.where`` activations and an argmax pool, and the
-``rng.uniform`` samplers and the per-lump, whole-image (with its own
-``hypot`` blob evaluator) and per-iteration lumpy-background references;
-the splits, the curves, the chunk edges, the Hotelling records, the
-figures of merit, the CSV bytes, the network passes, the sampling and the
-rendering must equal these bit for bit, and the MCMC chain must take the
-reference chain's path with its statistics within 1e-10.  Also the traced
-allocation peak of a call, and a Python snippet's output at one and two
-OpenBLAS threads."""
+convolutions, ``np.where`` activations, an argmax pool and a head padded
+to a micro-batch's rows, and the ``rng.uniform`` samplers and the
+per-lump, whole-image (with its own ``hypot`` blob evaluator) and
+per-iteration lumpy-background references; the splits, the curves, the
+Hotelling records, the figures of merit, the CSV bytes, the network
+passes, the sampling and the rendering must equal these bit for bit, and
+the MCMC chain must take the reference chain's path with its statistics
+within 1e-10.  Also the traced allocation peak of a call, and a Python
+snippet's output at one and two OpenBLAS threads."""
 
 import csv
 import math
@@ -118,24 +118,15 @@ def stdout_at_blas_threads(code):
     return found
 
 
-def reference_chunk_edges(n, shape):
-    """runner._chunk_edges as a rule of its own: chunks of HO_BLOCK_ROWS
-    network micro-batches each, the last also taking a remainder below
-    HO_BLOCK_ROWS."""
-    size = observers.HO_BLOCK_ROWS * neuralnet._micro_batch_images(shape)
-    edges = [*range(0, n, size), n]
-    if len(edges) > 2 and n - edges[-2] < observers.HO_BLOCK_ROWS:
-        del edges[-2]
-    return edges
-
-
 def reference_scanning_ho_records(images, labels, state):
-    """The scanning HO with the whole stack in one float64 copy and one
-    product."""
+    """The scanning HO with the whole stack in one float64 copy, zero-padded
+    to at least HO_BLOCK_ROWS rows, and one product."""
     n = len(images)
-    flat = images.reshape(n, -1).astype(np.float64)  # a copy, even of float64
-    flat -= state.mean_background
-    lams = flat @ state.templates.T \
+    flat = np.zeros((max(n, observers.HO_BLOCK_ROWS),
+                     math.prod(images.shape[1:])))
+    flat[:n] = images.reshape(n, -1)
+    flat[:n] -= state.mean_background
+    lams = (flat @ state.templates.T)[:n] \
         - 0.5 * (state.templates * state.signals).sum(axis=1)
     return records_from_statistics(lams, labels, lams.max(axis=1))
 
@@ -412,7 +403,12 @@ def _reference_forward_batch(x, state, keep_cache):
     pooled, idx = _reference_pool_forward(a)
     flat = pooled.transpose(0, 3, 1, 2).reshape(len(x), -1)
     wd, bd = state.params[-2], state.params[-1]
-    logits = flat @ wd.T + bd
+    # the head multiplies at least a micro-batch's rows, zero-padded
+    n = len(x)
+    rows = max(n, neuralnet._PIXELS // (x.shape[1] * x.shape[2]))
+    padded = np.zeros((rows, flat.shape[1]), dtype=flat.dtype)
+    padded[:n] = flat
+    logits = (padded @ wd.T)[:n] + bd
     cache = (caches, idx, a.shape, flat) if keep_cache else None
     return logits, cache
 

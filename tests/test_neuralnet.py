@@ -747,6 +747,20 @@ def test_micro_batched_gradient_matches_whole_batch(parts):
         _assert_close(g, g_ref)
 
 
+@pytest.mark.parametrize("n", [3, 7])
+def test_each_image_alone_equals_its_row_of_the_stack(n):
+    # the head multiplies a micro-batch's rows, a short one zero-padded, so
+    # an image's posteriors have the same bits alone as in its micro-batch
+    # of 4 images at 64x64, whole or partial
+    state = init_state(Architecture(2, (64, 64), filters=4), seed=63)
+    images = np.random.default_rng(64).normal(
+        size=(n, 64, 64)).astype(np.float32)
+    stack = forward_posteriors(images, state)
+    for i in range(n):
+        assert np.array_equal(forward_posteriors(images[i:i + 1], state)[0],
+                              stack[i]), i
+
+
 def test_gradient_bytes_do_not_depend_on_blas_threads():
     # one 13-image block of a 32-filter 6x10 net: at two threads, its
     # (160 x 780) @ (780 x 32) layer-1 weight-gradient GEMM rounds otherwise

@@ -376,8 +376,8 @@ def _ho_stack(preset):
 @pytest.mark.parametrize("preset", ["bke_system1", "lb"])
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 511, 522, 1001])
 def test_scanning_ho_blocks_equal_whole_stack(preset, n):
-    # below 256 rows, one product; above, blocks of 256 with the remainder
-    # joined to the last (257 and 511 rows are one block, 522 two)
+    # every block product has 256 rows: one image is one block padded by
+    # 255 rows, 257 images a whole block and one of 1 row padded by 255
     assert observers.HO_BLOCK_ROWS == 256
     state, imgs, labels = _ho_stack(preset)
     _assert_records_equal(
@@ -405,8 +405,8 @@ def test_scanning_ho_records_do_not_depend_on_blas_threads():
 
 
 def _ho_peak_over_workspace(monkeypatch, cpus, workspace_rows):
-    # 2000 images are 7 blocks, the last of 464 rows; a block never has
-    # more than 2 * 256 - 1 rows
+    # 2000 images are 8 blocks, the last of 208 rows padded to 256; each
+    # thread holds one 256-row workspace
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(cpus)))
     task = task_preset("bke_system1")
@@ -424,21 +424,19 @@ def _ho_peak_over_workspace(monkeypatch, cpus, workspace_rows):
 
 
 def test_scanning_ho_holds_one_block_workspace(monkeypatch):
-    _ho_peak_over_workspace(monkeypatch, 1, 2 * observers.HO_BLOCK_ROWS - 1)
+    _ho_peak_over_workspace(monkeypatch, 1, observers.HO_BLOCK_ROWS)
 
 
 def test_scanning_ho_holds_one_block_workspace_per_thread(monkeypatch):
-    # the first half's blocks are whole; the second's last takes the
-    # remainder
-    _ho_peak_over_workspace(monkeypatch, 2, 3 * observers.HO_BLOCK_ROWS - 1)
+    _ho_peak_over_workspace(monkeypatch, 2, 2 * observers.HO_BLOCK_ROWS)
 
 
 @pytest.mark.parametrize("n", [10, 257, 300, 511, 5000])
 def test_scanning_ho_records_are_the_same_on_one_and_two_cpus(monkeypatch,
                                                               n):
-    # 10, 257, 300 and 511 images are one block, the last three a whole
-    # block and a remainder joined to it (a cut at row 256 would leave a
-    # product of one row); 5000 are 19 blocks, cut after the tenth
+    # 10 images are one padded block; 257, 300 and 511 a whole block and a
+    # padded one, each half on its own thread at two CPUs; 5000 are 20
+    # blocks, cut after the tenth
     state, _, _ = _ho_stack("bke_system2")
     rng = np.random.default_rng(n)
     imgs = rng.laplace(0.0, 30.0, size=(n, 64, 64)).astype(np.float32)

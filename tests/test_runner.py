@@ -1,5 +1,6 @@
 import concurrent.futures
 import ctypes
+import dataclasses
 import hashlib
 import json
 import math
@@ -18,7 +19,6 @@ import pytest
 
 from helpers import (
     records_from_csv,
-    reference_chunk_edges,
     reference_write_blocks,
     traced_peak,
     write_dataset,
@@ -1041,27 +1041,56 @@ def _observe_in_chunks(monkeypatch, plan):
         p.name: p.read_bytes() for p in sorted(plan.out_dir.glob("*.csv"))}
 
 
-@pytest.mark.parametrize("block_rows", [None, 2, 4, 5])
-def test_chunk_edges_equal_the_remainder_rule(monkeypatch, block_rows):
-    # every k-th Hotelling block edge gives the chunks of k micro-batches,
-    # the last taking a remainder below one block, and no other edge
-    if block_rows is not None:
-        monkeypatch.setattr(observers, "HO_BLOCK_ROWS", block_rows)
-    for shape in ((64, 64), (128, 128), (16, 16)):
-        for n in range(1, 2500):
-            edges = runner._chunk_edges(n, shape)
-            assert edges == reference_chunk_edges(n, shape)
-            assert set(edges) <= set(observers.block_edges(n))
+# (observer, preset) of each observer's scorer in the cut test
+_CUT = [("analytic_io", "bke_system1"), ("hotelling", "bke_system1"),
+        ("hotelling", "lb"), ("mcmc_io", "lb"), ("cnn_io", "bke_system1")]
 
 
-# name -> (HO_BLOCK_ROWS, or None for the 256 in use; test images per
-# class; the chunk edges).  A chunk is HO_BLOCK_ROWS micro-batches of 4
-# images: the split below one block is one piece, a remainder of 2 joins
-# the last chunk, and one of 8 is a chunk of its own.
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("name, preset", _CUT)
+def test_records_do_not_depend_on_the_cut(tmp_path, monkeypatch, name,
+                                          preset, cpus):
+    # an observer's record of an image depends on that image alone: a split
+    # scored in random pieces, none a multiple of the 4-image micro-batch
+    # or of the 256-row Hotelling block, gives the records of the split
+    # scored in one piece, bit for bit
+    assert observers.HO_BLOCK_ROWS == 256
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    plan = ExperimentPlan(preset, tmp_path, observers=[name], seed=36,
+                          cov_samples=30, mcmc_iterations=40,
+                          mcmc_burn_in=10)
+    task = plan.task
+    arch = neuralnet.Architecture(1, task.grid[::-1], task.J + 1, filters=2)
+    neuralnet.save_checkpoint(tmp_path / "checkpoint.bin",
+                              neuralnet.init_state(arch, seed=62))
+    rng = np.random.default_rng([36, cpus, _CUT.index((name, preset))])
+    longest, total = (12, 30) if name == "mcmc_io" else (300, 700)
+    sizes = []
+    while sum(sizes) < total:
+        size = int(rng.integers(1, longest))
+        if size % 4:
+            sizes.append(size)
+    edges = np.cumsum([0, *sizes])
+    labels = rng.integers(0, task.J + 1, size=edges[-1])
+    images = simulate_measurement(task, labels, rng)[0]
+    score = runner.OBSERVERS[name](task, plan)
+    cut = Records.concatenate([score(images[lo:hi], labels[lo:hi])
+                               for lo, hi in zip(edges, edges[1:])])
+    whole = runner.OBSERVERS[name](task, plan)(images, labels)
+    for field in dataclasses.fields(Records):
+        assert np.array_equal(getattr(cut, field.name),
+                              getattr(whole, field.name)), field.name
+
+
+# name -> (images per chunk, or None for the 1024 of _CHUNK_PIXELS at
+# 64x64; test images per class; the chunk edges): a split below one chunk
+# (and one Hotelling block) is one piece, the last chunk takes what is
+# left, 2 images as a chunk of its own, and chunks can be single images
 _CHUNKS = {"below-block": (16, 1, [0, 10]),
-           "exact": (5, 4, [0, 20, 40]),
-           "joined": (4, 5, [0, 16, 32, 50]),
-           "own-chunk": (4, 4, [0, 16, 32, 40]),
+           "exact": (20, 4, [0, 20, 40]),
+           "own-chunk": (7, 3, [0, 7, 14, 21, 28, 30]),
+           "one-image": (1, 1, list(range(11))),
            "1024": (None, 130, [0, 1024, 1300])}
 
 
@@ -1075,9 +1104,9 @@ def test_chunked_observers_equal_one_piece(tmp_path, monkeypatch, preset,
     # the files equal those of the split read in one piece, the Hotelling
     # templates are built once, and the chains draw from the substreams of
     # the split's indices
-    block_rows, n_per_class, edges = _CHUNKS[chunks]
-    if block_rows is not None:
-        monkeypatch.setattr(runner.observers, "HO_BLOCK_ROWS", block_rows)
+    chunk, n_per_class, edges = _CHUNKS[chunks]
+    if chunk is not None:
+        monkeypatch.setattr(runner, "_CHUNK_PIXELS", chunk * 64 * 64)
     plan = ExperimentPlan(preset, tmp_path / "o", observers=observers,
                           n_val_per_class=0, n_test_per_class=n_per_class,
                           seed=31, cov_samples=30, mcmc_iterations=60,
@@ -1103,8 +1132,8 @@ def test_observers_hold_one_chunk_of_the_split(tmp_path, monkeypatch):
     # at one usable CPU the reports run in process too; the traced peak of
     # run_observers on a split of three chunks (1024, 1024 and 952 images)
     # is below the split's 49 MB: at most the largest chunk, the Hotelling
-    # workspace of its largest block (440 rows in float64) and 4 MB for the
-    # rest (the per-location statistics, the records and their CSVs)
+    # workspace (256 rows in float64) and 4 MB for the rest (the
+    # per-location statistics, the records and their CSVs)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     plan = ExperimentPlan("bke_system1", tmp_path / "o",
                           observers=["analytic_io", "hotelling"],
@@ -1113,15 +1142,15 @@ def test_observers_hold_one_chunk_of_the_split(tmp_path, monkeypatch):
     generate_dataset(plan)
     pixels = 64 * 64
     split = 3000 * (4 * pixels + 1)
-    bound = 1024 * (4 * pixels + 1) + 440 * pixels * 8 + 4 * 2 ** 20
+    bound = 1024 * (4 * pixels + 1) + 256 * pixels * 8 + 4 * 2 ** 20
     peak = traced_peak(run_observers, plan)
     assert peak < bound < split
 
 
 def test_bad_label_in_a_later_chunk_writes_no_file(tmp_path, monkeypatch):
-    # with 4-row blocks the chunks are records 0..16 and 16..30; record 21's
-    # label fails the second chunk's read, after the first chunk scored
-    monkeypatch.setattr(runner.observers, "HO_BLOCK_ROWS", 4)
+    # with chunks of 16 images they are records 0..16 and 16..30; record
+    # 21's label fails the second chunk's read, after the first chunk scored
+    monkeypatch.setattr(runner, "_CHUNK_PIXELS", 16 * 64 * 64)
     plan = ExperimentPlan("bke_system1", tmp_path / "o",
                           observers=["analytic_io", "hotelling"],
                           n_val_per_class=0, n_test_per_class=3, seed=33,
@@ -1648,6 +1677,23 @@ def test_reassigned_observers_are_checked_before_any_scores(
     assert str(caught.value) == message
     assert set(calls.values()) == {0}
     assert not list(plan.out_dir.glob("*.csv"))
+
+
+@pytest.mark.parametrize("run", [generate_dataset, run_observers,
+                                 run_training])
+@pytest.mark.parametrize("key, value, annotation", [
+    ("seed", "x", "int"), ("observers", "hotelling", "list[str]")])
+def test_reassigned_field_is_checked_again(tmp_path, run, key, value,
+                                           annotation):
+    # each stage checks a copy of the plan, so a field assigned after
+    # construction gives the one-line error of a plan built with it
+    plan = ExperimentPlan("bke_system1", tmp_path / "out",
+                          observers=["hotelling"])
+    setattr(plan, key, value)
+    with pytest.raises(ConfigError) as caught:
+        run(plan)
+    assert str(caught.value) == f"{key}: must be {annotation}, got {value!r}"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("n_classes", [None, 5])
