@@ -289,10 +289,10 @@ def _prepare_input(images, state: NetworkState):
     return ((x - state.input_mean) / state.input_std).astype(dtype)
 
 
-# The open scope that forked a pool, as (state, its map): set before the
-# pool's first task forks the workers, so they have that state without its
-# being sent.  In train() its weights live in a shared mapping that Adam
-# updates in place, so the workers see each step's weights.
+# The open scope, as (state, its map): set before a pool's first task forks
+# the workers, so they have that state without its being sent.  In train()
+# its weights live in a shared mapping that Adam updates in place, so the
+# workers see each step's weights.
 _scope = None
 
 
@@ -300,16 +300,13 @@ _scope = None
 def _task_map(state: NetworkState, tasks: int):
     """workers.task_map for tasks on state, with what each task carries of
     state: None where the workers have it from the fork, else the state
-    (sent without its Adam moments).  Nested calls reuse an open pool."""
+    (sent without its Adam moments).  Nested calls reuse the open map."""
     global _scope
     if _scope is not None:
         yield _scope[1], (None if state is _scope[0]
                           else replace(state, m=[], v=[]))
         return
     with workers.task_map(tasks) as tasks_map:
-        if tasks_map is map:
-            yield map, state
-            return
         _scope = state, tasks_map
         try:
             yield tasks_map, None
@@ -453,24 +450,20 @@ class TrainResult:
 
 
 def _compose_batch(task, backgrounds, batch_per_class, rng):
-    """Balanced mini-batch: stored noiseless images + signal + fresh noise."""
+    """Balanced mini-batch, its classes whole runs in label order: stored
+    noiseless images picked by one index draw (zeros on a BKE task, which
+    draws none), each class's signal added, then fresh noise drawn a
+    micro-batch at a time, in order."""
     h, w = task.grid[1], task.grid[0]
-    n_classes = task.J + 1
-    images = np.empty((batch_per_class * n_classes, h, w), dtype=np.float32)
-    labels = np.empty(batch_per_class * n_classes, dtype=np.int64)
-    sig = task.signal_images
-    pos = 0
-    for cls in range(n_classes):
-        for _ in range(batch_per_class):
-            if backgrounds is None:
-                img = np.zeros((h, w), dtype=np.float32)
-            else:
-                img = backgrounds[int(rng.integers(len(backgrounds)))]
-            if cls > 0:
-                img = img + sig[cls - 1]
-            images[pos] = apply_noise(img, task.noise, rng)
-            labels[pos] = cls
-            pos += 1
+    labels = np.repeat(np.arange(task.J + 1), batch_per_class)
+    if backgrounds is None:
+        images = np.zeros((len(labels), h, w), dtype=np.float32)
+    else:
+        images = backgrounds[rng.integers(len(backgrounds), size=len(labels))]
+    by_class = images.reshape(task.J + 1, batch_per_class, h * w)
+    by_class[1:] += task.signal_images.reshape(task.J, 1, h * w)
+    for s in _micro_batches(len(labels), (h, w)):
+        images[s] = apply_noise(images[s], task.noise, rng)
     return images, labels
 
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import repeat
 from pathlib import Path
@@ -222,7 +221,6 @@ def generate_dataset(plan: ExperimentPlan, force: bool = False) -> dict:
             "n_train_backgrounds": plan.n_train_backgrounds,
             "n_val_per_class": plan.n_val_per_class,
             "n_test_per_class": plan.n_test_per_class,
-            "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         }
         for name, digest in digests.items():
             manifest[f"sha256_{name}"] = digest

@@ -7,11 +7,12 @@ observer (its one product padded to at least a block's rows), the im2col
 einsum network that the channels-last convolution is checked against, the
 band-copy convolutions, the channels-last network with those
 convolutions, ``np.where`` activations, an argmax pool and a head padded
-to a micro-batch's rows, and the ``rng.uniform`` samplers and the
-per-lump, whole-image (with its own ``hypot`` blob evaluator) and
-per-iteration lumpy-background references; the splits, the curves, the
-Hotelling records, the figures of merit, the CSV bytes, the network
-passes, the sampling and the rendering must equal these bit for bit, and
+to a micro-batch's rows, the per-image training-batch composer, and the
+``rng.uniform`` samplers and the per-lump, whole-image (with its own
+``hypot`` blob evaluator) and per-iteration lumpy-background references;
+the splits, the curves, the Hotelling records, the figures of merit, the
+CSV bytes, the network passes, the BKE training batches, the sampling and
+the rendering must equal these bit for bit, and
 the MCMC chain must take the reference chain's path with its statistics
 within 1e-10.  Also the traced allocation peak of a call, and a Python
 snippet's output at one and two OpenBLAS threads."""
@@ -31,7 +32,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scanobs import neuralnet, observers
 from scanobs.dataset import DatasetWriter
 from scanobs.evaluation import FomEstimate, LrocCurve, _split_records
-from scanobs.imaging import pixel_grid
+from scanobs.imaging import apply_noise, pixel_grid
 from scanobs.mcmc import BIRTH_PROB, MOVE_PROB, MOVE_STD, _reflect
 from scanobs.observers import (
     Records,
@@ -461,6 +462,30 @@ def reference_channels_last(images, labels, state):
             g + b for g, b in zip(grads, block)]
     return (np.concatenate(probs), float(np.concatenate(losses).mean()),
             grads)
+
+
+def reference_compose_batch(task, backgrounds, batch_per_class, rng):
+    """A balanced training batch composed image by image, in label order:
+    one index draw (none on a BKE task), the class's signal and one noise
+    draw per image."""
+    h, w = task.grid[1], task.grid[0]
+    n_classes = task.J + 1
+    images = np.empty((batch_per_class * n_classes, h, w), dtype=np.float32)
+    labels = np.empty(batch_per_class * n_classes, dtype=np.int64)
+    sig = task.signal_images
+    pos = 0
+    for cls in range(n_classes):
+        for _ in range(batch_per_class):
+            if backgrounds is None:
+                img = np.zeros((h, w), dtype=np.float32)
+            else:
+                img = backgrounds[int(rng.integers(len(backgrounds)))]
+            if cls > 0:
+                img = img + sig[cls - 1]
+            images[pos] = apply_noise(img, task.noise, rng)
+            labels[pos] = cls
+            pos += 1
+    return images, labels
 
 
 # ---------------------------------------------------------------------------

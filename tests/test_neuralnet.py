@@ -13,6 +13,7 @@ from helpers import (
     reference_band_conv,
     reference_band_conv_weight_grad,
     reference_channels_last,
+    reference_compose_batch,
     reference_conv_backward,
     reference_conv_forward,
     reference_loss_and_gradient,
@@ -21,7 +22,7 @@ from helpers import (
     write_malformed_checkpoint,
 )
 from scanobs import workers
-from scanobs.imaging import NoiseModel
+from scanobs.imaging import NoiseModel, apply_noise
 from scanobs.neuralnet import (
     Architecture,
     NetworkState,
@@ -40,7 +41,8 @@ from scanobs.neuralnet import (
     validation_loss,
 )
 from scanobs.phantoms import SignalSpec
-from scanobs.tasks import TaskConfig
+from scanobs.rng import substream
+from scanobs.tasks import TaskConfig, task_preset
 
 
 def _toy_task(amplitude=1.5, sigma=1.0):
@@ -686,6 +688,63 @@ def test_compose_batch_is_balanced_with_fresh_noise():
     assert list(np.bincount(labels)) == [5, 5]
     again, _ = nn._compose_batch(task, bgs, 5, rng)
     assert not np.array_equal(images, again)
+
+
+@pytest.mark.parametrize("preset", ["bke_system1", "bke_system2"])
+@pytest.mark.parametrize("per_class", [1, 3, 80])
+def test_bke_batches_equal_the_per_image_reference(preset, per_class):
+    # a BKE batch draws no index, and a stack's noise is its images' noise
+    # drawn in turn, so the batch keeps the per-image composer's bytes
+    task = task_preset(preset)
+    for step in (0, 1, 17):
+        images, labels = nn._compose_batch(
+            task, None, per_class, substream(8, "train-step", step))
+        want_images, want_labels = reference_compose_batch(
+            task, None, per_class, substream(8, "train-step", step))
+        assert images.dtype == want_images.dtype == np.float32
+        assert images.tobytes() == want_images.tobytes()
+        assert labels.dtype == want_labels.dtype
+        assert np.array_equal(labels, want_labels)
+
+
+@pytest.mark.parametrize("preset", ["bke_system1", "bke_system2"])
+def test_bke_normalization_equals_the_per_image_reference(preset,
+                                                          monkeypatch):
+    task = task_preset(preset)
+    found = []
+    for compose in (nn._compose_batch, reference_compose_batch):
+        monkeypatch.setattr(nn, "_compose_batch", compose)
+        found.append([nn.estimate_normalization(
+            task, None, TrainSchedule(total_minibatches=1, seed=seed))
+            for seed in (0, 12)])
+    assert found[0] == found[1]
+
+
+# (preset, images per micro-batch): 64x64 images are 4 to a micro-batch,
+# 128x128 images 1
+@pytest.mark.parametrize("preset, micro", [("lb", 4), ("clb", 1)])
+@pytest.mark.parametrize("per_class", [1, 3])
+def test_stored_background_batch_is_one_index_draw_then_noise_in_order(
+        preset, micro, per_class):
+    task = task_preset(preset)
+    w, h = task.grid
+    store = np.random.default_rng(30).uniform(
+        0.0, 5.0, (7, h, w)).astype(np.float32)
+    for step in (0, 4):
+        images, labels = nn._compose_batch(
+            task, store, per_class, substream(9, "train-step", step))
+        rng = substream(9, "train-step", step)
+        idx = rng.integers(len(store), size=len(labels))
+        want = []
+        for lo in range(0, len(labels), micro):
+            clean = store[idx[lo:lo + micro]]
+            for img, j in zip(clean, labels[lo:lo + micro]):
+                if j:
+                    img += task.signal_images[j - 1]
+            want.append(apply_noise(clean, task.noise, rng))
+        assert np.array_equal(labels,
+                              np.repeat(np.arange(task.J + 1), per_class))
+        assert images.tobytes() == np.concatenate(want).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -397,6 +397,18 @@ def test_generate_dataset_reproducible(tmp_path):
     assert len(bgs) == 4 and set(bg_labels) == {0}
 
 
+def test_manifest_does_not_depend_on_the_wall_clock(tmp_path, monkeypatch):
+    # one stamp per generate, should it read the clock
+    stamps = iter(["2026-01-01T00:00:00", "2026-01-02T00:00:00"])
+    monkeypatch.setattr(time, "strftime", lambda *args: next(stamps))
+    for name in "ab":
+        generate_dataset(ExperimentPlan("bke_system1", tmp_path / name,
+                                        n_val_per_class=1, n_test_per_class=1,
+                                        seed=3))
+    assert ((tmp_path / "a" / "manifest.txt").read_bytes()
+            == (tmp_path / "b" / "manifest.txt").read_bytes())
+
+
 def test_generate_splits_are_disjoint(tmp_path):
     plan = ExperimentPlan("lb", tmp_path / "o", n_val_per_class=3,
                           n_test_per_class=3, seed=6)
