@@ -21,7 +21,7 @@ MAGIC = b"SCANOBS1"
 VERSION = 1
 _HEADER = struct.Struct("<8sIQIII")
 HEADER_SIZE = 64
-READ_ROWS = 256  # records per read of read_dataset
+READ_ROWS = 64  # records per read of read_dataset: a 1 MB buffer at 64x64
 
 
 def _record(height, width):
@@ -103,7 +103,7 @@ class DatasetWriter:
             self._fh.close()
 
 
-def read_dataset(path, start: int = 0, stop: int | None = None):
+def read_dataset(path, start: int = 0, stop: int | None = None, out=None):
     """Read records start..stop of a dataset file (all by default); returns
     (images (n,H,W) float32, labels (n,) uint8, meta), meta["count"] being
     the file's record count.
@@ -112,7 +112,10 @@ def read_dataset(path, start: int = 0, stop: int | None = None):
     allocated, and a range outside 0..count is rejected.  The records are
     read READ_ROWS at a time through one buffer into the returned arrays,
     so the images are held once; a label above J is named by its record's
-    index in the file."""
+    index in the file.  With out = (images, labels), a float32 (N,H,W)
+    and a uint8 (N,) array with N >= n, the records are read into their
+    first n rows, and the returned arrays are views of those rows; other
+    buffers are rejected before anything is read."""
     with open(path, "rb") as fh:
         head = fh.read(HEADER_SIZE)
         if len(head) < HEADER_SIZE:
@@ -131,9 +134,22 @@ def read_dataset(path, start: int = 0, stop: int | None = None):
             raise ValueError(f"{path}: records {start}..{stop} are outside "
                              f"the file's 0..{count}")
         n = stop - start
+        if out is None:
+            images = np.empty((n, height, width), dtype=np.float32)
+            labels = np.empty(n, dtype=np.uint8)
+        else:
+            images, labels = out
+            if not (images.dtype == np.float32 and labels.dtype == np.uint8
+                    and images.shape[1:] == (height, width)
+                    and labels.ndim == 1
+                    and min(len(images), len(labels)) >= n):
+                raise ValueError(
+                    f"{path}: {n} records need float32 (N, {height}, "
+                    f"{width}) and uint8 (N,) buffers with N >= {n}, not "
+                    f"{images.dtype} {images.shape} and {labels.dtype} "
+                    f"{labels.shape}")
+            images, labels = images[:n], labels[:n]
         fh.seek(HEADER_SIZE + start * record.itemsize)
-        labels = np.empty(n, dtype=np.uint8)
-        images = np.empty((n, height, width), dtype=np.float32)
         chunk = np.empty(min(n, READ_ROWS), dtype=record)
         for lo in range(0, n, READ_ROWS):
             part = chunk[:min(n - lo, READ_ROWS)]

@@ -14,7 +14,11 @@ from . import workers
 
 _BLOCK_ROWS = 16  # images per block in laplacian_io_log_lrs_batch
 _GRAM_COLUMNS = 256  # pixel columns per block in build_hotelling
-HO_BLOCK_ROWS = 256  # rows of every block product in scanning_ho_records
+# Rows of every block product in scanning_ho_records: a 2 MB float64
+# workspace per thread at 64x64, 8.4 MB at 128x128.  With numpy 2.4.6's
+# OpenBLAS, a product of at least 28 rows (7 at 128x128) has the bits of
+# one of 256 rows, so any block size from there up gives the same records
+HO_BLOCK_ROWS = 64
 
 
 @dataclass
@@ -158,10 +162,10 @@ def build_hotelling(backgrounds, signals,
     (numpy.linalg.solve).  C is centred in float64 a block of
     _GRAM_COLUMNS pixels at a time, so no float64 copy of the stack is
     held; A sums the blocks' products, each of which numpy forms by one
-    symmetric rank-k update.  Like every product in scanobs,
-    the algebra runs at the one BLAS thread that ``scanobs.workers`` sets
-    at import, so the templates do not depend on the OPENBLAS_NUM_THREADS
-    a process starts with.
+    symmetric rank-k update into the one n x n array they share.  Like
+    every product in scanobs, the algebra runs at the one BLAS thread that
+    ``scanobs.workers`` sets at import, so the templates do not depend on
+    the OPENBLAS_NUM_THREADS a process starts with.
     """
     signals = np.asarray(signals, dtype=np.float64).reshape(len(signals), -1)
     j_count, m = signals.shape
@@ -191,9 +195,10 @@ def build_hotelling(backgrounds, signals,
             yield cols, block
 
     gram = np.zeros((n, n))
+    prod = np.empty((n, n))  # each block's product, formed in place
     c_s = np.zeros((n, j_count))  # C S^T
     for cols, block in centred_blocks():
-        gram += block @ block.T
+        gram += np.matmul(block, block.T, out=prod)
         c_s += block @ signals[:, cols].T
     gram.flat[::n + 1] += (n - 1) * noise_var
     coef = np.linalg.solve(gram, c_s)
@@ -214,7 +219,7 @@ def scanning_ho_records(images, labels,
     OpenBLAS rounds a product of a few rows on another path, so an image's
     record has the same bits in any stack.  The two halves of the blocks
     run on two threads (workers.two_threads), each through its own
-    HO_BLOCK_ROWS-row float64 workspace.
+    HO_BLOCK_ROWS-row float64 workspace, zeroed once per call.
     """
     n = len(images)
     flat = images.reshape(n, -1)

@@ -39,8 +39,10 @@ _OBSERVER_PRESETS = {"analytic_io": ("bke_system1", "bke_system2"),
 # from its own substream, a split block's noise in one apply_noise call
 _NOISE_BLOCK = 64
 
-# Pixels per chunk that run_observers reads: 1024 images at 64x64
-_CHUNK_PIXELS = 1024 * 64 * 64
+# Pixels per chunk that run_observers reads, into one buffer it reuses: 256
+# images at 64x64 and 64 at 128x128, 4 MB of float32, so a chunk is 4
+# Hotelling blocks at 64x64 and both threads score it
+_CHUNK_PIXELS = 256 * 64 * 64
 
 
 class ConfigError(ValueError):
@@ -245,13 +247,14 @@ def generate_dataset(plan: ExperimentPlan, force: bool = False) -> dict:
     return manifest
 
 
-def _read_split(path, task, start=0, stop=None):
+def _read_split(path, task, start=0, stop=None, out=None):
     """Images and labels of records start..stop (all by default) of a
     dataset file made for the task's grid and J, and the file's record
-    count."""
+    count; with out, read into those buffers (read_dataset), as
+    run_observers reads every chunk of a split."""
     if not path.exists():
         raise FileNotFoundError(f"missing {path}; run generate first")
-    images, labels, meta = read_dataset(path, start, stop)
+    images, labels, meta = read_dataset(path, start, stop, out=out)
     found = (meta["width"], meta["height"], meta["n_locations"])
     if found != (*task.grid, task.J):
         raise ValueError(f"{path}: (width, height, J) is {found}, but the "
@@ -385,13 +388,16 @@ def run_observers(plan: ExperimentPlan) -> list[dict]:
     observer is set up next, in plan order, so a failed check (a missing
     or mismatched checkpoint) raises before any observer scores.  The
     split is then read a chunk at a time (_chunk_edges), one read_dataset
-    call each, and each chunk is scored by every observer in plan order,
-    so one chunk of images is held, not the split; each observer's records
-    are its chunks' rows in image order, the bytes a call on the whole
-    split gives.  A bad record fails its chunk's read, before any file is
-    written.  Then each observer's files and figures of merit are one task
-    of a workers.task_map, and the report lists the rows in observer
-    order."""
+    call each, into one image buffer and one label buffer of the largest
+    chunk's size, allocated once for the pass; each chunk is scored by
+    every observer in plan order, so one chunk of images is held, not the
+    split.  No scorer keeps a view of its input (the records copy the
+    labels, and a pool pickles the images), so the next read may overwrite
+    the buffers.  Each observer's records are its chunks' rows in image
+    order, the bytes a call on the whole split gives.  A bad record fails
+    its chunk's read, before any file is written.  The buffers are freed,
+    and then each observer's files and figures of merit are one task of a
+    workers.task_map, and the report lists the rows in observer order."""
     plan = replace(plan)
     if not plan.observers:
         raise ConfigError("observers: empty observer list")
@@ -404,11 +410,14 @@ def run_observers(plan: ExperimentPlan) -> list[dict]:
     scorers = [OBSERVERS[name](task, plan) for name in plan.observers]
     chunks = [[] for _ in scorers]  # each observer's records, per chunk
     edges = _chunk_edges(n, task.grid[::-1])
+    largest = max(hi - lo for lo, hi in zip(edges, edges[1:]))
+    buffers = (np.empty((largest, *task.grid[::-1]), dtype=np.float32),
+               np.empty(largest, dtype=np.uint8))
     for lo, hi in zip(edges, edges[1:]):
-        images, labels, _ = _read_split(test_path, task, lo, hi)
+        images, labels, _ = _read_split(test_path, task, lo, hi, buffers)
         for score, done in zip(scorers, chunks):
             done.append(score(images, labels))
-        del images, labels  # so that the next read holds one chunk
+    del buffers, images, labels  # so that the reports run without them
     records = [observers.Records.concatenate(c) for c in chunks]
     with workers.task_map(len(records)) as tasks:
         rows = list(tasks(_report, plan.observers, records, repeat(plan)))

@@ -119,11 +119,11 @@ def stdout_at_blas_threads(code):
     return found
 
 
-def reference_scanning_ho_records(images, labels, state):
+def reference_scanning_ho_records(images, labels, state, rows=None):
     """The scanning HO with the whole stack in one float64 copy, zero-padded
-    to at least HO_BLOCK_ROWS rows, and one product."""
+    to at least rows rows (HO_BLOCK_ROWS by default), and one product."""
     n = len(images)
-    flat = np.zeros((max(n, observers.HO_BLOCK_ROWS),
+    flat = np.zeros((max(n, rows or observers.HO_BLOCK_ROWS),
                      math.prod(images.shape[1:])))
     flat[:n] = images.reshape(n, -1)
     flat[:n] -= state.mean_background

@@ -31,8 +31,10 @@ def test_round_trip(tmp_path):
     assert meta["width"] == 6 and meta["height"] == 4
 
 
+# one read and a few, each around a read edge
 @pytest.mark.parametrize("n", [READ_ROWS - 1, READ_ROWS, READ_ROWS + 1,
-                               2 * READ_ROWS + 3])
+                               4 * READ_ROWS - 1, 4 * READ_ROWS,
+                               4 * READ_ROWS + 1, 8 * READ_ROWS + 3])
 def test_round_trip_across_chunks(tmp_path, n):
     rng = np.random.default_rng(n)
     images = rng.normal(size=(n, 3, 5)).astype(np.float32)
@@ -201,10 +203,10 @@ def test_read_names_the_first_bad_label_past_the_first_chunk(tmp_path):
 
 
 @pytest.mark.parametrize("start, stop", [
-    (0, 0), (3, 3), (0, 7), (5, READ_ROWS + 9), (READ_ROWS - 1, None),
-    (READ_ROWS + 9, READ_ROWS + 10)])
+    (0, 0), (3, 3), (0, 7), (5, 4 * READ_ROWS + 9), (4 * READ_ROWS - 1, None),
+    (4 * READ_ROWS + 9, 4 * READ_ROWS + 10)])
 def test_read_a_record_range(tmp_path, start, stop):
-    n = READ_ROWS + 10
+    n = 4 * READ_ROWS + 10
     rng = np.random.default_rng(start)
     images = rng.normal(size=(n, 3, 2)).astype(np.float32)
     labels = rng.integers(0, 10, size=n)
@@ -241,6 +243,58 @@ def test_read_of_a_range_names_a_bad_label_by_its_index_in_the_file(
         read_dataset(path, READ_ROWS, n)
     assert str(exc.value) == (f"{path}: record {READ_ROWS + 7} has "
                               f"label 5, above J = 2")
+
+
+@pytest.mark.parametrize("start, stop, rows", [
+    (0, 0, 1), (0, READ_ROWS + 10, READ_ROWS + 10),
+    (5, READ_ROWS + 9, 2 * READ_ROWS), (READ_ROWS - 1, None, 40)])
+def test_read_into_buffers_returns_views_of_them(tmp_path, start, stop,
+                                                 rows):
+    # the records land in the buffers' first rows, byte for byte those of
+    # a plain read, and the rows past them keep their bytes
+    n = READ_ROWS + 10
+    rng = np.random.default_rng(start)
+    path = tmp_path / "data.bin"
+    write_dataset(path, rng.normal(size=(n, 3, 2)).astype(np.float32),
+                  rng.integers(0, 10, size=n))
+    buffers = (np.full((rows, 3, 2), np.nan, dtype=np.float32),
+               np.full(rows, 255, dtype=np.uint8))
+    before = [b.copy() for b in buffers]
+    images, labels, meta = read_dataset(path, start, stop, out=buffers)
+    plain = read_dataset(path, start, stop)
+    assert images.base is buffers[0] and labels.base is buffers[1]
+    assert images.tobytes() == plain[0].tobytes()
+    assert labels.tobytes() == plain[1].tobytes()
+    assert meta == plain[2]
+    k = len(plain[1])
+    assert images.shape == plain[0].shape
+    assert buffers[0][k:].tobytes() == before[0][k:].tobytes()
+    assert buffers[1][k:].tobytes() == before[1][k:].tobytes()
+
+
+@pytest.mark.parametrize("images, labels", [
+    (((8, 3, 2), "<f4"), ((9,), "u1")),
+    (((9, 2, 3), "<f4"), ((9,), "u1")),
+    (((9, 6), "<f4"), ((9,), "u1")),
+    (((9, 3, 2), "<f8"), ((9,), "u1")),
+    (((9, 3, 2), "<f4"), ((8,), "u1")),
+    (((9, 3, 2), "<f4"), ((9, 1), "u1")),
+    (((9, 3, 2), "<f4"), ((9,), "<i8"))])
+def test_read_rejects_buffers_that_cannot_hold_the_records(tmp_path, images,
+                                                           labels):
+    # records 2..11 need 9 rows of 3x2 float32 images and 9 uint8 labels;
+    # the error is one line naming the file, and nothing is read
+    path = tmp_path / "data.bin"
+    write_dataset(path, np.ones((12, 3, 2), dtype=np.float32),
+                  np.arange(12) % 3)
+    buffers = (np.zeros(*images), np.zeros(*labels))
+    with pytest.raises(ValueError) as exc:
+        read_dataset(path, 2, 11, out=buffers)
+    a, b = buffers
+    assert str(exc.value) == (
+        f"{path}: 9 records need float32 (N, 3, 2) and uint8 (N,) buffers "
+        f"with N >= 9, not {a.dtype} {a.shape} and {b.dtype} {b.shape}")
+    assert not a.any() and not b.any()
 
 
 def test_image_csv_export(tmp_path):

@@ -374,15 +374,49 @@ def _ho_stack(preset):
 
 
 @pytest.mark.parametrize("preset", ["bke_system1", "lb"])
-@pytest.mark.parametrize("n", [1, 255, 256, 257, 511, 522, 1001])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 130, 255, 256, 257, 511,
+                               522, 1001])
 def test_scanning_ho_blocks_equal_whole_stack(preset, n):
-    # every block product has 256 rows: one image is one block padded by
-    # 255 rows, 257 images a whole block and one of 1 row padded by 255
-    assert observers.HO_BLOCK_ROWS == 256
+    # every block product has 64 rows: one image is one block padded by 63
+    # rows, 65 images a whole block and one of 1 row padded by 63, 130 two
+    # whole blocks and one of 2 rows
+    assert observers.HO_BLOCK_ROWS == 64
     state, imgs, labels = _ho_stack(preset)
     _assert_records_equal(
         scanning_ho_records(imgs[:n], labels[:n], state),
         reference_scanning_ho_records(imgs[:n], labels[:n], state))
+
+
+@functools.cache
+def _clb_stack():
+    """A clb scanning-HO state from 3 covariance samples, and 256 images of
+    its mean background plus each label's signal and Gaussian noise of the
+    task's standard deviation (clb measurements take seconds each)."""
+    task = task_preset("clb")
+    rng = np.random.default_rng(23)
+    backgrounds = np.stack([task.sample_background(rng) for _ in range(3)])
+    state = build_hotelling(backgrounds, task.signal_images,
+                            task.noise.std ** 2)
+    labels = np.arange(256) % 10
+    signals = np.concatenate((np.zeros((1, state.signals.shape[1])),
+                              state.signals))
+    imgs = (state.mean_background + signals[labels] + rng.normal(
+        0.0, task.noise.std, size=signals[labels].shape)).astype(np.float32)
+    return state, imgs.reshape(256, *task.grid[::-1]), labels
+
+
+@pytest.mark.parametrize("preset", ["bke_system1", "lb", "clb"])
+def test_scanning_ho_blocks_have_the_bits_of_one_256_row_product(preset):
+    # the 64-row block products give the bits of one product padded to 256
+    # rows, on 64x64 and 128x128 images: with the OpenBLAS of numpy 2.4.6, a
+    # product of at least 28 rows rounds like one of 256
+    state, imgs, labels = (_clb_stack() if preset == "clb"
+                           else _ho_stack(preset))
+    for n in (1, 28, 64, 65, 200, 256):
+        _assert_records_equal(
+            scanning_ho_records(imgs[:n], labels[:n], state),
+            reference_scanning_ho_records(imgs[:n], labels[:n], state,
+                                          rows=256))
 
 
 def test_scanning_ho_records_do_not_depend_on_blas_threads():
@@ -405,8 +439,8 @@ def test_scanning_ho_records_do_not_depend_on_blas_threads():
 
 
 def _ho_peak_over_workspace(monkeypatch, cpus, workspace_rows):
-    # 2000 images are 8 blocks, the last of 208 rows padded to 256; each
-    # thread holds one 256-row workspace
+    # 2000 images are 32 blocks, the last of 16 rows padded to 64; each
+    # thread holds one 64-row workspace
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(cpus)))
     task = task_preset("bke_system1")
@@ -434,9 +468,9 @@ def test_scanning_ho_holds_one_block_workspace_per_thread(monkeypatch):
 @pytest.mark.parametrize("n", [10, 257, 300, 511, 5000])
 def test_scanning_ho_records_are_the_same_on_one_and_two_cpus(monkeypatch,
                                                               n):
-    # 10 images are one padded block; 257, 300 and 511 a whole block and a
-    # padded one, each half on its own thread at two CPUs; 5000 are 20
-    # blocks, cut after the tenth
+    # 10 images are one padded block; 257, 300 and 511 are 5 to 8 blocks,
+    # the last padded, each half on its own thread at two CPUs; 5000 are 79
+    # blocks, cut after the 40th
     state, _, _ = _ho_stack("bke_system2")
     rng = np.random.default_rng(n)
     imgs = rng.laplace(0.0, 30.0, size=(n, 64, 64)).astype(np.float32)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import copy
 import ctypes
 import dataclasses
 import hashlib
@@ -1031,9 +1032,9 @@ def _observe_in_chunks(monkeypatch, plan):
     read, draw, build = (runner.read_dataset, runner.substream,
                          runner.observers.build_hotelling)
 
-    def counted_read(path, start=0, stop=None):
+    def counted_read(path, start=0, stop=None, out=None):
         reads.append((start, stop))
-        return read(path, start, stop)
+        return read(path, start, stop, out=out)
 
     def counted_draw(seed, name, i):
         if name == "mcmc-chain":
@@ -1064,9 +1065,9 @@ def test_records_do_not_depend_on_the_cut(tmp_path, monkeypatch, name,
                                           preset, cpus):
     # an observer's record of an image depends on that image alone: a split
     # scored in random pieces, none a multiple of the 4-image micro-batch
-    # or of the 256-row Hotelling block, gives the records of the split
-    # scored in one piece, bit for bit
-    assert observers.HO_BLOCK_ROWS == 256
+    # (so none of the 64-row Hotelling block either), gives the records of
+    # the split scored in one piece, bit for bit
+    assert observers.HO_BLOCK_ROWS == 64
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(cpus)))
     plan = ExperimentPlan(preset, tmp_path, observers=[name], seed=36,
@@ -1095,22 +1096,23 @@ def test_records_do_not_depend_on_the_cut(tmp_path, monkeypatch, name,
                               getattr(whole, field.name)), field.name
 
 
-# name -> (images per chunk, or None for the 1024 of _CHUNK_PIXELS at
-# 64x64; test images per class; the chunk edges): a split below one chunk
-# (and one Hotelling block) is one piece, the last chunk takes what is
-# left, 2 images as a chunk of its own, and chunks can be single images
+# name -> (images per chunk, or None for the 256 of _CHUNK_PIXELS at 64x64;
+# test images per class; the chunk edges): a split below one chunk (and one
+# Hotelling block) is one piece, the last chunk takes what is left, 2
+# images as a chunk of its own, and chunks can be single images
 _CHUNKS = {"below-block": (16, 1, [0, 10]),
            "exact": (20, 4, [0, 20, 40]),
            "own-chunk": (7, 3, [0, 7, 14, 21, 28, 30]),
            "one-image": (1, 1, list(range(11))),
-           "1024": (None, 130, [0, 1024, 1300])}
+           "1024": (1024, 130, [0, 1024, 1300]),
+           "default": (None, 130, [*range(0, 1300, 256), 1300])}
 
 
 @pytest.mark.parametrize("preset, observers, chunks", [
     *[pytest.param("bke_system1", ["analytic_io", "hotelling", "cnn_io"], c,
                    id=f"bke_system1-{c}") for c in _CHUNKS],
     *[pytest.param("lb", ["hotelling", "mcmc_io"], c, id=f"lb-{c}")
-      for c in list(_CHUNKS)[:-1]]])
+      for c in list(_CHUNKS)[:-2]]])
 def test_chunked_observers_equal_one_piece(tmp_path, monkeypatch, preset,
                                            observers, chunks):
     # the files equal those of the split read in one piece, the Hotelling
@@ -1142,10 +1144,11 @@ def test_chunked_observers_equal_one_piece(tmp_path, monkeypatch, preset,
 
 def test_observers_hold_one_chunk_of_the_split(tmp_path, monkeypatch):
     # at one usable CPU the reports run in process too; the traced peak of
-    # run_observers on a split of three chunks (1024, 1024 and 952 images)
-    # is below the split's 49 MB: at most the largest chunk, the Hotelling
-    # workspace (256 rows in float64) and 4 MB for the rest (the
-    # per-location statistics, the records and their CSVs)
+    # run_observers on a split of twelve chunks (eleven of 256 images and
+    # one of 184) is below the split's 49 MB: at most the one chunk buffer,
+    # the Hotelling workspace (64 rows in float64) and 4 MB for the rest
+    # (the read buffer, the per-location statistics, the records and their
+    # CSVs)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     plan = ExperimentPlan("bke_system1", tmp_path / "o",
                           observers=["analytic_io", "hotelling"],
@@ -1154,7 +1157,7 @@ def test_observers_hold_one_chunk_of_the_split(tmp_path, monkeypatch):
     generate_dataset(plan)
     pixels = 64 * 64
     split = 3000 * (4 * pixels + 1)
-    bound = 1024 * (4 * pixels + 1) + 256 * pixels * 8 + 4 * 2 ** 20
+    bound = 256 * (4 * pixels + 1) + 64 * pixels * 8 + 4 * 2 ** 20
     peak = traced_peak(run_observers, plan)
     assert peak < bound < split
 
@@ -1178,6 +1181,91 @@ def test_bad_label_in_a_later_chunk_writes_no_file(tmp_path, monkeypatch):
     assert str(caught.value) == f"{path}: record 21 has label 10, above J = 9"
     assert calls["laplacian_io_log_lrs_batch"] == 1
     assert not list(plan.out_dir.glob("*.csv"))
+
+
+def test_bad_label_in_a_later_chunk_fails_in_the_reused_buffer(
+        tmp_path, monkeypatch):
+    # at the default chunks, 600 images are read as 256, 256 and 88 records
+    # into one buffer of 256 images; record 530's label fails the third
+    # read, after two chunks scored, and no file is written
+    plan = ExperimentPlan("bke_system1", tmp_path / "o",
+                          observers=["analytic_io", "hotelling"],
+                          n_val_per_class=0, n_test_per_class=60, seed=39,
+                          bootstrap_samples=20)
+    generate_dataset(plan)
+    path = plan.out_dir / "test.bin"
+    raw = bytearray(path.read_bytes())
+    raw[HEADER_SIZE + 530 * (1 + 4 * 64 * 64)] = 10
+    path.write_bytes(raw)
+    reads = []
+    read = runner.read_dataset
+
+    def kept_read(path, start=0, stop=None, out=None):
+        reads.append((start, stop, out))
+        return read(path, start, stop, out=out)
+
+    monkeypatch.setattr(runner, "read_dataset", kept_read)
+    calls = _count_scoring_calls(monkeypatch)
+    with pytest.raises(ValueError) as caught:
+        run_observers(plan)
+    assert str(caught.value) == f"{path}: record 530 has label 10, above J = 9"
+    assert [r[:2] for r in reads] == [(0, 0), (0, 256), (256, 512),
+                                      (512, 600)]
+    images, labels = reads[1][2]
+    assert images.shape == (256, 64, 64) and labels.shape == (256,)
+    assert all(r[2][0] is images and r[2][1] is labels for r in reads[1:])
+    assert calls["laplacian_io_log_lrs_batch"] == 2
+    assert not list(plan.out_dir.glob("*.csv"))
+
+
+@pytest.mark.parametrize("preset, names", [
+    ("bke_system1", ["analytic_io", "hotelling", "cnn_io"]),
+    ("lb", ["hotelling", "mcmc_io"])])
+def test_scorers_see_one_buffer_and_keep_no_view_of_it(tmp_path, monkeypatch,
+                                                       preset, names):
+    # with chunks of 7 images, 20 images are three reads into one buffer:
+    # every scorer call gets views of the first chunk's memory, and the
+    # records it returns share none of it, so the later reads leave them
+    # as they were returned
+    monkeypatch.setattr(runner, "_CHUNK_PIXELS", 7 * 64 * 64)
+    plan = ExperimentPlan(preset, tmp_path / "o", observers=names,
+                          n_val_per_class=0, n_test_per_class=2, seed=39,
+                          cov_samples=30, mcmc_iterations=60,
+                          mcmc_burn_in=10, bootstrap_samples=20)
+    generate_dataset(plan)
+    task = plan.task
+    arch = neuralnet.Architecture(1, task.grid[::-1], task.J + 1, filters=2)
+    neuralnet.save_checkpoint(plan.out_dir / "checkpoint.bin",
+                              neuralnet.init_state(arch, seed=63))
+    calls = []  # (images, labels, records, a copy of the records)
+
+    def kept(set_up):
+        def kept_set_up(task, plan):
+            score = set_up(task, plan)
+
+            def kept_score(images, labels):
+                records = score(images, labels)
+                calls.append((images, labels, records,
+                              copy.deepcopy(records)))
+                return records
+            return kept_score
+        return kept_set_up
+
+    for name in names:
+        monkeypatch.setitem(runner.OBSERVERS, name,
+                            kept(runner.OBSERVERS[name]))
+    run_observers(plan)
+    assert [len(c[0]) for c in calls] == [n for n in (7, 7, 6)
+                                          for _ in names]
+    first_images, first_labels = calls[0][:2]
+    for images, labels, records, returned in calls:
+        assert np.shares_memory(images, first_images)
+        assert np.shares_memory(labels, first_labels)
+        for field in dataclasses.fields(Records):
+            value = getattr(records, field.name)
+            assert not np.shares_memory(value, first_images), field.name
+            assert not np.shares_memory(value, first_labels), field.name
+            assert np.array_equal(value, getattr(returned, field.name))
 
 
 def test_hotelling_covariance_stack_equals_list_and_stack(tmp_path,
