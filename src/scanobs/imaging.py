@@ -228,22 +228,41 @@ def render_signal_image(spec: SignalSpec, grid: tuple[int, int],
     return img.astype(np.float32)
 
 
+# Pixels of float64 noise drawn at a time by apply_noise: 16 images at
+# 64x64, or 4 at 128x128, a 512 KB block
+_NOISE_PIXELS = 65536
+
+
 def apply_noise(img: np.ndarray, model: NoiseModel,
                 rng: np.random.Generator) -> np.ndarray:
     """Apply the measurement-noise model to a noiseless image or a stack of
-    images (N, height, width), with one draw of the input's shape.
+    images (N, height, width), with the values of one draw of the input's
+    shape, drawn a sub-block of _NOISE_PIXELS pixels at a time into one
+    float32 output.  The input is never written.
 
     Laplacian and Gaussian noise is added in float64 and rounded to float32;
     on a stack it is the noise of its images drawn in turn.
     Poisson-Gaussian noise is the Poisson draw of the whole input, then the
-    Gaussian draw of the whole input, summed in float64.
+    Gaussian draw of the whole input, summed in float64: its int64 counts
+    are held whole between the two.  Every draw takes its values in pixel
+    order, so the generator ends where one whole draw leaves it.
     """
     img = np.asarray(img)
+    flat = img.reshape(-1)
+    blocks = [slice(lo, lo + _NOISE_PIXELS)
+              for lo in range(0, flat.size, _NOISE_PIXELS)]
     if model.kind == "poisson_gaussian":  # clamp numerical dust below zero
-        noisy = rng.poisson(np.clip(img, 0.0, None)).astype(np.float64)
-        noisy += rng.normal(0.0, model.scale, img.shape)
+        counts = np.empty(flat.size, dtype=np.int64)
+        for s in blocks:
+            counts[s] = rng.poisson(np.clip(flat[s], 0.0, None))
+        add, draw = counts, rng.normal
     else:
+        add = flat
         draw = rng.laplace if model.kind == "laplacian" else rng.normal
-        noisy = draw(0.0, model.scale, img.shape)
-        noisy += img
-    return noisy.astype(np.float32)
+    out = np.empty(img.shape, dtype=np.float32)
+    noisy = out.reshape(-1)
+    for s in blocks:
+        part = draw(0.0, model.scale, len(add[s]))
+        part += add[s]
+        noisy[s] = part
+    return out

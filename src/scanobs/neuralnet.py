@@ -419,7 +419,13 @@ BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
 
 def adam_step(state: NetworkState, grads, lr: float) -> NetworkState:
-    """One Adam update with bias correction; mutates and returns state."""
+    """One Adam update with bias correction; mutates and returns state.
+
+    Every gradient is checked finite before anything changes.  Each update
+    runs in place through two scratch arrays of its parameter's shape, in
+    the operation order of m += (1 - BETA1) g, v += (1 - BETA2) g g and
+    p -= lr (m / bc1) / (sqrt(v / bc2) + EPSILON), so it has those bits.
+    """
     for g in grads:
         if not np.all(np.isfinite(g)):
             raise TrainingDiverged(f"non-finite gradient at step {state.step}",
@@ -430,11 +436,19 @@ def adam_step(state: NetworkState, grads, lr: float) -> NetworkState:
     bc2 = 1.0 - BETA2 ** t
     for p, m, v, g in zip(state.params, state.m, state.v, grads):
         g = g.astype(p.dtype, copy=False)
+        s, u = np.empty_like(p), np.empty_like(p)
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        m += np.multiply(g, 1.0 - BETA1, out=s)
         v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
+        np.multiply(g, 1.0 - BETA2, out=s)
+        v += np.multiply(s, g, out=s)
+        np.divide(m, bc1, out=s)
+        s *= lr
+        np.divide(v, bc2, out=u)
+        np.sqrt(u, out=u)
+        u += EPSILON
+        s /= u
+        p -= s
     return state
 
 
@@ -588,9 +602,10 @@ def save_checkpoint(path, state: NetworkState):
 
     Block order: every parameter (conv weight/bias pairs, dense weight,
     dense bias), then the first-moment blocks, then the second-moment blocks,
-    each in the same parameter order.  The file is written under a temporary
-    name in the same directory and then renamed over ``path``, so an
-    interrupted save leaves any previous checkpoint intact.
+    each in the same parameter order.  Each block is written from its
+    array's own buffer, with no bytes copy.  The file is written under a
+    temporary name in the same directory and then renamed over ``path``, so
+    an interrupted save leaves any previous checkpoint intact.
     """
     arch = state.arch
     hdr = _CKPT_HEADER.pack(
@@ -605,7 +620,7 @@ def save_checkpoint(path, state: NetworkState):
             fh.write(hdr)
             for group in (state.params, state.m, state.v):
                 for p in group:
-                    fh.write(np.ascontiguousarray(p, dtype="<f4").tobytes())
+                    fh.write(np.ascontiguousarray(p, dtype="<f4"))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -615,32 +630,44 @@ def save_checkpoint(path, state: NetworkState):
 
 
 def load_checkpoint(path) -> NetworkState:
-    raw = Path(path).read_bytes()
-    if len(raw) < _CKPT_HEADER.size:
-        raise ValueError(f"{path}: truncated header")
-    (magic, version, conv_layers, filters, kernel, n_classes, in_h, in_w,
-     slope, mean, std, step) = _CKPT_HEADER.unpack(raw[:_CKPT_HEADER.size])
-    if magic != _CKPT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file")
-    if version != 1:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    try:
-        arch = Architecture(conv_layers, (in_h, in_w), n_classes, filters,
-                            kernel, round(float(slope), 6))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    shapes = _param_shapes(arch)
-    sizes = [math.prod(shape) for shape in shapes]
-    if _CKPT_HEADER.size + 3 * 4 * sum(sizes) != len(raw):
-        raise ValueError(f"{path}: trailing or missing data")
-    offset = _CKPT_HEADER.size
-    groups = []
-    for _ in range(3):
-        loaded = []
-        for shape, size in zip(shapes, sizes):
-            arr = np.frombuffer(raw, dtype="<f4", count=size, offset=offset)
-            loaded.append(arr.reshape(shape).astype(np.float32))
-            offset += 4 * size
-        groups.append(loaded)
+    """The NetworkState saved at path by save_checkpoint.
+
+    The header is checked, then the file's size against the blocks it
+    names, before any block is allocated; each block is then read straight
+    into its own writable float32 array, so the state is held once.  A
+    malformed file raises a one-line ValueError naming it.
+    """
+    with open(path, "rb") as fh:
+        head = fh.read(_CKPT_HEADER.size)
+        if len(head) < _CKPT_HEADER.size:
+            raise ValueError(f"{path}: truncated header")
+        (magic, version, conv_layers, filters, kernel, n_classes, in_h, in_w,
+         slope, mean, std, step) = _CKPT_HEADER.unpack(head)
+        if magic != _CKPT_MAGIC:
+            raise ValueError(f"{path}: not a checkpoint file")
+        if version != 1:
+            raise ValueError(f"{path}: unsupported checkpoint version "
+                             f"{version}")
+        try:
+            arch = Architecture(conv_layers, (in_h, in_w), n_classes, filters,
+                                kernel, round(float(slope), 6))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        shapes = _param_shapes(arch)
+        group_bytes = 4 * sum(math.prod(shape) for shape in shapes)
+        if (_CKPT_HEADER.size + 3 * group_bytes
+                != os.fstat(fh.fileno()).st_size):
+            raise ValueError(f"{path}: trailing or missing data")
+        groups = []
+        for _ in range(3):
+            loaded = []
+            for shape in shapes:
+                # "<f4" is float32 on a little-endian host, where astype
+                # returns the array itself
+                arr = np.empty(shape, dtype="<f4")
+                if fh.readinto(arr) != arr.nbytes:
+                    raise ValueError(f"{path}: trailing or missing data")
+                loaded.append(arr.astype(np.float32, copy=False))
+            groups.append(loaded)
     return NetworkState(arch, groups[0], groups[1], groups[2], step,
                         float(mean), float(std))

@@ -162,7 +162,10 @@ def build_hotelling(backgrounds, signals,
     (numpy.linalg.solve).  C is centred in float64 a block of
     _GRAM_COLUMNS pixels at a time, so no float64 copy of the stack is
     held; A sums the blocks' products, each of which numpy forms by one
-    symmetric rank-k update into the one n x n array they share.  Like
+    symmetric rank-k update into the one n x n array they share.  That
+    array and the workspace are released before the solve, and A as it
+    returns, so the solve holds one n x n float64 array of scanobs (and
+    LAPACK its own copy); the template pass takes a fresh workspace.  Like
     every product in scanobs, the algebra runs at the one BLAS thread that
     ``scanobs.workers`` sets at import, so the templates do not depend on
     the OPENBLAS_NUM_THREADS a process starts with.
@@ -185,23 +188,26 @@ def build_hotelling(backgrounds, signals,
         raise ValueError(f"background samples have {x.shape[1]} pixels, "
                          f"signals {m}")
     mean_bg = x.mean(axis=0, dtype=np.float64)
-    work = np.empty((n, min(m, _GRAM_COLUMNS)))
 
-    def centred_blocks():
+    def centred_blocks():  # each pass takes its own workspace
+        work = np.empty((n, min(m, _GRAM_COLUMNS)))
         for lo in range(0, m, _GRAM_COLUMNS):
             cols = slice(lo, min(lo + _GRAM_COLUMNS, m))
             block = work[:, :cols.stop - lo]
             np.subtract(x[:, cols], mean_bg[cols], out=block)
             yield cols, block
 
-    gram = np.zeros((n, n))
-    prod = np.empty((n, n))  # each block's product, formed in place
-    c_s = np.zeros((n, j_count))  # C S^T
-    for cols, block in centred_blocks():
-        gram += np.matmul(block, block.T, out=prod)
-        c_s += block @ signals[:, cols].T
-    gram.flat[::n + 1] += (n - 1) * noise_var
-    coef = np.linalg.solve(gram, c_s)
+    def system():  # A and C S^T; prod and the workspace end with the call
+        gram = np.zeros((n, n))
+        prod = np.empty((n, n))  # each block's product, formed in place
+        c_s = np.zeros((n, j_count))  # C S^T
+        for cols, block in centred_blocks():
+            gram += np.matmul(block, block.T, out=prod)
+            c_s += block @ signals[:, cols].T
+        gram.flat[::n + 1] += (n - 1) * noise_var
+        return gram, c_s
+
+    coef = np.linalg.solve(*system())
     templates = signals.copy()
     for cols, block in centred_blocks():
         templates[:, cols] -= coef.T @ block

@@ -7,12 +7,13 @@ observer (its one product padded to at least a block's rows), the im2col
 einsum network that the channels-last convolution is checked against, the
 band-copy convolutions, the channels-last network with those
 convolutions, ``np.where`` activations, an argmax pool and a head padded
-to a micro-batch's rows, the per-image training-batch composer, and the
+to a micro-batch's rows, the per-image training-batch composer, the
+whole-array Adam update, and the
 ``rng.uniform`` samplers and the per-lump, whole-image (with its own
 ``hypot`` blob evaluator) and per-iteration lumpy-background references;
 the splits, the curves, the Hotelling records, the figures of merit, the
-CSV bytes, the network passes, the BKE training batches, the sampling and
-the rendering must equal these bit for bit, and
+CSV bytes, the network passes, the BKE training batches, the Adam
+updates, the sampling and the rendering must equal these bit for bit, and
 the MCMC chain must take the reference chain's path with its statistics
 within 1e-10.  Also the traced allocation peak of a call, and a Python
 snippet's output at one and two OpenBLAS threads."""
@@ -486,6 +487,22 @@ def reference_compose_batch(task, backgrounds, batch_per_class, rng):
             labels[pos] = cls
             pos += 1
     return images, labels
+
+
+def reference_adam_step(state, grads, lr):
+    """One Adam update as whole-array expressions, a temporary per
+    operation; mutates and returns state."""
+    state.step += 1
+    bc1 = 1.0 - neuralnet.BETA1 ** state.step
+    bc2 = 1.0 - neuralnet.BETA2 ** state.step
+    for p, m, v, g in zip(state.params, state.m, state.v, grads):
+        g = g.astype(p.dtype, copy=False)
+        m *= neuralnet.BETA1
+        m += (1.0 - neuralnet.BETA1) * g
+        v *= neuralnet.BETA2
+        v += (1.0 - neuralnet.BETA2) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + neuralnet.EPSILON)
+    return state
 
 
 # ---------------------------------------------------------------------------

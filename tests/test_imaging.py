@@ -11,9 +11,10 @@ from helpers import (
     reference_render_clb_image,
     reference_render_lumpy_image,
     reference_write_blocks,
+    traced_peak,
 )
 from quadrature import gaussian_lump, gaussian_signal, prf_pixel_value
-from scanobs import runner
+from scanobs import imaging, runner
 from scanobs.imaging import (
     NoiseModel,
     PrfSpec,
@@ -199,19 +200,38 @@ def test_laplacian_split_is_exact_under_a_short_switch_interval(
 @pytest.mark.parametrize("kind", ["gaussian", "poisson_gaussian"])
 def test_gaussian_and_poisson_gaussian_stack_noise_equals_one_draw(kind):
     # a Poisson-Gaussian stack is all its Poisson values, then all its
-    # Gaussian values, not the images' noise in turn
-    img = np.random.default_rng(1).uniform(-1.0, 50.0, (5, 8, 8))
+    # Gaussian values, not the images' noise in turn; the larger stacks
+    # cross several noise sub-blocks and end in a ragged one
+    for shape in [(5, 8, 8), (37, 64, 64), (9, 128, 128)]:
+        img = np.random.default_rng(1).uniform(-1.0, 50.0, shape)
+        img = img.astype(np.float32)
+        clean = img.copy()
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        got = apply_noise(img, NoiseModel(kind, 3.0), rng)
+        if kind == "gaussian":
+            want = img.astype(np.float64) + ref.normal(0.0, 3.0, img.shape)
+        else:
+            want = (ref.poisson(np.clip(img, 0.0, None))
+                    + ref.normal(0.0, 3.0, img.shape))
+        assert got.dtype == np.float32
+        assert np.array_equal(got, want.astype(np.float32))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(img, clean)
+
+
+@pytest.mark.parametrize("kind", ["laplacian", "gaussian",
+                                  "poisson_gaussian"])
+def test_apply_noise_holds_the_output_and_two_sub_blocks(kind):
+    # a 64-image 64x64 block: the float32 output and at most two float64
+    # noise sub-blocks, plus the int64 Poisson counts held between the two
+    # draws, not the whole stack's noise in float64
+    img = np.random.default_rng(2).uniform(0.0, 50.0, (64, 64, 64))
     img = img.astype(np.float32)
-    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
-    got = apply_noise(img, NoiseModel(kind, 3.0), rng)
-    if kind == "gaussian":
-        want = img.astype(np.float64) + ref.normal(0.0, 3.0, img.shape)
-    else:
-        want = (ref.poisson(np.clip(img, 0.0, None))
-                + ref.normal(0.0, 3.0, img.shape))
-    assert got.dtype == np.float32
-    assert np.array_equal(got, want.astype(np.float32))
-    assert rng.bit_generator.state == ref.bit_generator.state
+    bound = 4 * img.size + 2 * 8 * imaging._NOISE_PIXELS + 64 * 1024
+    if kind == "poisson_gaussian":
+        bound += 8 * img.size
+    assert traced_peak(apply_noise, img, NoiseModel(kind, 3.0),
+                       np.random.default_rng(3)) <= bound
 
 
 def test_poisson_gaussian_variance():

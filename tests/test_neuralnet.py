@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import os
+import re
 import signal
 from concurrent.futures.process import BrokenProcessPool
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ import scanobs.neuralnet as nn
 from helpers import (
     reference_band_conv,
     reference_band_conv_weight_grad,
+    reference_adam_step,
     reference_channels_last,
     reference_compose_batch,
     reference_conv_backward,
@@ -433,6 +435,40 @@ def test_adam_rejects_nonfinite_gradient():
         adam_step(state, grads, lr=1e-2)
 
 
+def test_adam_step_equals_the_whole_array_reference():
+    # three steps of positive, negative and zero float32 gradients over
+    # several decades, bit for bit: the update works in place through
+    # scratch arrays in the reference's operation order
+    state = init_state(Architecture(2, (8, 8), n_classes=3, filters=4,
+                                    kernel=3), seed=61)
+    ref = state.copy()
+    rng = np.random.default_rng(62)
+    for _ in range(3):
+        grads = []
+        for p in state.params:
+            signs = rng.permutation(np.resize([1.0, -1.0, 0.0], p.size))
+            scales = 10.0 ** rng.uniform(-6.0, 1.0, p.size)
+            grads.append((signs * scales).reshape(p.shape).astype(np.float32))
+        adam_step(state, grads, 1e-3)
+        reference_adam_step(ref, grads, 1e-3)
+        assert state.step == ref.step
+        for a, b in zip(state.params + state.m + state.v,
+                        ref.params + ref.m + ref.v):
+            assert a.dtype == b.dtype == np.float32
+            assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+def test_adam_step_holds_two_scratch_arrays():
+    # the paper's net: each update works through two arrays of its
+    # parameter's shape, the largest the dense weight's 1.31 MB, not a
+    # temporary per operation
+    state = init_state(Architecture(5, (64, 64)), seed=63)
+    grads = [np.full_like(p, 0.5) for p in state.params]
+    largest = max(p.nbytes for p in state.params)
+    assert traced_peak(adam_step, state, grads, 1e-3) <= \
+        2 * largest + 64 * 1024
+
+
 @pytest.mark.parametrize("overrides", [
     {"total_minibatches": 0}, {"batch_per_class": 0}, {"val_period": 0},
     {"val_period": -3}, {"learning_rate": 0.0}, {"learning_rate": -1e-4},
@@ -587,6 +623,67 @@ def test_load_checkpoint_rejects_even_kernel(tmp_path):
     write_malformed_checkpoint(path)
     with pytest.raises(ValueError, match="kernel must be odd"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", [lambda raw: raw + bytes(4),
+                                  lambda raw: raw[:-2]],
+                         ids=["trailing", "cut-in-last-block"])
+def test_load_checkpoint_rejects_trailing_or_missing_data(tmp_path, edit):
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, init_state(Architecture(1, (4, 4), n_classes=2,
+                                                  filters=2, kernel=3)))
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                       "trailing or missing data$"):
+        load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_a_short_read(tmp_path, monkeypatch):
+    # a file cut after its size was checked: the block read comes up short
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, init_state(Architecture(1, (4, 4), n_classes=2,
+                                                  filters=2, kernel=3)))
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-2])
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=size))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                       "trailing or missing data$"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_load_holds_the_state_once(tmp_path):
+    # the paper's net: each block is read into its own array, without the
+    # file's bytes or a second copy of the state
+    path = tmp_path / "ckpt.bin"
+    state = init_state(Architecture(5, (64, 64)), seed=64)
+    save_checkpoint(path, state)
+    state_bytes = 3 * sum(p.nbytes for p in state.params)
+    assert traced_peak(load_checkpoint, path) <= state_bytes + 64 * 1024
+
+
+def test_checkpoint_save_copies_no_block(tmp_path):
+    state = init_state(Architecture(5, (64, 64)), seed=65)
+    assert traced_peak(save_checkpoint, tmp_path / "ckpt.bin", state) <= \
+        64 * 1024
+
+
+def test_loaded_checkpoint_is_updated_in_place(tmp_path):
+    # the resume path: the loaded arrays are the state's own float32
+    # arrays, and Adam steps them in place
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, init_state(Architecture(2, (4, 4), n_classes=3,
+                                                  filters=4, kernel=3),
+                                     seed=66))
+    state = load_checkpoint(path)
+    arrays = state.params + state.m + state.v
+    for a in arrays:
+        assert a.dtype == np.float32
+        assert a.flags.writeable and a.flags.c_contiguous and a.flags.owndata
+    before = [a.copy() for a in arrays]
+    adam_step(state, [np.full_like(p, 0.5) for p in state.params], 1e-3)
+    after = state.params + state.m + state.v
+    assert all(a is b for a, b in zip(arrays, after))
+    assert not any(np.array_equal(a, b) for a, b in zip(after, before))
 
 
 def test_save_checkpoint_is_atomic(tmp_path):

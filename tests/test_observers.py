@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,6 +285,31 @@ def test_hotelling_templates_do_not_depend_on_blas_threads():
         print(hashlib.sha256(state.templates.tobytes()).hexdigest())
         """)
     assert one == two
+
+
+def test_hotelling_solve_holds_one_n_by_n_array(monkeypatch):
+    # at the solve the block product and the centring workspace are gone:
+    # of the n x n float64 arrays only A itself is live (LAPACK's copy of
+    # it is not traced)
+    n, side = 400, 16
+    rng = np.random.default_rng(23)
+    backgrounds = rng.normal(size=(n, side, side)).astype(np.float32)
+    signals = rng.normal(size=(4, side, side)).astype(np.float32)
+    solve, live = np.linalg.solve, []
+
+    def traced_solve(a, b):
+        live.append(tracemalloc.get_traced_memory()[0] - base)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", traced_solve)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build_hotelling(backgrounds, signals, 2.0)
+    finally:
+        tracemalloc.stop()
+    assert len(live) == 1
+    assert 8 * n * n <= live[0] <= 8 * n * n + 64 * 1024
 
 
 def test_hotelling_holds_no_copy_of_the_stack():

@@ -1694,6 +1694,21 @@ def test_cli_evaluate_checkpoint_of_another_task_is_one_line_error(
     assert not list((tmp_path / "out").glob("*.csv"))
 
 
+def test_cli_evaluate_cut_checkpoint_is_one_line_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, observers=["cnn_io"], n_val_per_class=1,
+                        n_test_per_class=1)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    ckpt = tmp_path / "out" / "checkpoint.bin"
+    arch = neuralnet.Architecture(1, (64, 64), 10, filters=2)
+    neuralnet.save_checkpoint(ckpt, neuralnet.init_state(arch, seed=58))
+    ckpt.write_bytes(ckpt.read_bytes()[:-2])  # cut inside the last block
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ckpt}: trailing or missing data\n")
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
 def _count_scoring_calls(monkeypatch):
     """Calls of the work an observer does when it scores: the analytic IO's
     log-LRs, the Hotelling build, the MCMC chains and the network's forward
