@@ -273,32 +273,30 @@ def _chunk_edges(n, shape):
 
 def _analytic_io(task, plan):
     background = np.zeros(task.grid[::-1], dtype=np.float32)
-    return lambda images, labels: observers.records_from_log_lrs(
-        observers.laplacian_io_log_lrs_batch(
+    return lambda chunks, n: observers.Records.concatenate([
+        observers.records_from_log_lrs(observers.laplacian_io_log_lrs_batch(
             images, task.signal_images, background, task.noise.scale),
-        task.priors, labels)
+            task.priors, labels)
+        for images, labels in chunks])
 
 
 def _hotelling(task, plan):
-    """Scores with templates built at the first call, from covariance
-    samples drawn from the plan's "hotelling-covariance" stream (none on
-    the BKE tasks), and kept for the later calls, the split's later
-    chunks."""
-    state = None
-
-    def score(images, labels):
-        nonlocal state
-        if state is None:
-            backgrounds = None
-            if task.kind != "bke_laplacian":
-                rng = stream(plan.seed, "hotelling-covariance")
-                backgrounds = np.empty((plan.cov_samples, *task.grid[::-1]),
-                                       dtype=np.float32)
-                for sample in backgrounds:  # drawn in place, one stack held
-                    sample[...] = task.sample_background(rng)
-            state = observers.build_hotelling(
-                backgrounds, task.signal_images, task.noise.std ** 2)
-        return observers.scanning_ho_records(images, labels, state)
+    """Scores with templates built at the start of the pass, from
+    covariance samples drawn from the plan's "hotelling-covariance" stream
+    (none on the BKE tasks)."""
+    def score(chunks, n):
+        backgrounds = None
+        if task.kind != "bke_laplacian":
+            rng = stream(plan.seed, "hotelling-covariance")
+            backgrounds = np.empty((plan.cov_samples, *task.grid[::-1]),
+                                   dtype=np.float32)
+            for sample in backgrounds:  # drawn in place, one stack held
+                sample[...] = task.sample_background(rng)
+        state = observers.build_hotelling(
+            backgrounds, task.signal_images, task.noise.std ** 2)
+        return observers.Records.concatenate([
+            observers.scanning_ho_records(images, labels, state)
+            for images, labels in chunks])
     return score
 
 
@@ -311,31 +309,31 @@ def _mcmc_chain(g, task, cfg, rng, label):
 
 def _mcmc_io(task, plan):
     """Scores with one chain per image, the chain of the split's image i
-    drawing from substream(seed, "mcmc-chain", i), where i counts the
-    images of earlier calls (the split's earlier chunks) too.  The chains
-    of a call are mapped by workers.task_map (in process on one usable
-    CPU) and their rows concatenated in image order, so the records do not
-    depend on the worker count.  If a chain raises, the chains not yet
-    started do not run."""
+    drawing from substream(seed, "mcmc-chain", i).  The pass maps its
+    chains by one workers.task_map (in process on one usable CPU), a
+    chunk's before the next is read, and concatenates their rows in image
+    order, so the records do not depend on the worker count.  If a chain
+    raises, the chains not yet started do not run."""
     cfg = McmcConfig(
         iterations=plan.mcmc_iterations,
         burn_in=None if plan.mcmc_burn_in < 0 else plan.mcmc_burn_in)
-    scored = 0  # images of the earlier calls
 
-    def score(images, labels):
-        nonlocal scored
-        first, scored = scored, scored + len(images)
-        rngs = (substream(plan.seed, "mcmc-chain", i)
-                for i in range(first, scored))
-        with workers.task_map(len(images)) as tasks:
-            return observers.Records.concatenate(list(tasks(
-                _mcmc_chain, images, repeat(task), repeat(cfg), rngs,
-                labels)))
+    def score(chunks, n):
+        rows = []  # one per image scored
+        with workers.task_map(n) as tasks:
+            for images, labels in chunks:
+                rngs = [substream(plan.seed, "mcmc-chain", i)
+                        for i in range(len(rows), len(rows) + len(images))]
+                rows += tasks(_mcmc_chain, images, repeat(task), repeat(cfg),
+                              rngs, labels)
+        return observers.Records.concatenate(rows)
     return score
 
 
 def _cnn_io(task, plan):
-    """Scores with the plan's checkpoint, checked against the task."""
+    """Scores with the plan's checkpoint, checked against the task, in
+    one network pool scope (neuralnet._task_map) open for the whole pass,
+    which every chunk's forward_posteriors call reuses."""
     ckpt = plan.out_dir / "checkpoint.bin"
     if not ckpt.exists():
         raise FileNotFoundError(f"cnn_io requires a checkpoint at {ckpt}")
@@ -345,13 +343,20 @@ def _cnn_io(task, plan):
     if found != expected:
         raise ValueError(f"{ckpt}: (classes, input shape) is {found}, but "
                          f"the plan's task has {expected}")
-    return lambda images, labels: neuralnet.cnn_io_records(
-        images, labels, state, task.priors)
+
+    def score(chunks, n):
+        parts = neuralnet._micro_batches(n, state.arch.input_shape)
+        with neuralnet._task_map(state, len(parts)):
+            return observers.Records.concatenate([
+                neuralnet.cnn_io_records(images, labels, state, task.priors)
+                for images, labels in chunks])
+    return score
 
 
-# Each observer's set-up maps (task, plan) to score(images, labels) ->
-# Records; it only checks and loads, and the expensive work runs in score,
-# which is called on the chunks of one test split in order
+# Each observer's set-up maps (task, plan) to score(chunks, n) -> Records;
+# it only checks and loads.  score is the observer's pass over a split of
+# n images: it takes the chunks, (images, labels) pairs, in split order,
+# each valid until the next is drawn, and forks at most one pool
 OBSERVERS = {"analytic_io": _analytic_io,
              "hotelling": _hotelling,
              "mcmc_io": _mcmc_io,
@@ -384,20 +389,17 @@ def run_observers(plan: ExperimentPlan) -> list[dict]:
 
     A copy of the plan is checked first (replace runs __post_init__), as
     a field can be reassigned after construction; then the observer list
-    must not be empty, and the split's header is read.  Every
-    observer is set up next, in plan order, so a failed check (a missing
-    or mismatched checkpoint) raises before any observer scores.  The
-    split is then read a chunk at a time (_chunk_edges), one read_dataset
-    call each, into one image buffer and one label buffer of the largest
-    chunk's size, allocated once for the pass; each chunk is scored by
-    every observer in plan order, so one chunk of images is held, not the
-    split.  No scorer keeps a view of its input (the records copy the
-    labels, and a pool pickles the images), so the next read may overwrite
-    the buffers.  Each observer's records are its chunks' rows in image
-    order, the bytes a call on the whole split gives.  A bad record fails
-    its chunk's read, before any file is written.  The buffers are freed,
-    and then each observer's files and figures of merit are one task of a
-    workers.task_map, and the report lists the rows in observer order."""
+    must not be empty, and the split's header is read.  Every observer is
+    set up next, so a failed check (a missing or mismatched checkpoint)
+    raises before any observer scores.  The observers then make their
+    passes (OBSERVERS) one at a time, in plan order, so at most one pool
+    is open.  Each pass reads the split a chunk at a time (_chunk_edges)
+    into one image buffer and one label buffer of the largest chunk's
+    size, allocated once, so one chunk of images is held, not the split.
+    A bad record fails its chunk's read in the first pass, before any file
+    is written.  The buffers are freed, and then each observer's files and
+    figures of merit are one task of a workers.task_map, and the report
+    lists the rows in observer order."""
     plan = replace(plan)
     if not plan.observers:
         raise ConfigError("observers: empty observer list")
@@ -407,18 +409,15 @@ def run_observers(plan: ExperimentPlan) -> list[dict]:
     if n == 0:
         raise ConfigError(f"n_test_per_class: the observers need test "
                           f"images, and {test_path} has none")
-    scorers = [OBSERVERS[name](task, plan) for name in plan.observers]
-    chunks = [[] for _ in scorers]  # each observer's records, per chunk
+    passes = [OBSERVERS[name](task, plan) for name in plan.observers]
     edges = _chunk_edges(n, task.grid[::-1])
     largest = max(hi - lo for lo, hi in zip(edges, edges[1:]))
     buffers = (np.empty((largest, *task.grid[::-1]), dtype=np.float32),
                np.empty(largest, dtype=np.uint8))
-    for lo, hi in zip(edges, edges[1:]):
-        images, labels, _ = _read_split(test_path, task, lo, hi, buffers)
-        for score, done in zip(scorers, chunks):
-            done.append(score(images, labels))
-    del buffers, images, labels  # so that the reports run without them
-    records = [observers.Records.concatenate(c) for c in chunks]
+    records = [score((_read_split(test_path, task, lo, hi, buffers)[:2]
+                      for lo, hi in zip(edges, edges[1:])), n)
+               for score in passes]
+    del buffers  # so that the reports run without them
     with workers.task_map(len(records)) as tasks:
         rows = list(tasks(_report, plan.observers, records, repeat(plan)))
     evaluation.report_to_csv(plan.out_dir / "report.csv", rows)

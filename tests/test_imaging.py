@@ -151,12 +151,13 @@ def test_laplacian_noise_std():
 @pytest.mark.parametrize("shape, bit_generator", [
     ((64, 64), np.random.PCG64),          # one image: one draw
     ((2, 64, 64), np.random.PCG64),
-    ((65, 64, 64), np.random.PCG64),      # halves of 33 and 32 images
+    ((65, 64, 64), np.random.PCG64),
     ((7, 5, 3), np.random.PCG64DXSM),
     ((6, 8, 8), np.random.MT19937),
 ])
 def test_laplacian_stack_noise_equals_one_draw(monkeypatch, cpus, shape,
                                                bit_generator):
+    # the draw is the same whatever the number of usable CPUs
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(cpus)))
     c = 20.0 / math.sqrt(2.0)

@@ -404,6 +404,66 @@ def test_backprop_matches_finite_differences():
     assert worst <= 1e-4
 
 
+def _frozen_pattern_loss(state, images, labels, pattern=None):
+    """Mean cross-entropy of the network, computed with the reference
+    convolution, with every leaky-ReLU slope and max-pool argmax taken from
+    pattern, or from this point when pattern is None; returns the loss and
+    the pattern.  With the pattern frozen the loss is a smooth function of
+    the parameters, whose gradient at the pattern's own point is the one
+    backprop computes there."""
+    arch = state.arch
+    a = ((images - state.input_mean) / state.input_std)[:, None]
+    slopes = []
+    for i in range(arch.conv_layers):
+        y = reference_conv_forward(a, state.params[2 * i],
+                                   state.params[2 * i + 1])
+        slopes.append(np.where(y > 0, 1.0, arch.leaky_slope)
+                      if pattern is None else pattern[0][i])
+        a = y * slopes[-1]
+    b, c, h, w = a.shape
+    # each 2x2 window's values in the order (0, 0), (0, 1), (1, 0), (1, 1)
+    windows = a.reshape(b, c, h // 2, 2, w // 2, 2).transpose(
+        0, 1, 2, 4, 3, 5).reshape(b, c, h // 2, w // 2, 4)
+    first = windows.argmax(-1) if pattern is None else pattern[1]
+    pooled = np.take_along_axis(windows, first[..., None], -1)[..., 0]
+    logits = pooled.reshape(b, -1) @ state.params[-2].T + state.params[-1]
+    z = logits - logits.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return -logp[np.arange(b), labels].mean(), (slopes, first)
+
+
+@pytest.mark.parametrize("seed", [721, 901, 24304])
+def test_paper_net_gradient_matches_frozen_pattern_difference(seed):
+    # the paper's net (5 conv layers of 32 filters, 64x64, 10 classes) in
+    # float64, at seeds whose plain central differences straddle a kink
+    # (721, 24304) or meet the loss's rounding floor (901): along a random
+    # direction, the analytic derivative matches the central difference at
+    # step 1e-4 of the loss with its kink pattern frozen at the base point
+    arch = Architecture(5, (64, 64), n_classes=10)
+    rng = np.random.default_rng([seed, 0xFD])
+    state = init_state(arch, seed=seed, dtype=np.float64)
+    state.input_std = 20.0
+    images = rng.normal(0.0, 20.0, size=(2, 64, 64))
+    labels = np.array([0, 1 + int(rng.integers(arch.n_classes - 1))])
+    loss, grads = loss_and_gradient(images, labels, state)
+    direction = [rng.standard_normal(p.shape) for p in state.params]
+    norm = math.sqrt(sum((d * d).sum() for d in direction))
+    analytic = sum(float((g * d).sum()) for g, d in zip(grads, direction))
+    analytic /= norm
+    base, pattern = _frozen_pattern_loss(state, images, labels)
+    assert base == pytest.approx(loss, rel=1e-12)
+
+    def moved(step):
+        shifted = state.copy()
+        shifted.params = [p + step / norm * d
+                          for p, d in zip(state.params, direction)]
+        return _frozen_pattern_loss(shifted, images, labels, pattern)[0]
+
+    eps = 1e-4
+    central = (moved(eps) - moved(-eps)) / (2.0 * eps)
+    assert abs(central - analytic) <= 1e-6 * abs(analytic)
+
+
 def test_adam_single_step_closed_form():
     arch = Architecture(1, (2, 2), n_classes=2, filters=1, kernel=3)
     state = init_state(arch, seed=9)

@@ -1,5 +1,4 @@
 import concurrent.futures
-import copy
 import ctypes
 import dataclasses
 import hashlib
@@ -1088,9 +1087,9 @@ def test_records_do_not_depend_on_the_cut(tmp_path, monkeypatch, name,
     labels = rng.integers(0, task.J + 1, size=edges[-1])
     images = simulate_measurement(task, labels, rng)[0]
     score = runner.OBSERVERS[name](task, plan)
-    cut = Records.concatenate([score(images[lo:hi], labels[lo:hi])
-                               for lo, hi in zip(edges, edges[1:])])
-    whole = runner.OBSERVERS[name](task, plan)(images, labels)
+    cut = score(((images[lo:hi], labels[lo:hi])
+                 for lo, hi in zip(edges, edges[1:])), edges[-1])
+    whole = runner.OBSERVERS[name](task, plan)([(images, labels)], edges[-1])
     for field in dataclasses.fields(Records):
         assert np.array_equal(getattr(cut, field.name),
                               getattr(whole, field.name)), field.name
@@ -1115,9 +1114,9 @@ _CHUNKS = {"below-block": (16, 1, [0, 10]),
       for c in list(_CHUNKS)[:-2]]])
 def test_chunked_observers_equal_one_piece(tmp_path, monkeypatch, preset,
                                            observers, chunks):
-    # the files equal those of the split read in one piece, the Hotelling
-    # templates are built once, and the chains draw from the substreams of
-    # the split's indices
+    # the files equal those of the split read in one piece, each observer's
+    # pass reads the split once, the Hotelling templates are built once, and
+    # the chains draw from the substreams of the split's indices
     chunk, n_per_class, edges = _CHUNKS[chunks]
     if chunk is not None:
         monkeypatch.setattr(runner, "_CHUNK_PIXELS", chunk * 64 * 64)
@@ -1132,14 +1131,57 @@ def test_chunked_observers_equal_one_piece(tmp_path, monkeypatch, preset,
                               neuralnet.init_state(arch, seed=61))
     n = edges[-1]
     reads, builds, chains, chunked = _observe_in_chunks(monkeypatch, plan)
-    assert reads == [(0, 0), *zip(edges, edges[1:])]
+    assert reads == [(0, 0), *list(zip(edges, edges[1:])) * len(observers)]
     assert builds == 1
     assert chains == (list(range(n)) if "mcmc_io" in observers else [])
     monkeypatch.setattr(runner, "_chunk_edges", lambda count, shape: [0, n])
     reads, builds, chains, whole = _observe_in_chunks(monkeypatch, plan)
-    assert reads == [(0, 0), (0, n)]
+    assert reads == [(0, 0), *[(0, n)] * len(observers)]
     assert len(chunked) == 3 * len(observers) + 1
     assert chunked == whole
+
+
+@pytest.mark.parametrize("preset, names, pools", [
+    pytest.param("lb", ["mcmc_io"], 1, id="lb-mcmc_io"),
+    pytest.param("bke_system1", ["cnn_io"], 1, id="bke_system1-cnn_io"),
+    pytest.param("lb", ["mcmc_io", "cnn_io"], 3, id="lb-mcmc_io-cnn_io")])
+def test_a_pass_forks_one_pool_whatever_its_chunks(tmp_path, monkeypatch,
+                                                   preset, names, pools):
+    # on two usable CPUs, 30 images read 9 at a time are four chunks, each
+    # more than two 4-image micro-batches: the chains of the MCMC pass and
+    # the network's micro-batches of the CNN pass each run on one pool, a
+    # second observer adds one pool for the reports, and no pool is made
+    # while another is open
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(runner, "_CHUNK_PIXELS", 9 * 64 * 64)
+    plan = ExperimentPlan(preset, tmp_path / "o", observers=names,
+                          n_val_per_class=0, n_test_per_class=3, seed=42,
+                          mcmc_iterations=60, mcmc_burn_in=10,
+                          bootstrap_samples=20)
+    generate_dataset(plan)
+    task = plan.task
+    assert runner._chunk_edges(30, task.grid[::-1]) == [0, 9, 18, 27, 30]
+    arch = neuralnet.Architecture(1, task.grid[::-1], task.J + 1, filters=2)
+    neuralnet.save_checkpoint(plan.out_dir / "checkpoint.bin",
+                              neuralnet.init_state(arch, seed=64))
+    alive, opened = [], []  # the pools not yet shut down; that count per pool
+    executor = concurrent.futures.ProcessPoolExecutor
+
+    def counted(workers, *args, **kwargs):
+        pool = executor(workers, *args, **kwargs)
+        opened.append(len(alive))
+        alive.append(pool)
+        shutdown = pool.shutdown
+
+        def counted_shutdown(*args, **kwargs):
+            alive.remove(pool)
+            return shutdown(*args, **kwargs)
+        pool.shutdown = counted_shutdown
+        return pool
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+    run_observers(plan)
+    assert opened == [0] * pools and alive == []
 
 
 def test_observers_hold_one_chunk_of_the_split(tmp_path, monkeypatch):
@@ -1223,10 +1265,11 @@ def test_bad_label_in_a_later_chunk_fails_in_the_reused_buffer(
     ("lb", ["hotelling", "mcmc_io"])])
 def test_scorers_see_one_buffer_and_keep_no_view_of_it(tmp_path, monkeypatch,
                                                        preset, names):
-    # with chunks of 7 images, 20 images are three reads into one buffer:
-    # every scorer call gets views of the first chunk's memory, and the
-    # records it returns share none of it, so the later reads leave them
-    # as they were returned
+    # with chunks of 7 images, each pass reads 20 images in three reads
+    # into one buffer: every chunk a pass gets is a view of the first
+    # chunk's memory, and a chunk overwritten as soon as the pass draws the
+    # next one (and the last once the pass is done) leaves the files as
+    # they are without it
     monkeypatch.setattr(runner, "_CHUNK_PIXELS", 7 * 64 * 64)
     plan = ExperimentPlan(preset, tmp_path / "o", observers=names,
                           n_val_per_class=0, n_test_per_class=2, seed=39,
@@ -1237,35 +1280,39 @@ def test_scorers_see_one_buffer_and_keep_no_view_of_it(tmp_path, monkeypatch,
     arch = neuralnet.Architecture(1, task.grid[::-1], task.J + 1, filters=2)
     neuralnet.save_checkpoint(plan.out_dir / "checkpoint.bin",
                               neuralnet.init_state(arch, seed=63))
-    calls = []  # (images, labels, records, a copy of the records)
+    clean = _observe_in_chunks(monkeypatch, plan)[3]
+    chunks, passes = [], []  # every chunk drawn; every pass's records
 
     def kept(set_up):
         def kept_set_up(task, plan):
             score = set_up(task, plan)
 
-            def kept_score(images, labels):
-                records = score(images, labels)
-                calls.append((images, labels, records,
-                              copy.deepcopy(records)))
-                return records
+            def overwritten(pieces):
+                for images, labels in pieces:
+                    chunks.append((images, labels))
+                    yield images, labels
+                    images[...], labels[...] = np.nan, 255
+
+            def kept_score(pieces, n):
+                passes.append(score(overwritten(pieces), n))
+                return passes[-1]
             return kept_score
         return kept_set_up
 
     for name in names:
         monkeypatch.setitem(runner.OBSERVERS, name,
                             kept(runner.OBSERVERS[name]))
-    run_observers(plan)
-    assert [len(c[0]) for c in calls] == [n for n in (7, 7, 6)
-                                          for _ in names]
-    first_images, first_labels = calls[0][:2]
-    for images, labels, records, returned in calls:
+    assert _observe_in_chunks(monkeypatch, plan)[3] == clean
+    assert [len(c[0]) for c in chunks] == [7, 7, 6] * len(names)
+    first_images, first_labels = chunks[0]
+    for images, labels in chunks:
         assert np.shares_memory(images, first_images)
         assert np.shares_memory(labels, first_labels)
+    for records in passes:
         for field in dataclasses.fields(Records):
             value = getattr(records, field.name)
             assert not np.shares_memory(value, first_images), field.name
             assert not np.shares_memory(value, first_labels), field.name
-            assert np.array_equal(value, getattr(returned, field.name))
 
 
 def test_hotelling_covariance_stack_equals_list_and_stack(tmp_path,
@@ -1285,7 +1332,7 @@ def test_hotelling_covariance_stack_equals_list_and_stack(tmp_path,
     monkeypatch.setattr(runner.observers, "build_hotelling", keep)
     labels = np.arange(10)
     images = np.zeros((10, *task.grid[::-1]), dtype=np.float32)
-    runner.OBSERVERS["hotelling"](task, plan)(images, labels)
+    runner.OBSERVERS["hotelling"](task, plan)([(images, labels)], 10)
     rng = runner.stream(plan.seed, "hotelling-covariance")
     listed = np.stack([task.sample_background(rng) for _ in range(40)])
     backgrounds, state = built[0]
@@ -1331,7 +1378,8 @@ def test_mcmc_pool_equals_in_process_chains(tmp_path, monkeypatch, cpus):
         return executor(workers, *args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
-    records = runner.OBSERVERS["mcmc_io"](task, plan)(images, labels)
+    records = runner.OBSERVERS["mcmc_io"](task, plan)([(images, labels)],
+                                                     len(images))
     if cpus == 1:  # one usable CPU runs the chains in process
         assert pools == []
     else:
@@ -1364,7 +1412,8 @@ def test_mcmc_workers_run_one_blas_thread(tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner, "mcmc_io_record", report_threads)
     with pytest.raises(RuntimeError, match="^BLAS threads: 1$"):
-        runner.OBSERVERS["mcmc_io"](plan.task, plan)(images, labels)
+        runner.OBSERVERS["mcmc_io"](plan.task, plan)([(images, labels)],
+                                                     len(images))
 
 
 def test_mcmc_records_do_not_depend_on_blas_threads(tmp_path):
@@ -1460,7 +1509,8 @@ def test_failing_chain_cancels_the_chains_not_started(tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner, "mcmc_io_record", first_chain_fails)
     with pytest.raises(ValueError, match="the first chain failed"):
-        runner.OBSERVERS["mcmc_io"](plan.task, plan)(images, labels)
+        runner.OBSERVERS["mcmc_io"](plan.task, plan)([(images, labels)],
+                                                     len(images))
     assert len(list(started.iterdir())) < len(images) // 2
 
 
@@ -1750,8 +1800,8 @@ def test_observer_set_up_does_no_scoring_work(tmp_path, monkeypatch, name,
     calls = _count_scoring_calls(monkeypatch)
     score = runner.OBSERVERS[name](task, plan)
     assert set(calls.values()) == {0}
-    records = score(np.zeros((2, *task.grid[::-1]), dtype=np.float32),
-                    np.array([0, 1]))
+    records = score([(np.zeros((2, *task.grid[::-1]), dtype=np.float32),
+                      np.array([0, 1]))], 2)
     assert len(records) == 2
     assert calls[work] >= 1  # the wrappers see the work when it scores
 
