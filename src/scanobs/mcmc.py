@@ -53,9 +53,12 @@ class McmcConfig:
 
     def __post_init__(self):
         if self.burn_in is not None and self.burn_in < 0:
-            raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
-        if self.iterations <= self.effective_burn_in:
-            raise ValueError("iterations must exceed burn-in")
+            raise ValueError(f"burn_in: must be >= 0, or unset for the "
+                             f"default, got {self.burn_in}")
+        least = max(1, self.effective_burn_in + 1)
+        if self.iterations < least:
+            raise ValueError(f"iterations: must be at least {least}, above "
+                             f"the burn-in, got {self.iterations}")
         if self.max_count is not None and self.max_count < 0:
             raise ValueError(f"max_count must be >= 0, got {self.max_count}")
         if self.candidate_centers is not None:

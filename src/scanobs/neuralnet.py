@@ -297,16 +297,18 @@ _scope = None
 
 
 @contextlib.contextmanager
-def _task_map(state: NetworkState, tasks: int):
-    """workers.task_map for tasks on state, with what each task carries of
-    state: None where the workers have it from the fork, else the state
-    (sent without its Adam moments).  Nested calls reuse the open map."""
+def worker_scope(state: NetworkState, images: int):
+    """workers.task_map for the micro-batches of calls on state of up to
+    ``images`` images, with what each task carries of state: None where the
+    workers have it from the fork, else the state (sent without its Adam
+    moments).  Nested calls reuse the open map."""
     global _scope
     if _scope is not None:
         yield _scope[1], (None if state is _scope[0]
                           else replace(state, m=[], v=[]))
         return
-    with workers.task_map(tasks) as tasks_map:
+    parts = _micro_batches(images, state.arch.input_shape)
+    with workers.task_map(len(parts)) as tasks_map:
         _scope = state, tasks_map
         try:
             yield tasks_map, None
@@ -330,7 +332,7 @@ def forward_posteriors(images, state: NetworkState) -> np.ndarray:
         raise ValueError(f"image shape {images.shape[1:]} does not match "
                          f"architecture input {shape}")
     parts = _micro_batches(len(images), shape)
-    with _task_map(state, len(parts)) as (tasks, net):
+    with worker_scope(state, len(images)) as (tasks, net):
         return np.concatenate(list(tasks(
             _posteriors, (images[s] for s in parts), repeat(net))))
 
@@ -366,7 +368,7 @@ def loss_and_gradient(images, labels, state: NetworkState):
         raise ValueError("label out of range")
     parts = _micro_batches(len(labels), state.arch.input_shape)
     losses, grads = [], None
-    with _task_map(state, len(parts)) as (tasks, net):
+    with worker_scope(state, len(labels)) as (tasks, net):
         for loss, part in tasks(_micro_batch_gradient,
                                 (images[s] for s in parts),
                                 (labels[s] for s in parts),
@@ -396,12 +398,12 @@ class TrainSchedule:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.total_minibatches, self.batch_per_class,
-               self.val_period) <= 0:
-            raise ValueError("total_minibatches, batch_per_class and "
-                             "val_period must be positive")
+        for key in ("total_minibatches", "batch_per_class", "val_period"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key}: must be at least 1, got "
+                                 f"{getattr(self, key)}")
         if not 0.0 < self.learning_rate <= _LARGEST_RATE:
-            raise ValueError(f"learning_rate must be above 0 and at most "
+            raise ValueError(f"learning_rate: must be above 0 and at most "
                              f"{_LARGEST_RATE:.8g}, got {self.learning_rate}")
 
 
@@ -518,13 +520,11 @@ def train(arch: Architecture, task, backgrounds, schedule: TrainSchedule,
     best_state = validated = state.copy()
     best_val = np.inf
     history = []
-    step_parts = _micro_batches(schedule.batch_per_class * (task.J + 1),
-                                state.arch.input_shape)
     state.params = workers.shared_copies(state.params)  # see _scope
     # non-finite values raise TrainingDiverged; numpy's warnings add nothing.
     # The steps and validations share one pool of workers.
     with open(log_path, "w") as log, np.errstate(all="ignore"), \
-            _task_map(state, len(step_parts)):
+            worker_scope(state, schedule.batch_per_class * (task.J + 1)):
         log.write("step,train_loss,val_loss\n")
         for step in range(state.step, schedule.total_minibatches):
             rng = substream(schedule.seed, "train-step", step)

@@ -24,11 +24,10 @@ from .tasks import PRESETS, TaskConfig, simulate_measurement, task_preset
 _JSON_TYPES = {"str": str, "Path": (str, Path), "list[str]": list, "int": int,
                "float": (int, float), "int | list[int]": (int, list)}
 
-# Smallest accepted value of each bounded count
+# Smallest accepted value of each count that the plan itself bounds
 _LEAST = {"n_train_backgrounds": 0, "n_val_per_class": 0,
-          "n_test_per_class": 0, "seed": 0, "batch_per_class": 1,
-          "total_minibatches": 1, "val_period": 1, "mcmc_iterations": 1,
-          "bootstrap_samples": 2, "cov_samples": 2}
+          "n_test_per_class": 0, "seed": 0, "bootstrap_samples": 2,
+          "cov_samples": 2}
 
 # The presets an observer can run on, where it cannot run on all of them
 _OBSERVER_PRESETS = {"analytic_io": ("bke_system1", "bke_system2"),
@@ -73,9 +72,13 @@ class ExperimentPlan:
             val = getattr(self, f.name)
             if type(val) is bool or not isinstance(val, _JSON_TYPES[f.type]):
                 raise ConfigError(f"{f.name}: must be {f.type}, got {val!r}")
-        if self.preset not in PRESETS:
-            raise ConfigError(f"preset: unknown preset {self.preset!r}; "
-                              f"expected one of {PRESETS}")
+        # the task, schedule and chain keys are checked by the objects built
+        # from them, whose messages start with the key (less its "mcmc_")
+        for name, prefix in ("task", ""), ("schedule", ""), ("mcmc", "mcmc_"):
+            try:
+                getattr(self, name)
+            except ValueError as exc:
+                raise ConfigError(f"{prefix}{exc}") from None
         for i, obs in enumerate(self.observers):
             if not isinstance(obs, str) or obs not in OBSERVERS:
                 raise ConfigError(f"observers: unknown observer {obs!r}")
@@ -89,27 +92,28 @@ class ExperimentPlan:
             if getattr(self, key) < least:
                 raise ConfigError(f"{key}: must be at least {least}, got "
                                   f"{getattr(self, key)}")
-        if not 0.0 < self.learning_rate <= neuralnet._LARGEST_RATE:
-            raise ConfigError(f"learning_rate: must be above 0 and at most "
-                              f"{neuralnet._LARGEST_RATE:.8g}, got "
-                              f"{self.learning_rate}")
         d = self.depths
         if not (d and all(type(k) is int and k >= 1 for k in d)
                 and all(a < b for a, b in zip(d, d[1:]))):
             raise ConfigError(f"conv_layers: need one or more strictly "
                               f"increasing depths of at least 1, got "
                               f"{self.conv_layers}")
-        if self.mcmc_burn_in < -1:
-            raise ConfigError(f"mcmc_burn_in: must be >= 0, or -1 for the "
-                              f"default, got {self.mcmc_burn_in}")
-        if self.mcmc_iterations <= self.mcmc_burn_in:
-            raise ConfigError(f"mcmc_iterations: {self.mcmc_iterations} must "
-                              f"exceed mcmc_burn_in {self.mcmc_burn_in}")
         self.out_dir = Path(self.out_dir)
 
     @property
     def task(self) -> TaskConfig:
         return task_preset(self.preset)
+
+    @property
+    def schedule(self) -> TrainSchedule:
+        return TrainSchedule(self.total_minibatches, self.batch_per_class,
+                             self.learning_rate, self.val_period, self.seed)
+
+    @property
+    def mcmc(self) -> McmcConfig:
+        """The chain settings; an mcmc_burn_in of -1 is the default."""
+        burn_in = None if self.mcmc_burn_in == -1 else self.mcmc_burn_in
+        return McmcConfig(self.mcmc_iterations, burn_in)
 
     @property
     def depths(self) -> list[int]:
@@ -314,26 +318,22 @@ def _mcmc_io(task, plan):
     chunk's before the next is read, and concatenates their rows in image
     order, so the records do not depend on the worker count.  If a chain
     raises, the chains not yet started do not run."""
-    cfg = McmcConfig(
-        iterations=plan.mcmc_iterations,
-        burn_in=None if plan.mcmc_burn_in < 0 else plan.mcmc_burn_in)
-
     def score(chunks, n):
         rows = []  # one per image scored
         with workers.task_map(n) as tasks:
             for images, labels in chunks:
                 rngs = [substream(plan.seed, "mcmc-chain", i)
                         for i in range(len(rows), len(rows) + len(images))]
-                rows += tasks(_mcmc_chain, images, repeat(task), repeat(cfg),
-                              rngs, labels)
+                rows += tasks(_mcmc_chain, images, repeat(task),
+                              repeat(plan.mcmc), rngs, labels)
         return observers.Records.concatenate(rows)
     return score
 
 
 def _cnn_io(task, plan):
     """Scores with the plan's checkpoint, checked against the task, in
-    one network pool scope (neuralnet._task_map) open for the whole pass,
-    which every chunk's forward_posteriors call reuses."""
+    one neuralnet.worker_scope open for the whole pass, which every
+    chunk's forward_posteriors call reuses."""
     ckpt = plan.out_dir / "checkpoint.bin"
     if not ckpt.exists():
         raise FileNotFoundError(f"cnn_io requires a checkpoint at {ckpt}")
@@ -345,8 +345,7 @@ def _cnn_io(task, plan):
                          f"the plan's task has {expected}")
 
     def score(chunks, n):
-        parts = neuralnet._micro_batches(n, state.arch.input_shape)
-        with neuralnet._task_map(state, len(parts)):
+        with neuralnet.worker_scope(state, n):
             return observers.Records.concatenate([
                 neuralnet.cnn_io_records(images, labels, state, task.priors)
                 for images, labels in chunks])
@@ -440,13 +439,11 @@ def run_training(plan: ExperimentPlan):
     if len(val_images) == 0:
         raise ConfigError(f"n_val_per_class: training needs validation "
                           f"images, and {out / 'val.bin'} has none")
-    schedule = TrainSchedule(plan.total_minibatches, plan.batch_per_class,
-                             plan.learning_rate, plan.val_period, plan.seed)
     try:
         result, history = neuralnet.select_depth(
             plan.depths, lambda depth: neuralnet.train(
                 Architecture(depth, task.grid[::-1], task.J + 1), task,
-                backgrounds, schedule, val_images, val_labels,
+                backgrounds, plan.schedule, val_images, val_labels,
                 out / f"training_log_depth{depth}.csv"))
     except TrainingDiverged as exc:
         neuralnet.save_checkpoint(out / "checkpoint_diverged.bin", exc.state)

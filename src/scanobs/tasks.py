@@ -32,7 +32,6 @@ class TaskConfig:
     prf: PrfSpec | None = None
     lumpy: LumpyParams | None = None
     clb: ClbParams | None = None
-    priors: np.ndarray | None = None   # length J+1; uniform when None
 
     def __post_init__(self):
         phantoms.validate_signal_ensemble(self.signals, self.grid)
@@ -47,17 +46,15 @@ class TaskConfig:
         if self.lumpy is not None and self.clb is not None:
             raise ValueError("a task takes one background, lumpy or clb, "
                              "not both")
-        if self.priors is None:
-            self.priors = np.full(self.J + 1, 1.0 / (self.J + 1))
-        self.priors = np.asarray(self.priors, dtype=np.float64)
-        if len(self.priors) != self.J + 1:
-            raise ValueError("priors must have length J+1")
-        if np.any(self.priors <= 0) or not np.isclose(self.priors.sum(), 1.0):
-            raise ValueError("priors must be positive and sum to 1")
 
     @property
     def J(self) -> int:
         return len(self.signals)
+
+    @cached_property
+    def priors(self) -> np.ndarray:
+        """Pr(H_0), ..., Pr(H_J): uniform, in float64."""
+        return np.full(self.J + 1, 1.0 / (self.J + 1))
 
     @cached_property
     def signal_images(self) -> np.ndarray:
@@ -98,11 +95,12 @@ def simulate_measurement(task: TaskConfig, label, rng: np.random.Generator):
     return apply_noise(img, task.noise, rng), label
 
 
-def task_preset(name: str) -> TaskConfig:
+def task_preset(preset: str) -> TaskConfig:
     """Build one of the four named tasks with its canonical constants."""
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}; expected one of {PRESETS}")
-    if name == "clb":
+    if preset not in PRESETS:
+        raise ValueError(f"preset: unknown preset {preset!r}; expected one "
+                         f"of {PRESETS}")
+    if preset == "clb":
         grid = (128, 128)
         return TaskConfig(
             kind="clb_poisson_gaussian",
@@ -113,7 +111,7 @@ def task_preset(name: str) -> TaskConfig:
                              (-np.pi / 4, 0.0, np.pi / 4)),
         )
     grid = (64, 64)
-    if name == "lb":
+    if preset == "lb":
         return TaskConfig(
             kind="lb_gaussian",
             grid=grid,
@@ -123,7 +121,7 @@ def task_preset(name: str) -> TaskConfig:
             noise=NoiseModel.gaussian(20.0),
             signals=_signals(grid, 0.5, (2.0,)),
         )
-    height, width = (60.0, 5.0) if name == "bke_system1" else (144.0, 12.0)
+    height, width = (60.0, 5.0) if preset == "bke_system1" else (144.0, 12.0)
     return TaskConfig(
         kind="bke_laplacian",
         grid=grid,

@@ -536,7 +536,7 @@ def test_adam_step_holds_two_scratch_arrays():
     {"learning_rate": 1e39}])
 def test_schedule_rejects_out_of_range_settings(overrides):
     key = next(iter(overrides))
-    with pytest.raises(ValueError, match=key):
+    with pytest.raises(ValueError, match=f"^{key}: "):
         TrainSchedule(**{"total_minibatches": 1, **overrides})
 
 
@@ -1119,7 +1119,7 @@ def test_call_on_another_state_in_an_open_pool_sends_its_weights(
                                                                  seed=56)
     expected = forward_posteriors(images, other)
     pools.clear()
-    with nn._task_map(scope, 3):
+    with nn.worker_scope(scope, len(images)):
         found = forward_posteriors(images, other)
         assert np.array_equal(forward_posteriors(images, scope),
                               forward_posteriors(images, scope.copy()))

@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import ctypes
 import dataclasses
@@ -28,7 +29,7 @@ from scanobs import neuralnet, observers, runner, workers
 from scanobs.cli import main
 from scanobs.dataset import HEADER_SIZE, DatasetWriter, read_dataset
 from scanobs.mcmc import McmcConfig, mcmc_io_record
-from scanobs.neuralnet import TrainingDiverged, load_checkpoint
+from scanobs.neuralnet import TrainingDiverged, TrainSchedule, load_checkpoint
 from scanobs.observers import Records
 from scanobs.rng import substream
 from scanobs.runner import (
@@ -191,6 +192,50 @@ def test_cli_out_of_range_plans_are_one_line_errors(tmp_path, capsys,
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("overrides, build", [
+    ({"preset": "no_such"}, lambda: task_preset("no_such")),
+    ({"total_minibatches": 0}, lambda: TrainSchedule(0)),
+    ({"batch_per_class": 0}, lambda: TrainSchedule(1, batch_per_class=0)),
+    ({"val_period": -3}, lambda: TrainSchedule(1, val_period=-3)),
+    ({"learning_rate": 1e39}, lambda: TrainSchedule(1, learning_rate=1e39)),
+    ({"learning_rate": 0.0}, lambda: TrainSchedule(1, learning_rate=0.0)),
+    ({"mcmc_iterations": 0}, lambda: McmcConfig(0)),
+    ({"mcmc_iterations": 100, "mcmc_burn_in": 100},
+     lambda: McmcConfig(100, 100)),
+    ({"mcmc_burn_in": -7}, lambda: McmcConfig(burn_in=-7))],
+    ids=["preset", "total_minibatches", "batch_per_class", "val_period",
+         "learning_rate-large", "learning_rate-zero", "mcmc_iterations",
+         "mcmc_iterations-burn_in", "mcmc_burn_in"])
+def test_each_plan_rule_is_stated_once(tmp_path, overrides, build):
+    # a key the plan hands to the task, the schedule or the chains is
+    # checked by that object alone: the plan's one-line error is the
+    # object's message, which starts with the key, less the "mcmc_" of the
+    # chain settings
+    key = next(iter(overrides))
+    with pytest.raises(ValueError) as owned:
+        build()
+    with pytest.raises(ConfigError) as planned:
+        ExperimentPlan(**{"preset": "lb", "out_dir": tmp_path, **overrides})
+    prefix = "mcmc_" if key.startswith("mcmc_") else ""
+    assert str(planned.value) == prefix + str(owned.value)
+    assert str(planned.value).startswith(f"{key}: ")
+
+
+def test_runner_and_cli_use_no_private_package_name():
+    # the orchestration reaches the other modules through their public
+    # names only, so that what a module keeps private stays its own
+    src = Path(runner.__file__).parent
+    modules = {path.stem for path in src.glob("*.py")}
+    for name in ("runner.py", "cli.py"):
+        private = [f"{node.value.id}.{node.attr}"
+                   for node in ast.walk(ast.parse((src / name).read_text()))
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id in modules
+                   and node.attr.startswith("_")]
+        assert private == [], name
 
 
 @pytest.mark.parametrize("plan_seed, args", [(0, ["--seed", "-1"]),
